@@ -307,8 +307,7 @@ def _canonical_bottleneck(network: Network, xs: np.ndarray) -> None:
     scaled, so a degenerate embedding keeps its numerical rank.
     """
     b = network.bottleneck_index
-    _, cache = forward(network, xs, mode="eval")
-    emb = cache.outputs[b]
+    emb = forward(network, xs, stop=b + 1)[0]
     mean = emb.mean(axis=0)
     centered = emb - mean
     # Zero rows pad n < d up to a full set of d right singular vectors.
@@ -322,10 +321,11 @@ def _canonical_bottleneck(network: Network, xs: np.ndarray) -> None:
     # new = T (old - mean) with T = diag(1/scale) axes^T; T^-1 = axes diag(scale)
     encode, nxt = network.layers[b], network.layers[b + 1]
     transform = axes.T / scale[:, None]
-    encode.weights = transform @ encode.weights
-    encode.bias = transform @ (encode.bias - mean)
-    nxt.bias = nxt.bias + nxt.weights @ mean
-    nxt.weights = nxt.weights @ (axes * scale)
+    # Written in place: the layers are views into network.params.
+    encode.weights[...] = transform @ encode.weights
+    encode.bias[...] = transform @ (encode.bias - mean)
+    nxt.bias += nxt.weights @ mean
+    nxt.weights[...] = nxt.weights @ (axes * scale)
 
 
 def embed(model: AimeModel, x) -> np.ndarray:
@@ -333,6 +333,7 @@ def embed(model: AimeModel, x) -> np.ndarray:
 
     Rows are standardized with the model's stored training statistics, so
     embeddings of new data live in the same space as the training ones.
+    Only the encoder runs, up to the bottleneck.
     """
     x = as_matrix(x, name="x")
     if x.shape[1] != model.network.input_size:
@@ -340,8 +341,7 @@ def embed(model: AimeModel, x) -> np.ndarray:
             f"x has {x.shape[1]} columns, model expects {model.network.input_size}"
         )
     xs = standardize_columns(x, model.input_means, model.input_sds)
-    _, cache = forward(model.network, xs, mode="eval")
-    return cache.outputs[model.network.bottleneck_index]
+    return forward(model.network, xs, stop=model.network.bottleneck_index + 1)[0]
 
 
 def reconstruct(model: AimeModel, x) -> np.ndarray:

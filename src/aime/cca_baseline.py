@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, DomainError, ShapeError
-from .matrix_core import as_matrix, matmul, cholesky, solve_lower, solve_upper, svd_thin
+from .matrix_core import as_matrix, cholesky, solve_lower, solve_upper, svd_thin
 
 DEFAULT_RIDGE_SCALE = 1.0
 
@@ -73,9 +73,9 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
     xc = x - x_means
     yc = y - y_means
 
-    sxx = matmul(xc.T, xc) / (n - 1)
-    syy = matmul(yc.T, yc) / (n - 1)
-    sxy = matmul(xc.T, yc) / (n - 1)
+    sxx = xc.T @ xc / (n - 1)
+    syy = yc.T @ yc / (n - 1)
+    sxy = xc.T @ yc / (n - 1)
     if ridge > 0:
         sxx = sxx + (ridge * np.trace(sxx) / p) * np.eye(p)
         syy = syy + (ridge * np.trace(syy) / q) * np.eye(q)
@@ -106,8 +106,8 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
         x_directions=x_dirs,
         y_directions=y_dirs,
         correlations=s[:k].copy(),
-        x_variates=matmul(xc, x_dirs),
-        y_variates=matmul(yc, y_dirs),
+        x_variates=xc @ x_dirs,
+        y_variates=yc @ y_dirs,
         ridge=float(ridge),
         x_means=x_means,
         y_means=y_means,
@@ -123,4 +123,4 @@ def project_cca(result: CcaResult, x_new) -> np.ndarray:
             f"expected {p} columns to match the fitted X block, "
             f"got {x_new.shape[1]}"
         )
-    return matmul(x_new - result.x_means, result.x_directions)
+    return (x_new - result.x_means) @ result.x_directions

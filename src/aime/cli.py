@@ -14,6 +14,7 @@ import functools
 import os
 import sys
 import tempfile
+from collections.abc import Callable
 
 import click
 import numpy as np
@@ -94,25 +95,15 @@ def _resolve(cfg: dict[str, str], key: str, flag, default, cast):
 # ---------------------------------------------------------------- output
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_", text=False)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_labeled(m: LabeledMatrix, path: str, delimiter: str) -> None:
+def _atomic_write(path: str, write: Callable[[str], None]) -> None:
+    """Run ``write(tmp)`` on a temp file in the target's directory, then
+    rename it over ``path``; on any failure the temp file is removed and
+    ``path`` is left as it was."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_")
     os.close(fd)
     try:
-        write_labeled(m, tmp, delimiter=delimiter)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -120,17 +111,9 @@ def _atomic_write_labeled(m: LabeledMatrix, path: str, delimiter: str) -> None:
         raise
 
 
-def _atomic_save_model(model, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_")
-    os.close(fd)
-    try:
-        save_model(model, tmp)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_text(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        handle.write(text)
 
 
 def guarded(func):
@@ -215,7 +198,7 @@ def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, or
     else:
         threshold = _resolve(cfg, "threshold", threshold, 1.25, float)
         kept = sd_filter(m, threshold)
-    _atomic_write_labeled(kept, output_path, delimiter)
+    _atomic_write(output_path, lambda tmp: write_labeled(kept, tmp, delimiter=delimiter))
     click.echo(
         f"kept {kept.n_features} of {m.n_features} features "
         f"(dropped {m.n_features - kept.n_features})"
@@ -253,15 +236,12 @@ def cmd_train(x_path, y_path, dim, epochs, seed, learning_rate, batch_size, mode
     )
     dim = _resolve(cfg, "d", dim, 4, int)
     model = fit(x.values, y.values, dim, config)
-    _atomic_save_model(model, model_out)
+    _atomic_write(model_out, lambda tmp: save_model(model, tmp))
     history_out = history_out or (model_out + ".history")
-    _atomic_write_text(
-        history_out,
-        "".join(
-            f"{i + 1}\t{float(loss)!r}\n"
-            for i, loss in enumerate(model.loss_history)
-        ),
+    history = "".join(
+        f"{i + 1}\t{float(loss)!r}\n" for i, loss in enumerate(model.loss_history)
     )
+    _atomic_write(history_out, lambda tmp: _write_text(tmp, history))
     final = model.loss_history[-1] if model.loss_history else float("nan")
     click.echo(f"trained {x.n_samples} samples, final epoch loss {final:.6f}")
 
@@ -284,7 +264,7 @@ def cmd_embed(model_path, x_path, output_path, delimiter, orientation):
     out = LabeledMatrix(
         coords, x.sample_ids, [f"e{i}" for i in range(coords.shape[1])]
     )
-    _atomic_write_labeled(out, output_path, delimiter)
+    _atomic_write(output_path, lambda tmp: write_labeled(out, tmp, delimiter=delimiter))
     click.echo(f"embedded {out.n_samples} samples into {out.n_features} dimensions")
 
 
@@ -318,7 +298,7 @@ def cmd_importance(model_path, x_path, output_path, repeats, fraction, seed, del
         lines.append(
             f"{x.feature_ids[j]}{sep}{float(report.scores[j])!r}{sep}{rank}\n"
         )
-    _atomic_write_text(output_path, "".join(lines))
+    _atomic_write(output_path, lambda tmp: _write_text(tmp, "".join(lines)))
     click.echo(f"wrote top {len(chosen)} of {report.n_variables} variables")
 
 
@@ -345,22 +325,22 @@ def cmd_cca(x_path, y_path, out_prefix, k, ridge, delimiter, orientation, config
     x, y = align_samples(x, y)
     result = fit_cca(x.values, y.values, k, ridge=ridge)
     names = [f"cv{i}" for i in range(k)]
-    _atomic_write_labeled(
-        LabeledMatrix(result.x_variates, x.sample_ids, names),
+    x_out = LabeledMatrix(result.x_variates, x.sample_ids, names)
+    y_out = LabeledMatrix(result.y_variates, y.sample_ids, names)
+    _atomic_write(
         f"{out_prefix}_x_variates.tsv",
-        delimiter,
+        lambda tmp: write_labeled(x_out, tmp, delimiter=delimiter),
     )
-    _atomic_write_labeled(
-        LabeledMatrix(result.y_variates, y.sample_ids, names),
+    _atomic_write(
         f"{out_prefix}_y_variates.tsv",
-        delimiter,
+        lambda tmp: write_labeled(y_out, tmp, delimiter=delimiter),
     )
     sep = "\t" if delimiter == "tab" else ","
-    _atomic_write_text(
-        f"{out_prefix}_correlations.tsv",
-        "".join(
-            f"{i}{sep}{float(c)!r}\n" for i, c in enumerate(result.correlations)
-        ),
+    correlations = "".join(
+        f"{i}{sep}{float(c)!r}\n" for i, c in enumerate(result.correlations)
+    )
+    _atomic_write(
+        f"{out_prefix}_correlations.tsv", lambda tmp: _write_text(tmp, correlations)
     )
     top = ", ".join(f"{c:.4f}" for c in result.correlations)
     click.echo(f"canonical correlations: {top}")
@@ -387,18 +367,22 @@ def cmd_synth(out_prefix, n, p, q, n_signal, noise_sd, design, seed, delimiter):
         design=design, seed=seed,
     )
     data = generate(spec)
-    _atomic_write_labeled(data.x, f"{out_prefix}_x.tsv", delimiter)
-    _atomic_write_labeled(data.y, f"{out_prefix}_y.tsv", delimiter)
+    _atomic_write(
+        f"{out_prefix}_x.tsv", lambda tmp: write_labeled(data.x, tmp, delimiter=delimiter)
+    )
+    _atomic_write(
+        f"{out_prefix}_y.tsv", lambda tmp: write_labeled(data.y, tmp, delimiter=delimiter)
+    )
     sep = "\t" if delimiter == "tab" else ","
     label_lines = ["id" + sep + "label\n"] + [
         f"{sid}{sep}{int(lab)}\n"
         for sid, lab in zip(data.x.sample_ids, data.labels)
     ]
-    _atomic_write_text(f"{out_prefix}_labels.tsv", "".join(label_lines))
-    _atomic_write_text(
-        f"{out_prefix}_signal.txt",
-        "".join(f"{j}\n" for j in data.signal_indices),
+    _atomic_write(
+        f"{out_prefix}_labels.tsv", lambda tmp: _write_text(tmp, "".join(label_lines))
     )
+    signal = "".join(f"{j}\n" for j in data.signal_indices)
+    _atomic_write(f"{out_prefix}_signal.txt", lambda tmp: _write_text(tmp, signal))
     click.echo(
         f"wrote {out_prefix}_x.tsv, _y.tsv, _labels.tsv, _signal.txt "
         f"({n} samples, design {design})"
@@ -510,7 +494,8 @@ def cmd_plot(embedding_path, labels_path, output_path, delimiter):
             f"first: {missing[0]!r}"
         )
     labels = [by_id[s] for s in emb.sample_ids]
-    _atomic_write_text(output_path, scatter_matrix_svg(emb.values, labels))
+    svg = scatter_matrix_svg(emb.values, labels)
+    _atomic_write(output_path, lambda tmp: _write_text(tmp, svg))
     click.echo(
         f"plotted {emb.n_samples} samples, {emb.n_features}x{emb.n_features} panels"
     )

@@ -204,15 +204,14 @@ def align_samples(
     Raises AlignmentError when the id sets do not intersect, quoting a few ids
     from each side so the mismatch is visible in the message.
     """
-    in_b = set(b.sample_ids)
-    shared = [s for s in a.sample_ids if s in in_b]
-    if not shared:
+    b_pos = {s: i for i, s in enumerate(b.sample_ids)}
+    a_rows = [i for i, s in enumerate(a.sample_ids) if s in b_pos]
+    if not a_rows:
         raise AlignmentError(
             "no shared sample ids; first side has "
             f"{a.sample_ids[:3]}, second side has {b.sample_ids[:3]}"
         )
-    b_pos = {s: i for i, s in enumerate(b.sample_ids)}
-    a_rows = [a.sample_ids.index(s) for s in shared]
+    shared = [a.sample_ids[i] for i in a_rows]
     b_rows = [b_pos[s] for s in shared]
     a_out = LabeledMatrix(a.values[a_rows], shared, list(a.feature_ids))
     b_out = LabeledMatrix(b.values[b_rows], shared, list(b.feature_ids))

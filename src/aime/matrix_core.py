@@ -78,6 +78,19 @@ class RngStream:
             raise ValueError(f"randint_below needs n >= 1, got {n}")
         return int(self._gen.integers(n))
 
+    def randints_below(self, bounds: np.ndarray) -> np.ndarray:
+        """One uniform integer in ``{0, ..., b-1}`` for each bound ``b``.
+
+        One call, with the same draws and the same stream state after it
+        as one :meth:`randint_below` call per bound, in order.
+        """
+        bounds = np.asarray(bounds, dtype=np.int64)
+        if bounds.size and bounds.min() < 1:
+            raise ValueError(
+                f"randints_below needs every bound >= 1, got {bounds.min()}"
+            )
+        return self._gen.integers(bounds)
+
     def uniform(self, low: float, high: float, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size)
 
@@ -100,15 +113,20 @@ def permuted(values: np.ndarray, rng: RngStream) -> np.ndarray:
 
     Draw order is fixed so traces can be replayed: for ``i`` from
     ``n - 1`` down to ``1``, draw ``j = rng.randint_below(i + 1)`` and
-    swap positions ``i`` and ``j``.
+    swap positions ``i`` and ``j``. All n - 1 draws come from one
+    :meth:`RngStream.randints_below` call, which yields exactly those
+    numbers; the swaps then run on a list of positions, and one gather
+    applies them.
     """
-    out = np.array(values, copy=True)
-    if out.ndim != 1:
-        raise ShapeError(f"permuted expects a 1-D array, got {out.ndim}-D")
-    for i in range(len(out) - 1, 0, -1):
-        j = rng.randint_below(i + 1)
-        out[i], out[j] = out[j], out[i]
-    return out
+    values = np.asarray(values)
+    if values.ndim != 1:
+        raise ShapeError(f"permuted expects a 1-D array, got {values.ndim}-D")
+    n = len(values)
+    draws = rng.randints_below(np.arange(n, 1, -1)).tolist()
+    order = list(range(n))
+    for i, j in zip(range(n - 1, 0, -1), draws):
+        order[i], order[j] = order[j], order[i]
+    return values[order]
 
 
 def permute_column(m: np.ndarray, col: int, rng: RngStream) -> np.ndarray:
@@ -118,13 +136,6 @@ def permute_column(m: np.ndarray, col: int, rng: RngStream) -> np.ndarray:
     out = m.copy()
     out[:, col] = permuted(m[:, col], rng)
     return out
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply shapes {a.shape} and {b.shape}")
-    return a @ b
 
 
 def cholesky(s: np.ndarray) -> np.ndarray:

@@ -63,10 +63,20 @@ class Network:
 
     ``bottleneck_index`` marks the layer whose output is the embedding,
     for networks that have one; plain regression networks leave it None.
+
+    Every weight and bias lives in one contiguous float64 vector,
+    ``params``: layer by layer, each layer's weights (row-major) before
+    its bias. Each layer's ``weights`` and ``bias`` are views into it, so
+    one vector operation can update the whole network. Building a Network
+    copies its layers' values into a new vector and rebinds the layers to
+    it, so a layer belongs to one network at a time, and code that changes
+    parameters writes into the views (``w[...] = ...``) rather than
+    rebinding them.
     """
 
     layers: list[DenseLayer]
     bottleneck_index: int | None = None
+    params: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for a, b in zip(self.layers, self.layers[1:]):
@@ -82,6 +92,22 @@ class Network:
                 f"bottleneck index {self.bottleneck_index} out of range for "
                 f"{len(self.layers)} layers"
             )
+        self.params = np.empty(sum(l.weights.size + l.bias.size for l in self.layers))
+        for layer, (w, b) in zip(self.layers, self.layer_views(self.params)):
+            w[...] = layer.weights
+            b[...] = layer.bias
+            layer.weights, layer.bias = w, b
+
+    def layer_views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(weights, bias) views of each layer into a vector laid out like
+        ``params``."""
+        views, offset = [], 0
+        for layer in self.layers:
+            rows, cols = layer.weights.shape
+            end = offset + rows * cols
+            views.append((flat[offset:end].reshape(rows, cols), flat[end : end + rows]))
+            offset = end + rows
+        return views
 
     @property
     def input_size(self) -> int:
@@ -170,12 +196,16 @@ def forward(
     mode: str = "eval",
     rng: RngStream | None = None,
     masks: list[np.ndarray | None] | None = None,
+    stop: int | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a batch; returns (output, cache).
 
     In eval mode dropout is off and the pass is deterministic. In train
     mode masks come from ``rng`` (or are passed in directly, which is how
-    the gradient checks replay one fixed pass bit for bit).
+    the gradient checks replay one fixed pass bit for bit). ``stop`` runs
+    only the first ``stop`` layers, so the output is that layer's and the
+    cache holds only those layers; the embedding is read this way without
+    running the decoder.
     """
     if mode not in MODES:
         raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
@@ -200,7 +230,7 @@ def forward(
 
     a = x
     pre, outs = [], []
-    for layer, mask in zip(network.layers, masks):
+    for layer, mask in zip(network.layers[:stop], masks):
         z = a @ layer.weights.T + layer.bias
         a = _activate(layer.activation, z)
         if mask is not None:
@@ -228,8 +258,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 def backward(
     network: Network, cache: ForwardCache, loss_grad: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Gradients of the loss w.r.t. each layer's (weights, bias).
+) -> np.ndarray:
+    """Gradient of the loss w.r.t. every parameter, laid out like
+    ``network.params`` (``network.layer_views`` splits it by layer).
 
     ``loss_grad`` is the gradient of the loss at the network output (for
     MSE, the second value of :func:`mse_loss`). The cache must come from
@@ -248,7 +279,8 @@ def backward(
 
     n = pred.shape[0]
     grad_a = loss_grad
-    grads: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(network.layers)
+    grads = np.empty(network.params.size)
+    views = network.layer_views(grads)
     for idx in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[idx]
         z = cache.pre_activations[idx]
@@ -262,7 +294,9 @@ def backward(
             grad_a = grad_a * mask
         grad_z = grad_a * _activate_grad(layer.activation, z)
         below = cache.x if idx == 0 else cache.outputs[idx - 1]
-        grads[idx] = (grad_z.T @ below, grad_z.sum(axis=0))
+        gw, gb = views[idx]
+        np.matmul(grad_z.T, below, out=gw)
+        grad_z.sum(axis=0, out=gb)
         if idx > 0:
             grad_a = grad_z @ layer.weights
     return grads
@@ -270,46 +304,61 @@ def backward(
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, one pair per layer parameter."""
+    """Adam's step count and moment vectors, laid out like the network's
+    ``params``, plus one scratch vector of the same size for the update."""
 
-    m: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
-    v: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
+    scratch: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.scratch = np.empty_like(self.m)
 
     @classmethod
     def for_network(cls, network: Network) -> "AdamState":
-        m = [
-            (np.zeros_like(l.weights), np.zeros_like(l.bias))
-            for l in network.layers
-        ]
-        v = [
-            (np.zeros_like(l.weights), np.zeros_like(l.bias))
-            for l in network.layers
-        ]
-        return cls(m=m, v=v, t=0)
+        return cls(m=np.zeros_like(network.params), v=np.zeros_like(network.params))
 
 
 def adam_step(
     network: Network,
-    grads: list[tuple[np.ndarray, np.ndarray]],
+    grads: np.ndarray,
     state: AdamState,
     config: TrainConfig,
 ) -> None:
-    """One Adam update, in place, with bias-corrected moments."""
+    """One Adam update of every parameter, in place, with bias-corrected
+    moments (Kingma & Ba 2015, Algorithm 1).
+
+    ``grads`` is a flat gradient from :func:`backward`; it serves as
+    scratch space and comes back overwritten. The whole update is a fixed
+    run of in-place vector operations over ``network.params``, and each
+    element goes through the same operations in the same order as the
+    textbook per-parameter form, so the result is the same to the bit:
+    ``m = b1 m + (1-b1) g``, ``v = b2 v + (g g)(1-b2)``, then
+    ``p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)``.
+    """
+    if grads.shape != network.params.shape:
+        raise ShapeError(
+            f"gradient of shape {grads.shape} for {network.params.size} parameters"
+        )
     state.t += 1
     t = state.t
     b1, b2 = config.beta1, config.beta2
-    for layer, (gw, gb), (mw, mb), (vw, vb) in zip(
-        network.layers, grads, state.m, state.v
-    ):
-        for param, g, m, v in ((layer.weights, gw, mw, vw), (layer.bias, gb, mb, vb)):
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            m_hat = m / (1.0 - b1**t)
-            v_hat = v / (1.0 - b2**t)
-            param -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    m, v, scratch = state.m, state.v, state.scratch
+    m *= b1
+    np.multiply(grads, 1.0 - b1, out=scratch)
+    m += scratch
+    v *= b2
+    grads *= grads
+    grads *= 1.0 - b2
+    v += grads
+    np.divide(m, 1.0 - b1**t, out=scratch)
+    scratch *= config.learning_rate
+    np.divide(v, 1.0 - b2**t, out=grads)
+    np.sqrt(grads, out=grads)
+    grads += config.epsilon
+    scratch /= grads
+    network.params -= scratch
 
 
 def numerical_gradients(
@@ -318,8 +367,9 @@ def numerical_gradients(
     target: np.ndarray,
     masks: list[np.ndarray | None] | None = None,
     h: float = 1e-5,
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Central finite differences of the MSE loss for every parameter.
+) -> np.ndarray:
+    """Central finite differences of the MSE loss for every parameter,
+    laid out like ``network.params``.
 
     Dropout masks are frozen across the +h/-h evaluations so the loss is
     a deterministic function of the parameters. The loss difference is
@@ -332,38 +382,24 @@ def numerical_gradients(
     if masks is None:
         masks = [None] * len(network.layers)
     target = np.asarray(target, dtype=np.float64)
-    grads = []
-    for layer in network.layers:
-        out = []
-        for param in (layer.weights, layer.bias):
-            g = np.zeros_like(param)
-            flat = param.ravel()
-            gflat = g.ravel()
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + h
-                up = forward(network, x, mode="train", masks=masks)[0]
-                flat[k] = orig - h
-                down = forward(network, x, mode="train", masks=masks)[0]
-                flat[k] = orig
-                delta = np.mean((up - down) * (up + down - 2.0 * target))
-                gflat[k] = delta / (2.0 * h)
-            out.append(g)
-        grads.append((out[0], out[1]))
+    params = network.params
+    grads = np.zeros_like(params)
+    for k in range(params.size):
+        orig = params[k]
+        params[k] = orig + h
+        up = forward(network, x, mode="train", masks=masks)[0]
+        params[k] = orig - h
+        down = forward(network, x, mode="train", masks=masks)[0]
+        params[k] = orig
+        delta = np.mean((up - down) * (up + down - 2.0 * target))
+        grads[k] = delta / (2.0 * h)
     return grads
 
 
-def max_relative_error(
-    analytic: list[tuple[np.ndarray, np.ndarray]],
-    numeric: list[tuple[np.ndarray, np.ndarray]],
-) -> float:
+def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     """Worst relative disagreement: |a - n| / max(|a|, |n|, 1e-8)."""
-    worst = 0.0
-    for (aw, ab), (nw, nb) in zip(analytic, numeric):
-        for a, n in ((aw, nw), (ab, nb)):
-            denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1e-8)
-            worst = max(worst, float(np.max(np.abs(a - n) / denom)))
-    return worst
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
 
 
 def gradient_check(

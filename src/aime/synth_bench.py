@@ -43,9 +43,8 @@ N_FOLDS = 5
 class SynthSpec:
     """Parameters of one synthetic dataset.
 
-    latent_dim exists as a field for forward compatibility but only the
-    value 2 is supported; the quadrant labels and the quadratic design are
-    defined for exactly two factors.
+    The latent dimension is fixed at LATENT_DIM = 2: the quadrant labels
+    and the quadratic design are defined for exactly two factors.
     """
 
     n: int
@@ -55,11 +54,8 @@ class SynthSpec:
     noise_sd: float
     design: str
     seed: int
-    latent_dim: int = LATENT_DIM
 
     def __post_init__(self) -> None:
-        if self.latent_dim != LATENT_DIM:
-            raise DomainError(f"latent_dim is fixed at {LATENT_DIM}")
         if self.n < 10:
             raise DomainError(f"need n >= 10 samples, got {self.n}")
         if self.p < 1 or self.q < 1:

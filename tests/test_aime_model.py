@@ -260,6 +260,33 @@ class TestCanonicalBottleneck:
         assert sds[2] < 1e-12
 
 
+def assert_layers_in_buffer(network):
+    """Every layer's weights and bias are views into network.params, in
+    layer order, weights before bias."""
+    for layer in network.layers:
+        assert np.shares_memory(layer.weights, network.params)
+        assert np.shares_memory(layer.bias, network.params)
+    flat = [a.ravel() for l in network.layers for a in (l.weights, l.bias)]
+    assert np.concatenate(flat).tobytes() == network.params.tobytes()
+
+
+class TestParameterBuffer:
+    def test_after_fit(self):
+        x, y = make_pair(30, 10, 7, seed=6)
+        model = fit(x, y, 3, TrainConfig(epochs=2, batch_size=10, seed=2))
+        assert_layers_in_buffer(model.network)
+
+    def test_after_canonical_bottleneck(self):
+        net = build_network(build_architecture(10, 8, 3), seed=2)
+        _canonical_bottleneck(net, RngStream(15, 0).standard_normal((40, 10)))
+        assert_layers_in_buffer(net)
+
+    def test_after_load_model(self, tmp_path):
+        x, y = make_pair(30, 10, 7, seed=6)
+        save_model(fit(x, y, 3, TrainConfig(epochs=1, seed=2)), tmp_path / "m.bin")
+        assert_layers_in_buffer(load_model(tmp_path / "m.bin").network)
+
+
 class TestEmbed:
     def fitted(self):
         x, y = make_pair(30, 10, 7, seed=6)

@@ -1,10 +1,18 @@
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from aime.cli import format_config, main, parse_config, read_labels, scatter_matrix_svg
+from aime.cli import (
+    _atomic_write,
+    format_config,
+    main,
+    parse_config,
+    read_labels,
+    scatter_matrix_svg,
+)
 from aime.data_io import LabeledMatrix, read_labeled, write_labeled
 from aime.errors import ParseError
 
@@ -269,6 +277,34 @@ class TestPlot:
         assert scatter_matrix_svg(coords, labels) == scatter_matrix_svg(
             coords, labels
         )
+
+
+class TestAtomicWrite:
+    def test_writer_output_replaces_target(self, tmp_path):
+        target = tmp_path / "out.txt"
+        target.write_text("old")
+        _atomic_write(str(target), lambda tmp: Path(tmp).write_text("new"))
+        assert target.read_text() == "new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("existing", [None, "old"])
+    def test_failing_writer_leaves_no_trace(self, tmp_path, existing):
+        target = tmp_path / "out.txt"
+        if existing is not None:
+            target.write_text(existing)
+
+        def failing(tmp):
+            with open(tmp, "w") as handle:
+                handle.write("partial")
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            _atomic_write(str(target), failing)
+        assert not list(tmp_path.glob(".tmp_*"))
+        if existing is None:
+            assert not target.exists()
+        else:
+            assert target.read_text() == existing
 
 
 class TestHelp:

@@ -196,6 +196,16 @@ class TestAlignSamples:
         with pytest.raises(AlignmentError, match="left1.*right1"):
             align_samples(a, b)
 
+    def test_thousands_of_ids_in_reversed_order(self):
+        n = 3000
+        ids = [f"id{i}" for i in range(n)]
+        a = lm(np.arange(n, dtype=float)[:, None], samples=ids)
+        b = lm(-np.arange(n, dtype=float)[::-1, None], samples=ids[::-1])
+        a2, b2 = align_samples(a, b)
+        assert a2.sample_ids == ids and b2.sample_ids == ids
+        assert a2.values[:, 0].tolist() == list(range(n))
+        assert b2.values[:, 0].tolist() == [-float(i) for i in range(n)]
+
     def test_idempotent(self):
         a = lm([[1.0], [2.0]], samples=["x", "y"])
         b = lm([[3.0], [4.0]], samples=["y", "x"])

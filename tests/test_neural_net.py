@@ -123,6 +123,35 @@ class TestForward:
         with pytest.raises(ShapeError):
             Network([layer], bottleneck_index=1)
 
+    def test_stop_runs_leading_layers_only(self):
+        net = random_network([4, 3, 3, 2], RngStream(5, 0))
+        x = RngStream(5, 1).standard_normal((6, 4))
+        out, cache = forward(net, x, stop=2)
+        assert len(cache.outputs) == 2
+        assert out.tobytes() == forward(net, x)[1].outputs[1].tobytes()
+
+
+class TestParameterBuffer:
+    def test_layers_are_views_in_layer_order(self):
+        w0, b0 = np.arange(6.0).reshape(3, 2), np.array([6.0, 7.0, 8.0])
+        w1, b1 = np.array([[9.0, 10.0, 11.0]]), np.array([12.0])
+        net = Network([DenseLayer(w0, b0), DenseLayer(w1, b1, "linear")])
+        np.testing.assert_array_equal(net.params, np.arange(13.0))
+        for layer in net.layers:
+            assert np.shares_memory(layer.weights, net.params)
+            assert np.shares_memory(layer.bias, net.params)
+        net.params[4] = -1.0
+        assert net.layers[0].weights[2, 0] == -1.0
+
+    def test_layer_views_split_any_vector(self):
+        net = tiny_network()
+        flat = np.arange(float(net.params.size))
+        (w0, b0), (w1, b1) = net.layer_views(flat)
+        np.testing.assert_array_equal(w0, [[0.0, 1.0], [2.0, 3.0]])
+        np.testing.assert_array_equal(b0, [4.0, 5.0])
+        np.testing.assert_array_equal(w1, [[6.0, 7.0]])
+        np.testing.assert_array_equal(b1, [8.0])
+
 
 class TestMseLoss:
     def test_equal_inputs_zero_loss_zero_grad(self):
@@ -166,7 +195,7 @@ class TestBackward:
         y = np.array([[0.0]])
         out, cache = forward(net, x)
         _, loss_grad = mse_loss(out, y)
-        grads = backward(net, cache, loss_grad)
+        grads = net.layer_views(backward(net, cache, loss_grad))
         # layer 2: dW = dz @ a1 = 4 * [0, 3]; db = 4
         np.testing.assert_allclose(grads[1][0], [[0.0, 12.0]])
         np.testing.assert_allclose(grads[1][1], [4.0])
@@ -179,7 +208,7 @@ class TestBackward:
         x = RngStream(4, 1).standard_normal((5, 4))
         _, cache = forward(net, x)
         grads = backward(net, cache, np.zeros((5, 2)))
-        for gw, gb in grads:
+        for gw, gb in net.layer_views(grads):
             np.testing.assert_array_equal(gw, 0.0)
             np.testing.assert_array_equal(gb, 0.0)
 
@@ -191,7 +220,7 @@ class TestBackward:
         y = np.array([[0.0, 1.0], [1.0, 0.0]])
         out, cache = forward(net, x)
         _, loss_grad = mse_loss(out, y)
-        grads = backward(net, cache, loss_grad)
+        grads = net.layer_views(backward(net, cache, loss_grad))
         diff = out - y
         np.testing.assert_allclose(grads[0][0], (2.0 / 4.0) * diff.T @ x, atol=1e-12)
         np.testing.assert_allclose(grads[0][1], (2.0 / 4.0) * diff.sum(axis=0), atol=1e-12)
@@ -249,7 +278,7 @@ class TestGradientCheck:
         out, cache = forward(net, x)
         _, loss_grad = mse_loss(out, y)
         grads = backward(net, cache, loss_grad)
-        grads[0][0][0, 0] += 0.1
+        net.layer_views(grads)[0][0][0, 0] += 0.1
         numeric = numerical_gradients(net, x, y)
         assert max_relative_error(grads, numeric) > 1e-2
 
@@ -260,7 +289,7 @@ class TestGradientCheck:
         y = np.array([[1.0]])
         numeric = numerical_gradients(net, x, y)
         # loss(w) = (2w - 1)^2, slope at w=1.5 is 2*2*(2*1.5-1) = 8
-        assert numeric[0][0][0, 0] == pytest.approx(8.0, rel=1e-6)
+        assert net.layer_views(numeric)[0][0][0, 0] == pytest.approx(8.0, rel=1e-6)
 
 
 class TestDropout:
@@ -350,7 +379,7 @@ class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         net = Network([DenseLayer(np.array([[2.0]]), np.array([0.5]), "linear")])
         state = AdamState.for_network(net)
-        adam_step(net, [(np.zeros((1, 1)), np.zeros(1))], state, TrainConfig())
+        adam_step(net, np.zeros(2), state, TrainConfig())
         assert net.layers[0].weights[0, 0] == 2.0
         assert net.layers[0].bias[0] == 0.5
         assert state.t == 1
@@ -359,7 +388,7 @@ class TestAdam:
         net = Network([DenseLayer(np.array([[1.0]]), np.array([0.0]), "linear")])
         state = AdamState.for_network(net)
         cfg = TrainConfig(learning_rate=0.01)
-        adam_step(net, [(np.array([[0.37]]), np.array([0.0]))], state, cfg)
+        adam_step(net, np.array([0.37, 0.0]), state, cfg)
         step = 1.0 - net.layers[0].weights[0, 0]
         assert step == pytest.approx(0.01, rel=1e-6)
 
@@ -369,7 +398,7 @@ class TestAdam:
         state = AdamState.for_network(net)
         grad_seq = [0.4, -0.2, 0.7, 0.1, -0.5]
         for g in grad_seq:
-            adam_step(net, [(np.array([[g]]), np.array([2.0 * g]))], state, config)
+            adam_step(net, np.array([g, 2.0 * g]), state, config)
         expect_w = self.scalar_reference(grad_seq, 0.05, 0.9, 0.999, 1e-8, 1.0)
         expect_b = self.scalar_reference(
             [2.0 * g for g in grad_seq], 0.05, 0.9, 0.999, 1e-8, 0.5
@@ -386,7 +415,7 @@ class TestAdam:
         w_ref, m, v = 1.0, 0.0, 0.0
         for t in range(1, 4):
             g = 2.0 * net.layers[0].weights[0, 0]
-            adam_step(net, [(np.array([[g]]), np.array([0.0]))], state, cfg)
+            adam_step(net, np.array([g, 0.0]), state, cfg)
             g_ref = 2.0 * w_ref
             m = 0.9 * m + 0.1 * g_ref
             v = 0.999 * v + 0.001 * g_ref * g_ref
@@ -406,13 +435,49 @@ class TestAdam:
                 state = AdamState.for_network(net)
                 g = 2.0 * w0
                 adam_step(
-                    net,
-                    [(np.array([[g]]), np.array([0.0]))],
-                    state,
-                    TrainConfig(learning_rate=lr),
+                    net, np.array([g, 0.0]), state, TrainConfig(learning_rate=lr)
                 )
                 w1 = net.layers[0].weights[0, 0]
                 assert w1**2 < w0**2
+
+    def test_flat_step_matches_per_layer_reference(self):
+        # The per-layer update the flat one replaced, kept as the oracle:
+        # every parameter must come out bit for bit the same.
+        def per_layer_step(params, grads, moments, t, cfg):
+            b1, b2 = cfg.beta1, cfg.beta2
+            for p, g, (m, v) in zip(params, grads, moments):
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                m_hat = m / (1.0 - b1**t)
+                v_hat = v / (1.0 - b2**t)
+                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+        rng = RngStream(41, 0)
+        net = random_network([5, 4, 3, 2], rng)
+        assert [l.activation for l in net.layers] == ["relu", "relu", "linear"]
+        assert all(np.all(l.bias != 0.0) for l in net.layers)
+        ref = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
+        moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref]
+        x = rng.standard_normal((8, 5))
+        y = rng.standard_normal((8, 2))
+        config = TrainConfig(learning_rate=0.05)
+        state = AdamState.for_network(net)
+        for t in range(1, 7):
+            out, cache = forward(net, x)
+            grads = backward(net, cache, mse_loss(out, y)[1])
+            ref_grads = [a.copy() for pair in net.layer_views(grads) for a in pair]
+            adam_step(net, grads, state, config)
+            per_layer_step(ref, ref_grads, moments, t, config)
+            got = [a for l in net.layers for a in (l.weights, l.bias)]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
+        assert state.t == 6
+
+    def test_gradient_layout_checked(self):
+        net = tiny_network()
+        with pytest.raises(ShapeError):
+            adam_step(net, np.zeros(3), AdamState.for_network(net), TrainConfig())
 
     def test_full_loop_reduces_loss(self):
         rng = RngStream(40, 0)

@@ -30,10 +30,6 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match="cubic"):
             spec(design="cubic")
 
-    def test_latent_dim_fixed(self):
-        with pytest.raises(DomainError, match="fixed at 2"):
-            spec(latent_dim=3)
-
     def test_zero_signal_allowed(self):
         data = generate(spec(n_signal=0))
         assert data.signal_indices == []
