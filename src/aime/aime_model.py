@@ -397,20 +397,26 @@ class _Reader:
         self.data = data
         self.pos = 0
 
-    def take(self, count: int) -> bytes:
+    def skip(self, count: int) -> int:
+        """Offset of the next ``count`` bytes, which are then passed."""
         if self.pos + count > len(self.data):
             raise ParseError(
                 f"model file truncated: needed {count} bytes at offset {self.pos}"
             )
-        out = self.data[self.pos : self.pos + count]
         self.pos += count
-        return out
+        return self.pos - count
+
+    def take(self, count: int) -> bytes:
+        start = self.skip(count)
+        return self.data[start : self.pos]
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
+        """The next ``count`` doubles as a read-only view of the file bytes."""
+        start = self.skip(8 * count)
+        return np.frombuffer(self.data, dtype="<f8", count=count, offset=start)
 
 
 def load_model(path) -> AimeModel:
@@ -427,10 +433,12 @@ def load_model(path) -> AimeModel:
         raise ParseError(f"expected {_LAYER_COUNT} layers, header says {n_layers}")
     (history_len,) = reader.unpack("<Q")
     history = reader.floats(history_len).tolist()
-    input_means = reader.floats(p)
-    input_sds = reader.floats(p)
-    output_means = reader.floats(q)
-    output_sds = reader.floats(q)
+    # Copies, so that nothing in the model pins the file bytes; the layer
+    # weights stay views because Network copies them into its buffer.
+    input_means = reader.floats(p).astype(np.float64)
+    input_sds = reader.floats(p).astype(np.float64)
+    output_means = reader.floats(q).astype(np.float64)
+    output_sds = reader.floats(q).astype(np.float64)
     layers = []
     for index in range(n_layers):
         fan_out, fan_in, act_code, rate = reader.unpack("<QQBd")

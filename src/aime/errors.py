@@ -53,7 +53,3 @@ class NumericalError(AimeError, ArithmeticError):
 
 class DefinitenessError(NumericalError):
     """A matrix required to be positive definite is not."""
-
-
-class ConvergenceError(NumericalError):
-    """An iterative method did not converge within its sweep budget."""

@@ -20,9 +20,7 @@ import numpy as np
 
 from .errors import (
     ColumnIndexError,
-    ConvergenceError,
     DataError,
-    DefinitenessError,
     InsufficientDataError,
     ShapeError,
 )
@@ -138,145 +136,16 @@ def permute_column(m: np.ndarray, col: int, rng: RngStream) -> np.ndarray:
     return out
 
 
-def cholesky(s: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == s for symmetric positive definite s.
-
-    Symmetry is required within 1e-10 relative to the largest entry. A
-    non-positive pivot raises :class:`DefinitenessError` naming the pivot
-    index, which callers use to advise regularization.
-    """
-    s = np.asarray(s, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1]:
-        raise ShapeError(f"cholesky needs a square matrix, got shape {s.shape}")
-    n = s.shape[0]
-    sym_tol = 1e-10 * max(1.0, float(np.abs(s).max(initial=0.0)))
-    if n and float(np.abs(s - s.T).max()) > sym_tol:
-        raise ShapeError("cholesky needs a symmetric matrix (asymmetry above 1e-10)")
-    L = np.zeros_like(s)
-    for j in range(n):
-        pivot = s[j, j] - L[j, :j] @ L[j, :j]
-        if pivot <= 0.0:
-            raise DefinitenessError(
-                f"matrix is not positive definite: pivot {pivot:.6e} at index {j}"
-            )
-        L[j, j] = np.sqrt(pivot)
-        if j + 1 < n:
-            L[j + 1 :, j] = (s[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
-
-
-def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``l @ x = b`` for lower-triangular ``l`` by forward substitution."""
-    if l.shape[0] != l.shape[1] or l.shape[0] != b.shape[0]:
-        raise ShapeError(f"cannot solve shapes {l.shape} and {b.shape}")
-    n = l.shape[0]
-    x = np.zeros_like(b, dtype=np.float64)
-    for i in range(n):
-        x[i] = (b[i] - l[i, :i] @ x[:i]) / l[i, i]
-    return x
-
-
-def solve_upper(u: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``u @ x = b`` for upper-triangular ``u`` by back substitution."""
-    if u.shape[0] != u.shape[1] or u.shape[0] != b.shape[0]:
-        raise ShapeError(f"cannot solve shapes {u.shape} and {b.shape}")
-    n = u.shape[0]
-    x = np.zeros_like(b, dtype=np.float64)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - u[i, i + 1 :] @ x[i + 1 :]) / u[i, i]
-    return x
-
-
-def svd_thin(
-    m: np.ndarray, tol: float = 1e-10, max_sweeps: int = 100
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thin SVD by one-sided Jacobi rotation sweeps.
+def svd_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD through ``numpy.linalg.svd``.
 
     Returns ``(u, s, v)`` with ``u`` of shape (rows, r), ``s`` nonincreasing
     of length r, ``v`` of shape (cols, r), r = min(rows, cols), such that
-    ``u @ diag(s) @ v.T`` reconstructs ``m``. Convergence is reached when
-    every column pair satisfies ``|<ai, aj>| <= tol * ||ai|| * ||aj||``;
-    exceeding ``max_sweeps`` raises :class:`ConvergenceError` with the
-    residual.
+    ``u @ diag(s) @ v.T`` reconstructs ``m``.
     """
     m = as_matrix(m, name="svd operand")
-    if m.shape[0] < m.shape[1]:
-        v, s, u = svd_thin(m.T, tol=tol, max_sweeps=max_sweeps)
-        return u, s, v
-
-    a = m.copy()
-    n = a.shape[1]
-    v = np.eye(n)
-    residual = 0.0
-    for _ in range(max_sweeps):
-        residual = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                ai = a[:, i]
-                aj = a[:, j]
-                alpha = float(ai @ ai)
-                beta = float(aj @ aj)
-                gamma = float(ai @ aj)
-                if alpha == 0.0 or beta == 0.0:
-                    continue
-                ratio = abs(gamma) / np.sqrt(alpha * beta)
-                residual = max(residual, ratio)
-                if ratio <= tol:
-                    continue
-                zeta = (beta - alpha) / (2.0 * gamma)
-                t = np.sign(zeta) / (abs(zeta) + np.sqrt(1.0 + zeta * zeta))
-                if zeta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = c * t
-                a[:, i], a[:, j] = c * ai - sn * aj, sn * ai + c * aj
-                vi = v[:, i].copy()
-                vj = v[:, j].copy()
-                v[:, i] = c * vi - sn * vj
-                v[:, j] = sn * vi + c * vj
-        if residual <= tol:
-            break
-    else:
-        raise ConvergenceError(
-            f"one-sided Jacobi SVD did not converge in {max_sweeps} sweeps "
-            f"(residual {residual:.3e})"
-        )
-
-    norms = np.sqrt(np.einsum("ij,ij->j", a, a))
-    order = np.argsort(-norms, kind="stable")
-    s = norms[order]
-    u = np.zeros_like(a)
-    scale = float(s[0]) if n else 0.0
-    null_cols = []
-    for k, idx in enumerate(order):
-        if s[k] > scale * 1e-15 and s[k] > 0.0:
-            u[:, k] = a[:, idx] / s[k]
-        else:
-            s[k] = 0.0
-            null_cols.append(k)
-    if null_cols:
-        _fill_orthonormal(u, null_cols)
-    return u, s, v[:, order]
-
-
-def _fill_orthonormal(u: np.ndarray, cols: list[int]) -> None:
-    """Fill the listed columns of u with vectors orthonormal to the rest."""
-    rows = u.shape[0]
-    filled = [k for k in range(u.shape[1]) if k not in cols]
-    basis = [u[:, k] for k in filled]
-    candidates = iter(range(rows))
-    for k in cols:
-        while True:
-            e = np.zeros(rows)
-            e[next(candidates)] = 1.0
-            for b in basis:
-                e -= (b @ e) * b
-            norm = np.linalg.norm(e)
-            if norm > 1e-8:
-                e /= norm
-                u[:, k] = e
-                basis.append(e)
-                break
+    u, s, vt = np.linalg.svd(m, full_matrices=False)
+    return u, s, vt.T
 
 
 def column_stats(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

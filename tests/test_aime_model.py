@@ -1,6 +1,8 @@
 """Tests for architecture derivation, training, embedding, and the
 model file round trip."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,6 +379,24 @@ class TestModelFile:
         assert loaded.loss_history == model.loss_history
         assert loaded.seed == model.seed
         assert loaded.architecture == model.architecture
+
+    def test_load_peak_memory_near_two_parameter_copies(self, tmp_path):
+        # The file bytes and the network's parameter buffer are the only
+        # parameter-sized allocations (p = q = 1600: about 1M parameters).
+        x = RngStream(3, 0).standard_normal((4, 1600))
+        model = fit(x, x, 4, TrainConfig(epochs=0))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        tracemalloc.start()
+        try:
+            loaded = load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.network.params.size > 1_000_000
+        assert peak < 2.5 * model.network.params.nbytes
+        save_model(loaded, tmp_path / "again.bin")
+        assert path.read_bytes() == (tmp_path / "again.bin").read_bytes()
 
     def test_bad_magic(self, tmp_path):
         model, _, path = self.fitted(tmp_path)

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,36 @@ def rng(seed=0):
     return np.random.default_rng(seed)
 
 
+def regularized_covariance(block, ridge):
+    """Sample covariance plus ridge * trace / dim on the diagonal."""
+    centred = block - block.mean(axis=0)
+    s = centred.T @ centred / (len(block) - 1)
+    return s + ridge * np.trace(s) / s.shape[0] * np.eye(s.shape[0])
+
+
+def dense_cca(x, y, k, ridge):
+    """Reference CCA in feature space: Cholesky-whiten both regularized
+    covariance blocks, then SVD the whitened cross-covariance."""
+    n = len(x)
+    sxy = (x - x.mean(axis=0)).T @ (y - y.mean(axis=0)) / (n - 1)
+    lx = np.linalg.cholesky(regularized_covariance(x, ridge))
+    ly = np.linalg.cholesky(regularized_covariance(y, ridge))
+    whitened = np.linalg.solve(ly, np.linalg.solve(lx, sxy).T).T
+    u, s, vt = np.linalg.svd(whitened)
+    x_dirs = np.linalg.solve(lx.T, u[:, :k])
+    y_dirs = np.linalg.solve(ly.T, vt[:k].T)
+    return s[:k], x_dirs, y_dirs
+
+
+def assert_matches_dense(x, y, k, ridge):
+    result = fit_cca(x, y, k, ridge=ridge)
+    corr, x_dirs, y_dirs = dense_cca(x, y, k, ridge)
+    assert np.abs(result.correlations - corr).max() < 1e-10
+    for got, want in ((result.x_directions, x_dirs), (result.y_directions, y_dirs)):
+        signs = np.sign(np.sum(got * want, axis=0))
+        assert np.abs(got * signs - want).max() < 1e-8
+
+
 class TestFitErrors:
     def test_row_mismatch(self):
         with pytest.raises(DomainError, match="paired"):
@@ -20,6 +52,14 @@ class TestFitErrors:
         y = rng().normal(size=(20, 5))
         with pytest.raises(DomainError, match="k must lie"):
             fit_cca(x, y, 4)
+
+    def test_k_bounded_by_rows_on_wide_blocks(self):
+        # centred n-row blocks have rank n-1, so only n-1 pairs exist
+        x = rng().normal(size=(5, 8))
+        y = rng(1).normal(size=(5, 9))
+        with pytest.raises(DomainError, match=r"k must lie in \[1, min\(n-1=4"):
+            fit_cca(x, y, 5)
+        assert fit_cca(x, y, 4).x_variates.shape == (5, 4)
 
     def test_negative_ridge(self):
         x = rng().normal(size=(20, 2))
@@ -38,6 +78,16 @@ class TestFitErrors:
         y = rng(1).normal(size=(30, 2))
         with pytest.raises(DefinitenessError, match="increase ridge"):
             fit_cca(x, y, 1, ridge=0)
+
+    def test_rank_deficient_block_found_from_singular_values(self):
+        # a column that is a combination of two others leaves a singular
+        # value at rounding level, under numpy's matrix_rank tolerance
+        base = rng(2).normal(size=(40, 2))
+        x = np.hstack([base, base @ [[2.0], [-0.5]]])
+        y = rng(3).normal(size=(40, 2))
+        with pytest.raises(DefinitenessError, match="rank 2 of 3 columns"):
+            fit_cca(x, y, 1, ridge=0)
+        assert fit_cca(x, y, 1, ridge=0.1).correlations.shape == (1,)
 
 
 class TestOracles:
@@ -86,6 +136,47 @@ class TestOracles:
         assert np.abs(result.y_directions[2, 0]) > np.abs(result.y_directions[:2, 0]).max()
 
 
+class TestDenseReference:
+    def test_narrow_blocks_unregularized(self):
+        g = rng(41)
+        z = g.normal(size=(120, 2))
+        x = z @ g.normal(size=(2, 7)) + g.normal(size=(120, 7))
+        y = z @ g.normal(size=(2, 5)) + g.normal(size=(120, 5))
+        assert_matches_dense(x, y, 4, ridge=0.0)
+
+    def test_narrow_blocks_regularized(self):
+        g = rng(42)
+        x = g.normal(size=(90, 8))
+        y = g.normal(size=(90, 6)) + 0.4 * x[:, :6]
+        assert_matches_dense(x, y, 5, ridge=0.5)
+
+    def test_wide_blocks(self):
+        g = rng(43)
+        x = g.normal(size=(20, 35))
+        y = g.normal(size=(20, 28)) + 0.5 * x[:, :28]
+        assert_matches_dense(x, y, 6, ridge=1.0)
+
+    def test_paper_width(self):
+        g = rng(44)
+        x = g.normal(size=(32, 5459))
+        y = g.normal(size=(32, 5703))
+        start = time.perf_counter()
+        result = fit_cca(x, y, 4)
+        elapsed = time.perf_counter() - start
+        c = result.correlations
+        assert c.shape == (4,)
+        assert np.all(c[:-1] >= c[1:]) and c[-1] >= 0 and c[0] <= 1
+        for block, dirs, variates in (
+            (x, result.x_directions, result.x_variates),
+            (y, result.y_directions, result.y_variates),
+        ):
+            # unit variance in the regularized metric: var + lambda |d|^2
+            lam = block.var(axis=0, ddof=1).mean()
+            spread = variates.var(axis=0, ddof=1) + lam * np.sum(dirs**2, axis=0)
+            assert np.abs(spread - 1.0).max() < 1e-8
+        assert elapsed < 5.0
+
+
 class TestInvariances:
     def test_order_invariance(self):
         g = rng(21)
@@ -111,10 +202,7 @@ class TestInvariances:
         y = g.normal(size=(100, 5))
         for ridge in (0.0, 0.5):
             result = fit_cca(x, y, 3, ridge=ridge)
-            xc = x - x.mean(axis=0)
-            sxx = xc.T @ xc / 99
-            if ridge:
-                sxx = sxx + ridge * np.trace(sxx) / 6 * np.eye(6)
+            sxx = regularized_covariance(x, ridge)
             gram = result.x_directions.T @ sxx @ result.x_directions
             assert np.all(np.abs(np.diag(gram) - 1.0) < 1e-6)
 

@@ -8,20 +8,16 @@ from hypothesis import strategies as st
 from aime.errors import (
     ColumnIndexError,
     DataError,
-    DefinitenessError,
     InsufficientDataError,
     ShapeError,
 )
 from aime.matrix_core import (
     RngStream,
     as_matrix,
-    cholesky,
     column_stats,
     destandardize_columns,
     permute_column,
     permuted,
-    solve_lower,
-    solve_upper,
     standardize_columns,
     stream_id,
     svd_thin,
@@ -154,67 +150,6 @@ class TestPermutation:
         values = np.arange(float(n))
         out = permuted(values, RngStream(seed, 1))
         assert sorted(out.tolist()) == values.tolist()
-
-
-class TestCholesky:
-    def test_hand_worked_2x2(self):
-        L = cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        np.testing.assert_allclose(
-            L, [[2.0, 0.0], [1.0, np.sqrt(2.0)]], atol=1e-12
-        )
-
-    def test_identity(self):
-        np.testing.assert_allclose(cholesky(np.eye(4)), np.eye(4), atol=1e-15)
-
-    def test_reconstructs_random_spd(self):
-        rng = RngStream(2, 0)
-        for n in (1, 2, 5, 12):
-            a = rng.standard_normal((n + 3, n))
-            s = a.T @ a + 0.5 * np.eye(n)
-            L = cholesky(s)
-            np.testing.assert_allclose(L @ L.T, s, atol=1e-8)
-            assert np.allclose(L, np.tril(L))
-
-    def test_indefinite_reports_pivot_index(self):
-        s = np.diag([1.0, -2.0, 3.0])
-        with pytest.raises(DefinitenessError, match="index 1"):
-            cholesky(s)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ShapeError):
-            cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
-
-    def test_nonsquare_rejected(self):
-        with pytest.raises(ShapeError):
-            cholesky(np.zeros((2, 3)))
-
-
-class TestTriangularSolves:
-    def test_lower_then_upper_inverts_spd_solve(self):
-        rng = RngStream(4, 0)
-        a = rng.standard_normal((8, 5))
-        s = a.T @ a + np.eye(5)
-        L = cholesky(s)
-        b = rng.standard_normal((5, 3))
-        y = solve_lower(L, b)
-        x = solve_upper(L.T, y)
-        np.testing.assert_allclose(s @ x, b, atol=1e-9)
-
-    def test_solve_lower_oracle(self):
-        L = np.array([[2.0, 0.0], [1.0, 3.0]])
-        b = np.array([4.0, 11.0])
-        np.testing.assert_allclose(solve_lower(L, b), [2.0, 3.0], atol=1e-12)
-
-    def test_solve_upper_oracle(self):
-        u = np.array([[2.0, 1.0], [0.0, 3.0]])
-        b = np.array([7.0, 9.0])
-        np.testing.assert_allclose(solve_upper(u, b), [2.0, 3.0], atol=1e-12)
-
-    def test_shape_checks(self):
-        with pytest.raises(ShapeError):
-            solve_lower(np.zeros((2, 2)), np.zeros(3))
-        with pytest.raises(ShapeError):
-            solve_upper(np.zeros((2, 3)), np.zeros(2))
 
 
 class TestSvdThin:
