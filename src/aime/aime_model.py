@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,7 +234,10 @@ def fit(
     on the training rows (see _canonical_bottleneck); the network computes
     the same function, and with zero epochs it is returned as initialized.
 
-    Raises NumericalError if the loss goes non-finite (diverged run).
+    Warns (UserWarning) when a side is under 5d features wide: its hidden
+    layers then have ceil(w/5) < d units, so the funnel there is narrower
+    than the embedding. Raises NumericalError if the loss goes non-finite
+    (diverged run).
     """
     if config is None:
         config = TrainConfig()
@@ -250,6 +254,17 @@ def fit(
 
     seed = config.seed
     arch = build_architecture(x.shape[1], y.shape[1], embedding_size)
+    for side, width, widest in (
+        ("input", arch.input_size, arch.encoder_sizes[0]),
+        ("output", arch.output_size, arch.decoder_sizes[-1]),
+    ):
+        if widest < embedding_size:
+            warnings.warn(
+                f"{side} width {width} is narrow for embedding size "
+                f"d={embedding_size}: its hidden layers have at most "
+                f"ceil({width}/5) = {widest} units, fewer than d",
+                stacklevel=2,
+            )
     input_means, input_sds = column_stats(x)
     output_means, output_sds = column_stats(y)
     xs = standardize_columns(x, input_means, input_sds)
@@ -257,6 +272,7 @@ def fit(
 
     network = build_network(arch, seed)
     state = AdamState.for_network(network)
+    grads = np.empty(network.params.size)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = permuted(np.arange(n), RngStream(seed, stream_id(KIND_SHUFFLE, epoch)))
@@ -269,7 +285,7 @@ def fit(
             masks = draw_dropout_masks(network, len(idx), mask_rng, ramp)
             out, cache = forward(network, xb, mode="train", masks=masks)
             loss, loss_grad = mse_loss(out, yb)
-            grads = backward(network, cache, loss_grad)
+            backward(network, cache, loss_grad, out=grads)
             adam_step(network, grads, state, config)
             total += loss * len(idx)
         epoch_loss = total / n
@@ -358,38 +374,45 @@ def reconstruct(model: AimeModel, x) -> np.ndarray:
 
 def save_model(model: AimeModel, path) -> None:
     """Write the model to the versioned binary format (see
-    docs/model_format.md). Same model, same bytes."""
-    chunks = [_MAGIC, struct.pack("<I", _FORMAT_VERSION)]
-    chunks.append(
+    docs/model_format.md). Same model, same bytes.
+
+    The layers are written straight from views of the parameter buffer,
+    so saving makes no copy of the parameters (on a little-endian host;
+    a big-endian one converts them once).
+    """
+    network = model.network
+    header = [_MAGIC, struct.pack("<I", _FORMAT_VERSION)]
+    header.append(
         struct.pack(
             "<6Q",
             model.input_size,
             model.output_size,
             model.embedding_size,
             model.seed,
-            model.network.bottleneck_index,
-            len(model.network.layers),
+            network.bottleneck_index,
+            len(network.layers),
         )
     )
     history = np.asarray(model.loss_history, dtype="<f8")
-    chunks.append(struct.pack("<Q", history.size))
-    chunks.append(history.tobytes())
+    header.append(struct.pack("<Q", history.size))
+    header.append(history.tobytes())
     for stats in (model.input_means, model.input_sds, model.output_means, model.output_sds):
-        chunks.append(np.asarray(stats, dtype="<f8").tobytes())
-    for layer in model.network.layers:
-        chunks.append(
-            struct.pack(
-                "<QQBd",
-                layer.fan_out,
-                layer.fan_in,
-                _ACTIVATION_CODES[layer.activation],
-                layer.dropout_rate,
-            )
-        )
-        chunks.append(np.ascontiguousarray(layer.weights, dtype="<f8").tobytes())
-        chunks.append(np.asarray(layer.bias, dtype="<f8").tobytes())
+        header.append(np.asarray(stats, dtype="<f8").tobytes())
+    views = network.layer_views(network.params.astype("<f8", copy=False))
     with open(path, "wb") as fh:
-        fh.write(b"".join(chunks))
+        fh.write(b"".join(header))
+        for layer, (weights, bias) in zip(network.layers, views):
+            fh.write(
+                struct.pack(
+                    "<QQBd",
+                    layer.fan_out,
+                    layer.fan_in,
+                    _ACTIVATION_CODES[layer.activation],
+                    layer.dropout_rate,
+                )
+            )
+            fh.write(weights)
+            fh.write(bias)
 
 
 class _Reader:

@@ -14,6 +14,7 @@ import functools
 import os
 import sys
 import tempfile
+import warnings
 from collections.abc import Callable
 
 import click
@@ -235,7 +236,15 @@ def cmd_train(x_path, y_path, dim, epochs, seed, learning_rate, batch_size, mode
         seed=_resolve(cfg, "seed", seed, 0, int),
     )
     dim = _resolve(cfg, "d", dim, 4, int)
-    model = fit(x.values, y.values, dim, config)
+    # fit's warnings (a funnel narrower than --dim, numpy overflow) go to
+    # stderr as lines of their own, also when fit then fails.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            model = fit(x.values, y.values, dim, config)
+        finally:
+            for warning in caught:
+                click.echo(f"warning: {warning.message}", err=True)
     _atomic_write(model_out, lambda tmp: save_model(model, tmp))
     history_out = history_out or (model_out + ".history")
     history = "".join(

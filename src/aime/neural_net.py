@@ -23,6 +23,14 @@ from .matrix_core import KIND_GRAD_CHECK, RngStream, stream_id
 ACTIVATIONS = ("relu", "linear")
 MODES = ("train", "eval")
 
+# adam_step runs its in-place operations over slices of this many
+# elements (256 KiB per float64 operand), so the five operands of one
+# slice (1.25 MiB) stay in a core's L2 cache across all 14 operations;
+# over whole vectors, each operation streams every one of them through
+# memory again. At 13M parameters 16K and 32K slices were fastest, 8K
+# and 64K slower.
+ADAM_BLOCK = 1 << 15
+
 
 @dataclass
 class DenseLayer:
@@ -257,10 +265,15 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 
 def backward(
-    network: Network, cache: ForwardCache, loss_grad: np.ndarray
+    network: Network,
+    cache: ForwardCache,
+    loss_grad: np.ndarray,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Gradient of the loss w.r.t. every parameter, laid out like
     ``network.params`` (``network.layer_views`` splits it by layer).
+    It is written into ``out`` when given (and ``out`` is returned), so a
+    training loop can reuse one buffer for every step.
 
     ``loss_grad`` is the gradient of the loss at the network output (for
     MSE, the second value of :func:`mse_loss`). The cache must come from
@@ -277,10 +290,17 @@ def backward(
             f"cached output {pred.shape} vs loss gradient {loss_grad.shape}"
         )
 
+    if out is None:
+        out = np.empty(network.params.size)
+    elif out.shape != network.params.shape:
+        raise ShapeError(
+            f"gradient buffer of shape {out.shape} for "
+            f"{network.params.size} parameters"
+        )
+
     n = pred.shape[0]
     grad_a = loss_grad
-    grads = np.empty(network.params.size)
-    views = network.layer_views(grads)
+    views = network.layer_views(out)
     for idx in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[idx]
         z = cache.pre_activations[idx]
@@ -299,13 +319,14 @@ def backward(
         grad_z.sum(axis=0, out=gb)
         if idx > 0:
             grad_a = grad_z @ layer.weights
-    return grads
+    return out
 
 
 @dataclass
 class AdamState:
     """Adam's step count and moment vectors, laid out like the network's
-    ``params``, plus one scratch vector of the same size for the update."""
+    ``params``, plus one scratch block of up to ``ADAM_BLOCK`` elements
+    for the update."""
 
     m: np.ndarray
     v: np.ndarray
@@ -313,11 +334,14 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = np.empty_like(self.m)
+        self.scratch = np.empty(min(self.m.size, ADAM_BLOCK))
 
     @classmethod
     def for_network(cls, network: Network) -> "AdamState":
-        return cls(m=np.zeros_like(network.params), v=np.zeros_like(network.params))
+        # np.zeros, unlike np.zeros_like, leaves the zeroing of the pages
+        # to the first write, so the moments cost nothing before step 1.
+        size = network.params.size
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(
@@ -330,35 +354,48 @@ def adam_step(
     moments (Kingma & Ba 2015, Algorithm 1).
 
     ``grads`` is a flat gradient from :func:`backward`; it serves as
-    scratch space and comes back overwritten. The whole update is a fixed
-    run of in-place vector operations over ``network.params``, and each
-    element goes through the same operations in the same order as the
-    textbook per-parameter form, so the result is the same to the bit:
+    scratch space and comes back overwritten. The update is a fixed run
+    of in-place vector operations, applied slice by slice over
+    ``ADAM_BLOCK`` elements of ``network.params``, and each element goes
+    through the same operations in the same order as the textbook
+    per-parameter form, so the result is the same to the bit:
     ``m = b1 m + (1-b1) g``, ``v = b2 v + (g g)(1-b2)``, then
     ``p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)``.
     """
-    if grads.shape != network.params.shape:
+    shape = network.params.shape
+    if grads.shape != shape:
         raise ShapeError(
             f"gradient of shape {grads.shape} for {network.params.size} parameters"
         )
+    if state.m.shape != shape or state.v.shape != shape:
+        raise ShapeError(
+            f"Adam moments of shapes {state.m.shape} and {state.v.shape} for "
+            f"{network.params.size} parameters"
+        )
     state.t += 1
-    t = state.t
     b1, b2 = config.beta1, config.beta2
-    m, v, scratch = state.m, state.v, state.scratch
-    m *= b1
-    np.multiply(grads, 1.0 - b1, out=scratch)
-    m += scratch
-    v *= b2
-    grads *= grads
-    grads *= 1.0 - b2
-    v += grads
-    np.divide(m, 1.0 - b1**t, out=scratch)
-    scratch *= config.learning_rate
-    np.divide(v, 1.0 - b2**t, out=grads)
-    np.sqrt(grads, out=grads)
-    grads += config.epsilon
-    scratch /= grads
-    network.params -= scratch
+    keep1, keep2 = 1.0 - b1, 1.0 - b2
+    debias1, debias2 = 1.0 - b1**state.t, 1.0 - b2**state.t
+    lr, eps = config.learning_rate, config.epsilon
+    for start in range(0, network.params.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        p, g = network.params[block], grads[block]
+        m, v = state.m[block], state.v[block]
+        scratch = state.scratch[: g.size]
+        m *= b1
+        np.multiply(g, keep1, out=scratch)
+        m += scratch
+        v *= b2
+        g *= g
+        g *= keep2
+        v += g
+        np.divide(m, debias1, out=scratch)
+        scratch *= lr
+        np.divide(v, debias2, out=g)
+        np.sqrt(g, out=g)
+        g += eps
+        scratch /= g
+        p -= scratch
 
 
 def numerical_gradients(

@@ -1,7 +1,9 @@
 """Tests for architecture derivation, training, embedding, and the
 model file round trip."""
 
+import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +213,34 @@ class TestFit:
         with pytest.raises(InsufficientDataError):
             fit(np.zeros((1, 3)), np.zeros((1, 3)), 1, TrainConfig(seed=0))
 
+    def test_training_peak_memory(self):
+        # Parameters, two Adam moments and one reused gradient buffer,
+        # plus the transient per-layer draws of build_network (p = q = 1600:
+        # about 1M parameters; two steps of one batch each).
+        x = RngStream(4, 0).standard_normal((8, 1600))
+        y = RngStream(5, 0).standard_normal((8, 1600))
+        tracemalloc.start()
+        try:
+            model = fit(x, y, 4, TrainConfig(epochs=2, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.network.params.size > 1_000_000
+        assert peak < 5.5 * model.network.params.nbytes
+
+    def test_narrow_side_warns(self):
+        x, y = make_pair(20, 12, 40, seed=6)
+        with pytest.warns(UserWarning, match=r"input width 12 .* d=4"):
+            fit(x, y, 4, TrainConfig(epochs=1, seed=0))
+        with pytest.warns(UserWarning, match=r"output width 12 .* d=4"):
+            fit(y, x, 4, TrainConfig(epochs=1, seed=0))
+
+    def test_desk_shape_does_not_warn(self):
+        x, y = make_pair(20, 40, 40, seed=6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(x, y, 4, TrainConfig(epochs=1, seed=0))
+
     def test_divergence_raises_numerical_error(self):
         x, y = make_pair(30, 6, 6, seed=5)
         config = TrainConfig(learning_rate=1e200, epochs=3, batch_size=8, seed=0)
@@ -397,6 +427,47 @@ class TestModelFile:
         assert peak < 2.5 * model.network.params.nbytes
         save_model(loaded, tmp_path / "again.bin")
         assert path.read_bytes() == (tmp_path / "again.bin").read_bytes()
+
+    def test_save_copies_no_parameters(self, tmp_path):
+        # Layers are written from views of the parameter buffer, so the
+        # extra peak is the small header, not a copy of the parameters.
+        # The bytes are those of a layer-by-layer writer.
+        def layer_by_layer_bytes(model):
+            chunks = [b"AIMB", struct.pack("<I", 1)]
+            chunks.append(
+                struct.pack(
+                    "<6Q", model.input_size, model.output_size,
+                    model.embedding_size, model.seed,
+                    model.network.bottleneck_index, len(model.network.layers),
+                )
+            )
+            history = np.asarray(model.loss_history, dtype="<f8")
+            chunks += [struct.pack("<Q", history.size), history.tobytes()]
+            for stats in (model.input_means, model.input_sds,
+                          model.output_means, model.output_sds):
+                chunks.append(np.asarray(stats, dtype="<f8").tobytes())
+            for layer in model.network.layers:
+                code = {"linear": 0, "relu": 1}[layer.activation]
+                chunks.append(
+                    struct.pack("<QQBd", layer.fan_out, layer.fan_in, code,
+                                layer.dropout_rate)
+                )
+                chunks.append(layer.weights.astype("<f8").tobytes())
+                chunks.append(layer.bias.astype("<f8").tobytes())
+            return b"".join(chunks)
+
+        x = RngStream(3, 0).standard_normal((4, 1600))
+        model = fit(x, x, 4, TrainConfig(epochs=1, seed=2))
+        path = tmp_path / "model.bin"
+        tracemalloc.start()
+        try:
+            save_model(model, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.network.params.size > 1_000_000
+        assert peak < 0.1 * model.network.params.nbytes
+        assert path.read_bytes() == layer_by_layer_bytes(model)
 
     def test_bad_magic(self, tmp_path):
         model, _, path = self.fitted(tmp_path)

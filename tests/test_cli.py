@@ -151,6 +151,18 @@ class TestSynthAndTrain:
         assert len(history) == 3
         assert all(np.isfinite(float(line.split("\t")[1])) for line in history)
 
+    def test_narrow_side_warns_on_stderr(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path, p=12, q=40)
+        result = invoke(
+            runner, "train", x, y, "--dim", 4, "--epochs", 1,
+            "--model-out", tmp_path / "m.bin",
+        )
+        assert result.exit_code == 0, result.output
+        assert "warning: input width 12 is narrow" in result.stderr
+        assert "d=4" in result.stderr
+        assert "output width" not in result.stderr
+        assert "warning" not in result.stdout
+
     def test_same_seed_byte_identical_models(self, runner, tmp_path):
         x, y = self.synth(runner, tmp_path)
         for name in ("a.bin", "b.bin"):

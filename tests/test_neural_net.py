@@ -7,6 +7,7 @@ import pytest
 from aime.errors import CacheError, DomainError, ShapeError
 from aime.matrix_core import RngStream
 from aime.neural_net import (
+    ADAM_BLOCK,
     AdamState,
     DenseLayer,
     Network,
@@ -225,6 +226,17 @@ class TestBackward:
         np.testing.assert_allclose(grads[0][0], (2.0 / 4.0) * diff.T @ x, atol=1e-12)
         np.testing.assert_allclose(grads[0][1], (2.0 / 4.0) * diff.sum(axis=0), atol=1e-12)
 
+    def test_writes_into_given_buffer(self):
+        net = random_network([4, 3, 2], RngStream(5, 0))
+        x = RngStream(5, 1).standard_normal((5, 4))
+        out, cache = forward(net, x)
+        loss_grad = mse_loss(out, RngStream(5, 2).standard_normal((5, 2)))[1]
+        buf = np.full(net.params.size, np.nan)
+        assert backward(net, cache, loss_grad, out=buf) is buf
+        assert buf.tobytes() == backward(net, cache, loss_grad).tobytes()
+        with pytest.raises(ShapeError):
+            backward(net, cache, loss_grad, out=np.empty(net.params.size + 1))
+
     def test_cache_network_mismatch(self):
         net = tiny_network()
         _, cache = forward(net, np.array([[1.0, 2.0]]))
@@ -440,7 +452,7 @@ class TestAdam:
                 w1 = net.layers[0].weights[0, 0]
                 assert w1**2 < w0**2
 
-    def test_flat_step_matches_per_layer_reference(self):
+    def check_against_per_layer_reference(self, net, x, y, steps):
         # The per-layer update the flat one replaced, kept as the oracle:
         # every parameter must come out bit for bit the same.
         def per_layer_step(params, grads, moments, t, cfg):
@@ -454,17 +466,11 @@ class TestAdam:
                 v_hat = v / (1.0 - b2**t)
                 p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
-        rng = RngStream(41, 0)
-        net = random_network([5, 4, 3, 2], rng)
-        assert [l.activation for l in net.layers] == ["relu", "relu", "linear"]
-        assert all(np.all(l.bias != 0.0) for l in net.layers)
         ref = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref]
-        x = rng.standard_normal((8, 5))
-        y = rng.standard_normal((8, 2))
         config = TrainConfig(learning_rate=0.05)
         state = AdamState.for_network(net)
-        for t in range(1, 7):
+        for t in range(1, steps + 1):
             out, cache = forward(net, x)
             grads = backward(net, cache, mse_loss(out, y)[1])
             ref_grads = [a.copy() for pair in net.layer_views(grads) for a in pair]
@@ -472,12 +478,44 @@ class TestAdam:
             per_layer_step(ref, ref_grads, moments, t, config)
             got = [a for l in net.layers for a in (l.weights, l.bias)]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
-        assert state.t == 6
+        assert state.t == steps
+
+    def test_flat_step_matches_per_layer_reference(self):
+        rng = RngStream(41, 0)
+        net = random_network([5, 4, 3, 2], rng)
+        assert [l.activation for l in net.layers] == ["relu", "relu", "linear"]
+        assert all(np.all(l.bias != 0.0) for l in net.layers)
+        x = rng.standard_normal((8, 5))
+        y = rng.standard_normal((8, 2))
+        self.check_against_per_layer_reference(net, x, y, steps=6)
+
+    def test_blocked_step_matches_per_layer_reference(self):
+        # Over two full blocks and a partial third one, with block
+        # boundaries falling inside the first layer's weights.
+        rng = RngStream(42, 0)
+        net = random_network([300, 220, 3], rng)
+        assert net.params.size > 2 * ADAM_BLOCK
+        assert net.params.size % ADAM_BLOCK != 0
+        assert AdamState.for_network(net).scratch.size == ADAM_BLOCK
+        x = rng.standard_normal((6, 300))
+        y = rng.standard_normal((6, 3))
+        self.check_against_per_layer_reference(net, x, y, steps=3)
 
     def test_gradient_layout_checked(self):
         net = tiny_network()
         with pytest.raises(ShapeError):
             adam_step(net, np.zeros(3), AdamState.for_network(net), TrainConfig())
+
+    def test_moment_layout_checked(self):
+        # A state built for a larger network must not be sliced silently.
+        net = tiny_network()
+        size = net.params.size
+        for m, v in (
+            (np.zeros(size + 1), np.zeros(size)),
+            (np.zeros(size), np.zeros(size + 1)),
+        ):
+            with pytest.raises(ShapeError, match="moments"):
+                adam_step(net, np.zeros(size), AdamState(m=m, v=v), TrainConfig())
 
     def test_full_loop_reduces_loss(self):
         rng = RngStream(40, 0)
