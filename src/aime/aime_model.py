@@ -23,13 +23,16 @@ deterministic; see fit() for the stream layout.
 from __future__ import annotations
 
 import math
+import os
 import struct
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    AimeError,
     AlignmentError,
     DomainError,
     InsufficientDataError,
@@ -51,7 +54,6 @@ from .matrix_core import (
 )
 from .neural_net import (
     AdamState,
-    DenseLayer,
     Network,
     TrainConfig,
     adam_step,
@@ -59,7 +61,6 @@ from .neural_net import (
     draw_dropout_masks,
     forward,
     mse_loss,
-    predict,
 )
 
 # Index of the bottleneck among the 8 dense layers (0-based): the layer
@@ -152,6 +153,9 @@ def build_network(arch: Architecture, seed: int) -> Network:
     weights (limit sqrt(6 / fan_in)), linear layers Glorot-uniform
     (limit sqrt(6 / (fan_in + fan_out))).
 
+    The network is allocated from the plan and every layer is drawn
+    straight into its views of ``params``.
+
     Linear biases start at zero; relu biases start at a small positive
     constant. The derived funnel still has 1-unit relu layers when d = 1
     or the data width is under 6, and with a zero bias such a unit
@@ -160,25 +164,20 @@ def build_network(arch: Architecture, seed: int) -> Network:
     zero and the whole encoder freezes. A positive bias keeps every unit
     initially active so training can decide.
     """
-    layers = []
-    for index, (fan_in, fan_out, activation, rate) in enumerate(arch.layer_specs()):
-        rng = RngStream(seed, stream_id(KIND_INIT, index))
-        if activation == "relu":
-            limit = math.sqrt(6.0 / fan_in)
-            bias = np.full(fan_out, RELU_BIAS_INIT)
+    network = Network(arch.layer_specs(), bottleneck_index=BOTTLENECK_INDEX)
+    for index, layer in enumerate(network.layers):
+        if layer.activation == "relu":
+            limit = math.sqrt(6.0 / layer.fan_in)
+            layer.bias[...] = RELU_BIAS_INIT
         else:
-            limit = math.sqrt(6.0 / (fan_in + fan_out))
-            bias = np.zeros(fan_out)
-        weights = rng.uniform(-limit, limit, (fan_out, fan_in))
-        layers.append(
-            DenseLayer(
-                weights=weights,
-                bias=bias,
-                activation=activation,
-                dropout_rate=rate,
-            )
-        )
-    return Network(layers, bottleneck_index=BOTTLENECK_INDEX)
+            limit = math.sqrt(6.0 / (layer.fan_in + layer.fan_out))
+        # In place, the draws of rng.uniform(-limit, limit, shape): each
+        # weight is -limit + (2 limit) u, to the bit.
+        weights = layer.weights
+        RngStream(seed, stream_id(KIND_INIT, index)).fill_uniform(weights)
+        weights *= 2.0 * limit
+        weights -= limit
+    return network
 
 
 @dataclass
@@ -283,7 +282,7 @@ def fit(
             idx = order[start : start + config.batch_size]
             xb, yb = xs[idx], ys[idx]
             masks = draw_dropout_masks(network, len(idx), mask_rng, ramp)
-            out, cache = forward(network, xb, mode="train", masks=masks)
+            out, cache = forward(network, xb, masks)
             loss, loss_grad = mse_loss(out, yb)
             backward(network, cache, loss_grad, out=grads)
             adam_step(network, grads, state, config)
@@ -368,7 +367,7 @@ def reconstruct(model: AimeModel, x) -> np.ndarray:
             f"x has {x.shape[1]} columns, model expects {model.network.input_size}"
         )
     xs = standardize_columns(x, model.input_means, model.input_sds)
-    out = predict(model.network, xs)
+    out = forward(model.network, xs)[0]
     return destandardize_columns(out, model.output_means, model.output_sds)
 
 
@@ -416,13 +415,17 @@ def save_model(model: AimeModel, path) -> None:
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads a model file, checking every length against the file size
+    before it reads (or anything allocates) the bytes."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.pos = 0
 
     def skip(self, count: int) -> int:
         """Offset of the next ``count`` bytes, which are then passed."""
-        if self.pos + count > len(self.data):
+        if self.pos + count > self.size:
             raise ParseError(
                 f"model file truncated: needed {count} bytes at offset {self.pos}"
             )
@@ -430,64 +433,68 @@ class _Reader:
         return self.pos - count
 
     def take(self, count: int) -> bytes:
-        start = self.skip(count)
-        return self.data[start : self.pos]
+        self.fh.seek(self.skip(count))
+        return self.fh.read(count)
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
     def floats(self, count: int) -> np.ndarray:
-        """The next ``count`` doubles as a read-only view of the file bytes."""
-        start = self.skip(8 * count)
-        return np.frombuffer(self.data, dtype="<f8", count=count, offset=start)
+        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
+
+    def fill(self, start: int, out: np.ndarray) -> None:
+        """Read ``out.nbytes`` bytes at offset ``start`` into ``out``."""
+        self.fh.seek(start)
+        if self.fh.readinto(out) != out.nbytes:
+            raise ParseError(f"model file truncated at offset {start}")
 
 
 def load_model(path) -> AimeModel:
-    """Read a model written by save_model; malformed files raise ParseError."""
+    """Read a model written by save_model; malformed files raise ParseError.
+
+    A first pass reads the header and the layer record headers and checks
+    that the declared sizes fill the file exactly; only then is the
+    network allocated, and each layer's parameters are read straight
+    into its views.
+    """
     with open(path, "rb") as fh:
-        reader = _Reader(fh.read())
-    if reader.take(4) != _MAGIC:
-        raise ParseError("not a model file: bad magic bytes")
-    (version,) = reader.unpack("<I")
-    if version != _FORMAT_VERSION:
-        raise ParseError(f"unsupported model format version {version}")
-    p, q, d, seed, bottleneck, n_layers = reader.unpack("<6Q")
-    if n_layers != _LAYER_COUNT:
-        raise ParseError(f"expected {_LAYER_COUNT} layers, header says {n_layers}")
-    (history_len,) = reader.unpack("<Q")
-    history = reader.floats(history_len).tolist()
-    # Copies, so that nothing in the model pins the file bytes; the layer
-    # weights stay views because Network copies them into its buffer.
-    input_means = reader.floats(p).astype(np.float64)
-    input_sds = reader.floats(p).astype(np.float64)
-    output_means = reader.floats(q).astype(np.float64)
-    output_sds = reader.floats(q).astype(np.float64)
-    layers = []
-    for index in range(n_layers):
-        fan_out, fan_in, act_code, rate = reader.unpack("<QQBd")
-        if act_code not in _ACTIVATION_NAMES:
-            raise ParseError(f"layer {index}: unknown activation code {act_code}")
-        weights = reader.floats(fan_out * fan_in).reshape(fan_out, fan_in)
-        bias = reader.floats(fan_out)
-        layers.append(
-            DenseLayer(
-                weights=weights,
-                bias=bias,
-                activation=_ACTIVATION_NAMES[act_code],
-                dropout_rate=rate,
-            )
-        )
-    if reader.pos != len(reader.data):
-        raise ParseError(
-            f"{len(reader.data) - reader.pos} unexpected trailing bytes"
-        )
-    if bottleneck >= n_layers:
-        raise ParseError("bottleneck index out of range for the layer count")
-    network = Network(layers, bottleneck_index=bottleneck)
-    if network.input_size != p or network.output_size != q:
-        raise ParseError("layer shapes disagree with the header sizes")
-    if network.layers[bottleneck].fan_out != d:
-        raise ParseError("bottleneck width disagrees with the header sizes")
+        reader = _Reader(fh)
+        if reader.take(4) != _MAGIC:
+            raise ParseError("not a model file: bad magic bytes")
+        (version,) = reader.unpack("<I")
+        if version != _FORMAT_VERSION:
+            raise ParseError(f"unsupported model format version {version}")
+        p, q, d, seed, bottleneck, n_layers = reader.unpack("<6Q")
+        if n_layers != _LAYER_COUNT:
+            raise ParseError(f"expected {_LAYER_COUNT} layers, header says {n_layers}")
+        (history_len,) = reader.unpack("<Q")
+        history = reader.floats(history_len).tolist()
+        input_means, input_sds = reader.floats(p), reader.floats(p)
+        output_means, output_sds = reader.floats(q), reader.floats(q)
+        specs, starts = [], []
+        for index in range(n_layers):
+            fan_out, fan_in, act_code, rate = reader.unpack("<QQBd")
+            if act_code not in _ACTIVATION_NAMES:
+                raise ParseError(f"layer {index}: unknown activation code {act_code}")
+            specs.append((fan_in, fan_out, _ACTIVATION_NAMES[act_code], rate))
+            starts.append(reader.skip(8 * fan_out * (fan_in + 1)))
+        if reader.pos != reader.size:
+            raise ParseError(f"{reader.size - reader.pos} unexpected trailing bytes")
+        try:
+            network = Network(specs, bottleneck_index=bottleneck)
+        except AimeError as exc:
+            raise ParseError(f"model file: {exc}") from None
+        if network.input_size != p or network.output_size != q:
+            raise ParseError("layer shapes disagree with the header sizes")
+        if network.layers[bottleneck].fan_out != d:
+            raise ParseError("bottleneck width disagrees with the header sizes")
+        for layer, start in zip(network.layers, starts):
+            reader.fill(start, layer.weights)
+            reader.fill(start + layer.weights.nbytes, layer.bias)
+    # The file is little-endian; ``params`` holds native doubles.
+    if sys.byteorder == "big":
+        network.params.byteswap(inplace=True)
+    layers = network.layers
     arch = Architecture(
         input_size=p,
         output_size=q,

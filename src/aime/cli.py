@@ -6,6 +6,7 @@ synth, plot. Options can also come from a flat key=value config file via
 written atomically (temp file in the target directory, then rename).
 
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure.
+Warnings go to stderr as ``warning: ...`` lines, before any error line.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .data_io import (
     align_samples,
     cv_filter,
     read_labeled,
+    read_text,
     sd_filter,
     write_labeled,
 )
@@ -67,16 +69,10 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def format_config(cfg: dict[str, str]) -> str:
-    """Canonical text form; parse_config(format_config(c)) == c."""
-    return "".join(f"{k}={cfg[k]}\n" for k in sorted(cfg))
-
-
 def _load_config(path: str | None) -> dict[str, str]:
     if path is None:
         return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+    return parse_config(read_text(path))
 
 
 def _resolve(cfg: dict[str, str], key: str, flag, default, cast):
@@ -118,21 +114,24 @@ def _write_text(path: str, text: str) -> None:
 
 
 def guarded(func):
-    """Map library errors to the documented exit codes."""
+    """Map library errors to the documented exit codes, and print every
+    warning as a ``warning: ...`` line on stderr, before any error line."""
 
     @functools.wraps(func)
     def wrapper(*args, **kwargs):
-        try:
-            return func(*args, **kwargs)
-        except NumericalError as exc:
-            click.echo(f"numerical failure: {exc}", err=True)
-            sys.exit(3)
-        except AimeError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except OSError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                return func(*args, **kwargs)
+            except NumericalError as exc:
+                message, code = f"numerical failure: {exc}", 3
+            except (AimeError, OSError) as exc:
+                message, code = f"error: {exc}", 2
+            finally:
+                for warning in caught:
+                    click.echo(f"warning: {warning.message}", err=True)
+        click.echo(message, err=True)
+        sys.exit(code)
 
     return wrapper
 
@@ -236,15 +235,7 @@ def cmd_train(x_path, y_path, dim, epochs, seed, learning_rate, batch_size, mode
         seed=_resolve(cfg, "seed", seed, 0, int),
     )
     dim = _resolve(cfg, "d", dim, 4, int)
-    # fit's warnings (a funnel narrower than --dim, numpy overflow) go to
-    # stderr as lines of their own, also when fit then fails.
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            model = fit(x.values, y.values, dim, config)
-        finally:
-            for warning in caught:
-                click.echo(f"warning: {warning.message}", err=True)
+    model = fit(x.values, y.values, dim, config)
     _atomic_write(model_out, lambda tmp: save_model(model, tmp))
     history_out = history_out or (model_out + ".history")
     history = "".join(
@@ -404,8 +395,7 @@ def cmd_synth(out_prefix, n, p, q, n_signal, noise_sd, design, seed, delimiter):
 def read_labels(path: str, delimiter: str = "tab") -> dict[str, str]:
     """Read the two-column id/label sidecar written by the synth command."""
     sep = "\t" if delimiter == "tab" else ","
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = [line for line in handle.read().split("\n") if line]
+    lines = [line for line in read_text(path).splitlines() if line]
     out: dict[str, str] = {}
     for line_no, line in enumerate(lines[1:], start=2):
         parts = line.split(sep)

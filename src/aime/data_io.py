@@ -102,6 +102,19 @@ def _parse_cell(text: str, line_no: int, col_no: int) -> float:
     return value
 
 
+def read_text(path) -> str:
+    """A whole UTF-8 text file, newlines untranslated. Bytes that are not
+    UTF-8 raise ParseError naming the file and the byte offset."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: byte 0x{data[exc.start]:02x} at offset {exc.start} is not UTF-8"
+        ) from None
+
+
 def read_labeled(
     path,
     delimiter: str = "tab",
@@ -118,8 +131,7 @@ def read_labeled(
     if orientation not in _ORIENTATIONS:
         raise DomainError(f"unknown orientation {orientation!r}")
 
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        lines = handle.read().split("\n")
+    lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if len(lines) < 2:

@@ -44,7 +44,7 @@ class ParseError(AimeError, ValueError):
 
 
 class CacheError(AimeError, RuntimeError):
-    """A forward cache does not match the network or mode it is used with."""
+    """A forward cache does not match the network it is used with."""
 
 
 class NumericalError(AimeError, ArithmeticError):

@@ -92,6 +92,11 @@ class RngStream:
     def uniform(self, low: float, high: float, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size)
 
+    def fill_uniform(self, out: np.ndarray) -> None:
+        """Overwrite a C-contiguous float64 array with uniform draws in
+        [0, 1): the draws ``uniform(0, 1, out.shape)`` would return."""
+        self._gen.random(out=out)
+
     def standard_normal(self, size=None) -> np.ndarray:
         return self._gen.standard_normal(size)
 

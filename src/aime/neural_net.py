@@ -21,7 +21,9 @@ from .errors import CacheError, DomainError, ShapeError
 from .matrix_core import KIND_GRAD_CHECK, RngStream, stream_id
 
 ACTIVATIONS = ("relu", "linear")
-MODES = ("train", "eval")
+
+# (fan_in, fan_out, activation, dropout_rate) of one dense layer.
+LayerSpec = tuple[int, int, str, float]
 
 # adam_step runs its in-place operations over slices of this many
 # elements (256 KiB per float64 operand), so the five operands of one
@@ -34,27 +36,16 @@ ADAM_BLOCK = 1 << 15
 
 @dataclass
 class DenseLayer:
-    """One dense layer plus the dropout rate applied to its output."""
+    """One dense layer plus the dropout rate applied to its output.
+
+    ``weights`` (fan_out, fan_in) and ``bias`` are views into the
+    ``params`` buffer of the network that made the layer.
+    """
 
     weights: np.ndarray
     bias: np.ndarray
     activation: str = "relu"
     dropout_rate: float = 0.0
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise ShapeError(f"weights must be 2-D, got {self.weights.ndim}-D")
-        if self.bias.shape != (self.weights.shape[0],):
-            raise ShapeError(
-                f"bias of shape {self.bias.shape} does not match "
-                f"{self.weights.shape[0]} output units"
-            )
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {self.dropout_rate}")
 
     @property
     def fan_in(self) -> int:
@@ -65,57 +56,68 @@ class DenseLayer:
         return self.weights.shape[0]
 
 
-@dataclass
+def _check_plan(specs: list[LayerSpec], bottleneck_index: int | None) -> None:
+    for index, (fan_in, fan_out, activation, rate) in enumerate(specs):
+        if fan_in < 1 or fan_out < 1:
+            raise ShapeError(
+                f"layer {index}: sizes must be positive, got {fan_in} -> {fan_out}"
+            )
+        if index and fan_in != specs[index - 1][1]:
+            raise ShapeError(
+                f"layer {index}: input size {fan_in} does not match the "
+                f"{specs[index - 1][1]} outputs of layer {index - 1}"
+            )
+        if activation not in ACTIVATIONS:
+            raise DomainError(f"layer {index}: unknown activation {activation!r}")
+        if not 0.0 <= rate < 1.0:
+            raise DomainError(f"layer {index}: dropout rate must be in [0, 1), got {rate}")
+    if bottleneck_index is not None and not 0 <= bottleneck_index < len(specs):
+        raise ShapeError(
+            f"bottleneck index {bottleneck_index} out of range for "
+            f"{len(specs)} layers"
+        )
+
+
+def _split(flat: np.ndarray, shapes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(weights, bias) views of each (fan_out, fan_in) layer, in order,
+    into a vector laid out like ``Network.params``."""
+    views, offset = [], 0
+    for rows, cols in shapes:
+        end = offset + rows * cols
+        views.append((flat[offset:end].reshape(rows, cols), flat[end : end + rows]))
+        offset = end + rows
+    return views
+
+
 class Network:
-    """A chain of dense layers; consecutive fan_out/fan_in must agree.
+    """A chain of dense layers, built from its layer plan: one
+    ``(fan_in, fan_out, activation, dropout_rate)`` spec per layer.
 
     ``bottleneck_index`` marks the layer whose output is the embedding,
     for networks that have one; plain regression networks leave it None.
 
     Every weight and bias lives in one contiguous float64 vector,
-    ``params``: layer by layer, each layer's weights (row-major) before
-    its bias. Each layer's ``weights`` and ``bias`` are views into it, so
-    one vector operation can update the whole network. Building a Network
-    copies its layers' values into a new vector and rebinds the layers to
-    it, so a layer belongs to one network at a time, and code that changes
-    parameters writes into the views (``w[...] = ...``) rather than
-    rebinding them.
+    ``params``, allocated zeroed: layer by layer, each layer's weights
+    (row-major) before its bias. Each layer's ``weights`` and ``bias``
+    are views into it, so one vector operation can update the whole
+    network, and initialization or loading writes straight into them.
+    An invalid plan raises ShapeError or DomainError naming the layer.
     """
 
-    layers: list[DenseLayer]
-    bottleneck_index: int | None = None
-    params: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        for a, b in zip(self.layers, self.layers[1:]):
-            if a.fan_out != b.fan_in:
-                raise ShapeError(
-                    f"layer output size {a.fan_out} does not feed "
-                    f"layer input size {b.fan_in}"
-                )
-        if self.bottleneck_index is not None and not (
-            0 <= self.bottleneck_index < len(self.layers)
-        ):
-            raise ShapeError(
-                f"bottleneck index {self.bottleneck_index} out of range for "
-                f"{len(self.layers)} layers"
-            )
-        self.params = np.empty(sum(l.weights.size + l.bias.size for l in self.layers))
-        for layer, (w, b) in zip(self.layers, self.layer_views(self.params)):
-            w[...] = layer.weights
-            b[...] = layer.bias
-            layer.weights, layer.bias = w, b
+    def __init__(self, specs: list[LayerSpec], bottleneck_index: int | None = None):
+        _check_plan(specs, bottleneck_index)
+        self.bottleneck_index = bottleneck_index
+        self.params = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out, _, _ in specs))
+        views = _split(self.params, [(fan_out, fan_in) for fan_in, fan_out, _, _ in specs])
+        self.layers = [
+            DenseLayer(w, b, activation, rate)
+            for (w, b), (_, _, activation, rate) in zip(views, specs)
+        ]
 
     def layer_views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(weights, bias) views of each layer into a vector laid out like
         ``params``."""
-        views, offset = [], 0
-        for layer in self.layers:
-            rows, cols = layer.weights.shape
-            end = offset + rows * cols
-            views.append((flat[offset:end].reshape(rows, cols), flat[end : end + rows]))
-            offset = end + rows
-        return views
+        return _split(flat, [layer.weights.shape for layer in self.layers])
 
     @property
     def input_size(self) -> int:
@@ -201,39 +203,28 @@ def draw_dropout_masks(
 def forward(
     network: Network,
     x: np.ndarray,
-    mode: str = "eval",
-    rng: RngStream | None = None,
     masks: list[np.ndarray | None] | None = None,
     stop: int | None = None,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a batch; returns (output, cache).
 
-    In eval mode dropout is off and the pass is deterministic. In train
-    mode masks come from ``rng`` (or are passed in directly, which is how
-    the gradient checks replay one fixed pass bit for bit). ``stop`` runs
-    only the first ``stop`` layers, so the output is that layer's and the
-    cache holds only those layers; the embedding is read this way without
-    running the decoder.
+    Dropout is applied only through ``masks`` (one per layer, from
+    :func:`draw_dropout_masks`; ``None`` entries leave a layer alone), so
+    a training step and the gradient checks replay one fixed pass bit
+    for bit. Without masks the pass is the deterministic evaluation one.
+    ``stop`` runs only the first ``stop`` layers, so the output is that
+    layer's and the cache holds only those layers; the embedding is read
+    this way without running the decoder.
     """
-    if mode not in MODES:
-        raise DomainError(f"mode must be one of {MODES}, got {mode!r}")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != network.input_size:
         raise ShapeError(
             f"input of shape {x.shape} does not match input size "
             f"{network.input_size}"
         )
-    if mode == "eval":
+    if masks is None:
         masks = [None] * len(network.layers)
-    elif masks is None:
-        if rng is not None:
-            masks = draw_dropout_masks(network, x.shape[0], rng)
-        elif all(layer.dropout_rate == 0.0 for layer in network.layers):
-            masks = [None] * len(network.layers)
-        else:
-            raise DomainError("train mode needs an rng (or explicit masks) "
-                              "when any layer has dropout")
-    if len(masks) != len(network.layers):
+    elif len(masks) != len(network.layers):
         raise ShapeError(f"{len(masks)} masks for {len(network.layers)} layers")
 
     a = x
@@ -247,11 +238,6 @@ def forward(
         outs.append(a)
     cache = ForwardCache(x=x, pre_activations=pre, outputs=outs, masks=list(masks))
     return a, cache
-
-
-def predict(network: Network, x: np.ndarray) -> np.ndarray:
-    """Evaluation-mode output for a batch."""
-    return forward(network, x, mode="eval")[0]
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
@@ -416,17 +402,15 @@ def numerical_gradients(
     which swamps a gradient entry of 1e-7. Cost is two forward passes
     per scalar parameter; meant for small test networks.
     """
-    if masks is None:
-        masks = [None] * len(network.layers)
     target = np.asarray(target, dtype=np.float64)
     params = network.params
     grads = np.zeros_like(params)
     for k in range(params.size):
         orig = params[k]
         params[k] = orig + h
-        up = forward(network, x, mode="train", masks=masks)[0]
+        up = forward(network, x, masks)[0]
         params[k] = orig - h
-        down = forward(network, x, mode="train", masks=masks)[0]
+        down = forward(network, x, masks)[0]
         params[k] = orig
         delta = np.mean((up - down) * (up + down - 2.0 * target))
         grads[k] = delta / (2.0 * h)
@@ -455,7 +439,7 @@ def gradient_check(
     if masks is None:
         rng = RngStream(seed, stream_id(KIND_GRAD_CHECK, 0))
         masks = draw_dropout_masks(network, np.asarray(x).shape[0], rng)
-    out, cache = forward(network, x, mode="train", masks=masks)
+    out, cache = forward(network, x, masks)
     _, loss_grad = mse_loss(out, target)
     analytic = backward(network, cache, loss_grad)
     numeric = numerical_gradients(network, x, target, masks=masks, h=h)

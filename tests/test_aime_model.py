@@ -1,6 +1,7 @@
 """Tests for architecture derivation, training, embedding, and the
 model file round trip."""
 
+import hashlib
 import struct
 import tracemalloc
 import warnings
@@ -32,7 +33,7 @@ from aime.errors import (
     ShapeError,
 )
 from aime.matrix_core import RngStream, column_stats, standardize_columns
-from aime.neural_net import DenseLayer, Network, TrainConfig, forward
+from aime.neural_net import Network, TrainConfig, forward
 
 
 def make_pair(n, p, q, seed=0, latent_dim=2, noise=0.1):
@@ -130,6 +131,29 @@ class TestBuildNetwork:
                 net_a.layers[i].weights.tobytes()
                 == net_b.layers[i].weights.tobytes()
             )
+
+    @pytest.mark.parametrize(
+        "shape, seed, prefix",
+        [((40, 40, 4), 3, "7b2ba47254cc8fc8"), ((700, 650, 4), 5, "42b1e057eca7fb0b")],
+    )
+    def test_params_pinned(self, shape, seed, prefix):
+        # Philox draws and scalar IEEE arithmetic: the same bytes on every
+        # platform, and the bytes of rng.uniform(-limit, limit, shape).
+        params = build_network(build_architecture(*shape), seed).params
+        assert hashlib.sha256(params.tobytes()).hexdigest()[:16] == prefix
+
+    def test_peak_memory_one_parameter_copy(self):
+        # Layers are drawn straight into the parameter buffer (p = q =
+        # 1600: about 1M parameters).
+        build_network(build_architecture(3, 3, 1), seed=0)  # warm imports
+        tracemalloc.start()
+        try:
+            net = build_network(build_architecture(1600, 1600, 4), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.params.size > 1_000_000
+        assert peak < 1.1 * net.params.nbytes
 
     @given(
         st.integers(1, 2000), st.integers(1, 2000), st.integers(1, 16),
@@ -347,9 +371,9 @@ class TestEmbed:
         # A single linear layer marked as the bottleneck: the embedding
         # must be exactly W @ x_standardized (plus bias).
         w = np.array([[0.5, -1.0, 2.0], [0.0, 1.0, 1.0]])
-        net = Network(
-            [DenseLayer(w, np.array([0.1, -0.2]), "linear")], bottleneck_index=0
-        )
+        net = Network([(3, 2, "linear", 0.0)], bottleneck_index=0)
+        net.layers[0].weights[...] = w
+        net.layers[0].bias[...] = [0.1, -0.2]
         arch = build_architecture(3, 3, 2)
         model = AimeModel(
             architecture=arch,
@@ -500,4 +524,76 @@ class TestModelFile:
         save_model(model, path)
         path.write_bytes(path.read_bytes() + b"xx")
         with pytest.raises(ParseError, match="trailing"):
+            load_model(path)
+
+    def test_load_peak_memory_one_parameter_copy(self, tmp_path):
+        # Each layer is read straight into the network's parameter buffer.
+        x = RngStream(3, 0).standard_normal((4, 1600))
+        model = fit(x, x, 4, TrainConfig(epochs=0))
+        path = tmp_path / "model.bin"
+        save_model(model, path)
+        load_model(path)  # warm imports
+        tracemalloc.start()
+        try:
+            load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.network.params.size > 1_000_000
+        assert peak < 1.1 * model.network.params.nbytes
+
+    def layer0_record(self, model):
+        """Offset of layer 0's (fan_out, fan_in, code, rate) record."""
+        return 4 + 4 + 48 + 8 + 8 * len(model.loss_history) + 16 * (
+            model.input_size + model.output_size
+        )
+
+    def test_overrun_sizes_rejected_before_allocating(self, tmp_path):
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        offset = self.layer0_record(model) + 8
+        raw[offset : offset + 8] = struct.pack("<Q", 2**40)
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match="truncated"):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("rate", [1.5, float("nan")])
+    def test_bad_dropout_rate(self, tmp_path, rate):
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        offset = self.layer0_record(model) + 17
+        raw[offset : offset + 8] = struct.pack("<d", rate)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="layer 0: dropout rate"):
+            load_model(path)
+
+    def test_layer_chain_mismatch(self, tmp_path):
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        # Layer 1 (2 -> 2) claims to be 5 -> 1: the same 6 parameters, so
+        # the file still adds up, but layer 0's 2 outputs cannot feed it.
+        layer0 = model.network.layers[0]
+        offset = self.layer0_record(model) + 25 + 8 * layer0.fan_out * (layer0.fan_in + 1)
+        assert struct.unpack_from("<QQ", raw, offset) == (2, 2)
+        raw[offset : offset + 16] = struct.pack("<QQ", 1, 5)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="layer 1: input size 5"):
+            load_model(path)
+
+    def test_bottleneck_out_of_range(self, tmp_path):
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[40:48] = struct.pack("<Q", 8)  # after magic, version, p, q, d, seed
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="bottleneck index 8 out of range"):
             load_model(path)

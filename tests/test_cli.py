@@ -1,3 +1,4 @@
+import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -7,7 +8,6 @@ from click.testing import CliRunner
 
 from aime.cli import (
     _atomic_write,
-    format_config,
     main,
     parse_config,
     read_labels,
@@ -39,10 +39,6 @@ def write_toy_matrix(path, values, prefix="f"):
 
 
 class TestConfig:
-    def test_round_trip(self):
-        cfg = {"epochs": "50", "learning_rate": "0.01", "d": "3"}
-        assert parse_config(format_config(cfg)) == cfg
-
     def test_comments_and_blanks_skipped(self):
         cfg = parse_config("# comment\n\nepochs = 7\n")
         assert cfg == {"epochs": "7"}
@@ -57,13 +53,13 @@ class TestConfig:
         conf = tmp_path / "run.conf"
         conf.write_text("threshold=1e9\n")
         # config says drop everything
-        with pytest.warns(UserWarning, match="removed every feature"):
-            r1 = invoke(
-                runner, "filter", x, tmp_path / "o1.tsv", "--sd",
-                "--config", conf,
-            )
+        r1 = invoke(
+            runner, "filter", x, tmp_path / "o1.tsv", "--sd", "--config", conf,
+        )
         assert r1.exit_code == 0
         assert "kept 0" in r1.output
+        assert "warning: sd_filter removed every feature" in r1.stderr
+        assert "UserWarning" not in r1.output
         # explicit flag wins over the config value
         r2 = invoke(
             runner, "filter", x, tmp_path / "o2.tsv", "--sd",
@@ -110,6 +106,13 @@ class TestFilterCommand:
         )
         assert result.exit_code == 2
         assert "absent.tsv" in result.output
+
+    def test_non_utf8_input_exits_2(self, runner, tmp_path):
+        (tmp_path / "in.tsv").write_bytes(b"id\tf0\ns0\t1.0\ns1\t\xff2.0\n")
+        result = invoke(runner, "filter", tmp_path / "in.tsv", tmp_path / "o.tsv", "--sd")
+        assert result.exit_code == 2
+        assert "in.tsv: byte 0xff at offset 16 is not UTF-8" in result.stderr
+        assert "Traceback" not in result.output
 
     def test_both_modes_rejected(self, runner, tmp_path):
         write_toy_matrix(tmp_path / "in.tsv", np.ones((3, 2)))
@@ -184,6 +187,17 @@ class TestSynthAndTrain:
         assert result.exit_code == 2
         assert "no shared sample ids" in result.output
 
+    def test_non_utf8_config_exits_2(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        (tmp_path / "run.conf").write_bytes(b"epochs=1\n# \xff\n")
+        result = invoke(
+            runner, "train", x, y, "--config", tmp_path / "run.conf",
+            "--model-out", tmp_path / "m.bin",
+        )
+        assert result.exit_code == 2
+        assert "run.conf: byte 0xff at offset 11" in result.stderr
+        assert not (tmp_path / "m.bin").exists()
+
     def test_divergent_training_exits_3(self, runner, tmp_path):
         x, y = self.synth(runner, tmp_path, n=20)
         # Overflow on the way to the non-finite loss is the point here.
@@ -229,6 +243,22 @@ class TestEmbedImportanceCca:
         lines = (trained / "imp.tsv").read_text().strip().split("\n")
         assert lines[0] == "variable_id\tscore\trank"
         assert len(lines) == 1 + 8
+
+    @pytest.mark.parametrize("rate", [1.5, float("nan")])
+    def test_model_with_bad_dropout_rate_exits_2(self, runner, trained, rate):
+        raw = bytearray((trained / "m.bin").read_bytes())
+        # Layer 0's rate follows the header, history (2 epochs), the four
+        # statistics vectors (p = 8, q = 6) and fan_out, fan_in, code.
+        offset = 4 + 4 + 48 + 8 + 8 * 2 + 16 * (8 + 6) + 17
+        raw[offset : offset + 8] = struct.pack("<d", rate)
+        (trained / "bad.bin").write_bytes(bytes(raw))
+        result = invoke(
+            runner, "embed", trained / "bad.bin", trained / "d_x.tsv",
+            trained / "emb.tsv",
+        )
+        assert result.exit_code == 2
+        assert "layer 0: dropout rate" in result.stderr
+        assert "Traceback" not in result.output
 
     def test_cca_outputs(self, runner, trained):
         result = invoke(
@@ -282,6 +312,16 @@ class TestPlot:
         )
         assert result.exit_code == 2
         assert "no label" in result.output
+
+    def test_non_utf8_labels_exit_2(self, runner, tmp_path):
+        write_toy_matrix(tmp_path / "emb.tsv", np.arange(6.0).reshape(3, 2), prefix="e")
+        (tmp_path / "labels.tsv").write_bytes(b"id\tlabel\ns0\t\xff\n")
+        result = invoke(
+            runner, "plot", tmp_path / "emb.tsv", tmp_path / "labels.tsv",
+            tmp_path / "out.svg",
+        )
+        assert result.exit_code == 2
+        assert "labels.tsv: byte 0xff at offset 12" in result.stderr
 
     def test_deterministic_svg(self):
         coords = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])

@@ -12,7 +12,7 @@ from aime.importance import (
     _column_stream,
 )
 from aime.matrix_core import permute_column
-from aime.neural_net import DenseLayer, Network
+from aime.neural_net import Network
 
 
 def hand_model(w, d=None):
@@ -20,7 +20,8 @@ def hand_model(w, d=None):
     w = np.asarray(w, dtype=float)
     out_size, p = w.shape
     d = d or out_size
-    net = Network([DenseLayer(w, np.zeros(out_size), "linear")], bottleneck_index=0)
+    net = Network([(p, out_size, "linear", 0.0)], bottleneck_index=0)
+    net.layers[0].weights[...] = w
     return AimeModel(
         architecture=build_architecture(p, p, d),
         network=net,

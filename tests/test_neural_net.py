@@ -9,7 +9,6 @@ from aime.matrix_core import RngStream
 from aime.neural_net import (
     ADAM_BLOCK,
     AdamState,
-    DenseLayer,
     Network,
     TrainConfig,
     adam_step,
@@ -20,16 +19,25 @@ from aime.neural_net import (
     max_relative_error,
     mse_loss,
     numerical_gradients,
-    predict,
 )
+
+
+def hand_network(layers, bottleneck_index=None):
+    """A Network holding the given values: one (weights, bias,
+    activation, dropout_rate) tuple per layer."""
+    specs = [(len(w[0]), len(w), act, rate) for w, _, act, rate in layers]
+    net = Network(specs, bottleneck_index)
+    for (w, b), layer in zip(net.layer_views(net.params), layers):
+        w[...], b[...] = layer[:2]
+    return net
 
 
 def tiny_network():
     """2 -> 2 relu -> 1 linear with hand-picked weights."""
-    return Network(
+    return hand_network(
         [
-            DenseLayer(np.array([[1.0, -1.0], [2.0, 0.0]]), np.array([0.0, 1.0])),
-            DenseLayer(np.array([[1.0, 1.0]]), np.array([-1.0]), activation="linear"),
+            ([[1.0, -1.0], [2.0, 0.0]], [0.0, 1.0], "relu", 0.0),
+            ([[1.0, 1.0]], [-1.0], "linear", 0.0),
         ]
     )
 
@@ -41,13 +49,13 @@ def random_network(sizes, rng, dropout=None):
         b = rng.standard_normal(sizes[i + 1]) * 0.1
         act = "linear" if i == len(sizes) - 2 else "relu"
         rate = dropout[i] if dropout else 0.0
-        layers.append(DenseLayer(w, b, activation=act, dropout_rate=rate))
-    return Network(layers)
+        layers.append((w, b, act, rate))
+    return hand_network(layers)
 
 
 def relu_margin(network, x, masks):
     """Smallest |pre-activation| over relu layers for this input."""
-    _, cache = forward(network, x, mode="train", masks=masks)
+    _, cache = forward(network, x, masks)
     margins = [
         float(np.min(np.abs(cache.pre_activations[i])))
         for i, layer in enumerate(network.layers)
@@ -80,49 +88,40 @@ class TestForward:
         np.testing.assert_allclose(out, [[2.0]])
 
     def test_identity_layer_passes_input_through(self):
-        net = Network([DenseLayer(np.eye(3), np.zeros(3), activation="linear")])
+        net = hand_network([(np.eye(3), np.zeros(3), "linear", 0.0)])
         x = RngStream(1, 0).standard_normal((4, 3))
-        np.testing.assert_array_equal(predict(net, x), x)
+        np.testing.assert_array_equal(forward(net, x)[0], x)
 
     def test_train_equals_eval_when_no_dropout(self):
         net = tiny_network()
         x = np.array([[1.0, 2.0], [0.3, -0.7]])
-        train_out, _ = forward(net, x, mode="train")
-        np.testing.assert_array_equal(train_out, predict(net, x))
+        masks = draw_dropout_masks(net, 2, RngStream(1, 1))
+        assert masks == [None, None]
+        train_out, _ = forward(net, x, masks)
+        np.testing.assert_array_equal(train_out, forward(net, x)[0])
 
     def test_batch_rows_independent(self):
         net = tiny_network()
         x = np.array([[1.0, 2.0], [0.5, -0.5]])
-        batched = predict(net, x)
-        np.testing.assert_allclose(batched[0:1], predict(net, x[0:1]))
-        np.testing.assert_allclose(batched[1:2], predict(net, x[1:2]))
+        batched = forward(net, x)[0]
+        np.testing.assert_allclose(batched[0:1], forward(net, x[0:1])[0])
+        np.testing.assert_allclose(batched[1:2], forward(net, x[1:2])[0])
 
     def test_input_size_checked(self):
         with pytest.raises(ShapeError):
-            predict(tiny_network(), np.zeros((3, 5)))
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(DomainError):
-            forward(tiny_network(), np.zeros((1, 2)), mode="predict")
-
-    def test_train_with_dropout_needs_rng_or_masks(self):
-        net = random_network([3, 2, 1], RngStream(2, 0), dropout=[0.5, 0.0])
-        with pytest.raises(DomainError):
-            forward(net, np.zeros((2, 3)), mode="train")
+            forward(tiny_network(), np.zeros((3, 5)))
 
     def test_layer_chain_validated(self):
-        with pytest.raises(ShapeError):
-            Network(
-                [
-                    DenseLayer(np.zeros((3, 2)), np.zeros(3)),
-                    DenseLayer(np.zeros((1, 4)), np.zeros(1)),
-                ]
-            )
+        with pytest.raises(ShapeError, match="layer 1"):
+            Network([(2, 3, "relu", 0.0), (4, 1, "relu", 0.0)])
 
     def test_bottleneck_index_validated(self):
-        layer = DenseLayer(np.zeros((2, 2)), np.zeros(2))
-        with pytest.raises(ShapeError):
-            Network([layer], bottleneck_index=1)
+        with pytest.raises(ShapeError, match="bottleneck"):
+            Network([(2, 2, "relu", 0.0)], bottleneck_index=1)
+
+    def test_mask_count_checked(self):
+        with pytest.raises(ShapeError, match="masks"):
+            forward(tiny_network(), np.zeros((1, 2)), [None])
 
     def test_stop_runs_leading_layers_only(self):
         net = random_network([4, 3, 3, 2], RngStream(5, 0))
@@ -132,11 +131,34 @@ class TestForward:
         assert out.tobytes() == forward(net, x)[1].outputs[1].tobytes()
 
 
+class TestPlan:
+    def test_built_from_specs_with_zeroed_views(self):
+        net = Network([(2, 3, "relu", 0.2), (3, 1, "linear", 0.0)], 0)
+        assert net.params.size == 13
+        np.testing.assert_array_equal(net.params, 0.0)
+        assert [(l.fan_in, l.fan_out, l.activation, l.dropout_rate)
+                for l in net.layers] == [(2, 3, "relu", 0.2), (3, 1, "linear", 0.0)]
+        assert (net.input_size, net.output_size, net.bottleneck_index) == (2, 1, 0)
+
+    def test_sizes_must_be_positive(self):
+        with pytest.raises(ShapeError, match="layer 0"):
+            Network([(0, 3, "relu", 0.0), (3, 1, "linear", 0.0)])
+
+    def test_unknown_activation(self):
+        with pytest.raises(DomainError, match="layer 1: unknown activation"):
+            Network([(2, 3, "relu", 0.0), (3, 1, "tanh", 0.0)])
+
+    @pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, float("nan")])
+    def test_dropout_rate_in_unit_interval(self, rate):
+        with pytest.raises(DomainError, match="layer 0: dropout rate"):
+            Network([(2, 3, "relu", rate)])
+
+
 class TestParameterBuffer:
     def test_layers_are_views_in_layer_order(self):
         w0, b0 = np.arange(6.0).reshape(3, 2), np.array([6.0, 7.0, 8.0])
         w1, b1 = np.array([[9.0, 10.0, 11.0]]), np.array([12.0])
-        net = Network([DenseLayer(w0, b0), DenseLayer(w1, b1, "linear")])
+        net = hand_network([(w0, b0, "relu", 0.0), (w1, b1, "linear", 0.0)])
         np.testing.assert_array_equal(net.params, np.arange(13.0))
         for layer in net.layers:
             assert np.shares_memory(layer.weights, net.params)
@@ -216,7 +238,7 @@ class TestBackward:
     def test_single_linear_layer_closed_form(self):
         # For one linear layer the MSE gradient is (2/(n q)) (pred-y)^T x.
         w = np.array([[0.5, -1.0], [2.0, 0.3]])
-        net = Network([DenseLayer(w, np.zeros(2), activation="linear")])
+        net = hand_network([(w, np.zeros(2), "linear", 0.0)])
         x = np.array([[1.0, 2.0], [3.0, -1.0]])
         y = np.array([[0.0, 1.0], [1.0, 0.0]])
         out, cache = forward(net, x)
@@ -241,7 +263,7 @@ class TestBackward:
         net = tiny_network()
         _, cache = forward(net, np.array([[1.0, 2.0]]))
         with pytest.raises(CacheError):
-            backward(Network(net.layers[:1]), cache, np.zeros((1, 2)))
+            backward(Network([(2, 2, "relu", 0.0)]), cache, np.zeros((1, 2)))
 
     def test_cache_loss_grad_mismatch(self):
         net = tiny_network()
@@ -252,9 +274,7 @@ class TestBackward:
 
 class TestGradientCheck:
     def test_single_linear_layer_tight(self):
-        net = Network(
-            [DenseLayer(np.array([[0.7, -0.2]]), np.array([0.1]), "linear")]
-        )
+        net = hand_network([([[0.7, -0.2]], [0.1], "linear", 0.0)])
         x = RngStream(20, 0).standard_normal((6, 2))
         y = RngStream(20, 1).standard_normal((6, 1))
         assert gradient_check(net, x, y) < 1e-7
@@ -296,7 +316,7 @@ class TestGradientCheck:
 
     def test_numeric_matches_slope_of_loss(self):
         # Independent check of the checker itself on a 1-parameter net.
-        net = Network([DenseLayer(np.array([[1.5]]), np.array([0.0]), "linear")])
+        net = hand_network([([[1.5]], [0.0], "linear", 0.0)])
         x = np.array([[2.0]])
         y = np.array([[1.0]])
         numeric = numerical_gradients(net, x, y)
@@ -329,17 +349,10 @@ class TestDropout:
         # Inverted dropout keeps the expectation: averaging many masked
         # forward passes approaches the eval pass, within 3 standard
         # errors per output entry.
-        net = Network(
+        net = hand_network(
             [
-                DenseLayer(
-                    np.array([[0.9, -0.4], [0.2, 1.1], [-0.6, 0.5]]),
-                    np.array([0.3, -0.1, 0.2]),
-                    activation="relu",
-                    dropout_rate=0.3,
-                ),
-                DenseLayer(
-                    np.array([[1.0, -2.0, 0.5]]), np.array([0.1]), "linear"
-                ),
+                ([[0.9, -0.4], [0.2, 1.1], [-0.6, 0.5]], [0.3, -0.1, 0.2], "relu", 0.3),
+                ([[1.0, -2.0, 0.5]], [0.1], "linear", 0.0),
             ]
         )
         x = np.array([[1.2, -0.7]])
@@ -347,16 +360,16 @@ class TestDropout:
         draws = 2500
         outs = np.empty(draws)
         for i in range(draws):
-            out, _ = forward(net, x, mode="train", rng=rng)
+            out, _ = forward(net, x, draw_dropout_masks(net, 1, rng))
             outs[i] = out[0, 0]
-        eval_out = predict(net, x)[0, 0]
+        eval_out = forward(net, x)[0][0, 0]
         se = outs.std(ddof=1) / np.sqrt(draws)
         assert abs(outs.mean() - eval_out) < 3.0 * se
 
     def test_eval_pass_deterministic(self):
         net = random_network([4, 3, 2], RngStream(33, 0), dropout=[0.9, 0.0])
         x = RngStream(33, 1).standard_normal((5, 4))
-        np.testing.assert_array_equal(predict(net, x), predict(net, x))
+        np.testing.assert_array_equal(forward(net, x)[0], forward(net, x)[0])
 
 
 class TestTrainConfig:
@@ -389,7 +402,7 @@ class TestAdam:
         return w
 
     def test_zero_gradient_leaves_parameters(self):
-        net = Network([DenseLayer(np.array([[2.0]]), np.array([0.5]), "linear")])
+        net = hand_network([([[2.0]], [0.5], "linear", 0.0)])
         state = AdamState.for_network(net)
         adam_step(net, np.zeros(2), state, TrainConfig())
         assert net.layers[0].weights[0, 0] == 2.0
@@ -397,7 +410,7 @@ class TestAdam:
         assert state.t == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
-        net = Network([DenseLayer(np.array([[1.0]]), np.array([0.0]), "linear")])
+        net = hand_network([([[1.0]], [0.0], "linear", 0.0)])
         state = AdamState.for_network(net)
         cfg = TrainConfig(learning_rate=0.01)
         adam_step(net, np.array([0.37, 0.0]), state, cfg)
@@ -405,7 +418,7 @@ class TestAdam:
         assert step == pytest.approx(0.01, rel=1e-6)
 
     def test_matches_scalar_reference(self):
-        net = Network([DenseLayer(np.array([[1.0]]), np.array([0.5]), "linear")])
+        net = hand_network([([[1.0]], [0.5], "linear", 0.0)])
         config = TrainConfig(learning_rate=0.05)
         state = AdamState.for_network(net)
         grad_seq = [0.4, -0.2, 0.7, 0.1, -0.5]
@@ -421,7 +434,7 @@ class TestAdam:
 
     def test_three_steps_on_quadratic_matches_trace(self):
         # f(w) = w^2 from w = 1, gradient 2w, lr 0.1.
-        net = Network([DenseLayer(np.array([[1.0]]), np.array([0.0]), "linear")])
+        net = hand_network([([[1.0]], [0.0], "linear", 0.0)])
         cfg = TrainConfig(learning_rate=0.1)
         state = AdamState.for_network(net)
         w_ref, m, v = 1.0, 0.0, 0.0
@@ -441,9 +454,7 @@ class TestAdam:
         # step overshoots past -w0.
         for lr in (0.1, 0.05, 0.01, 1e-3):
             for w0 in (1.0, -0.4, 0.25):
-                net = Network(
-                    [DenseLayer(np.array([[w0]]), np.array([0.0]), "linear")]
-                )
+                net = hand_network([([[w0]], [0.0], "linear", 0.0)])
                 state = AdamState.for_network(net)
                 g = 2.0 * w0
                 adam_step(
@@ -524,11 +535,11 @@ class TestAdam:
         y = x[:, :3] * 0.5
         config = TrainConfig(learning_rate=5e-3)
         state = AdamState.for_network(net)
-        start, _ = mse_loss(predict(net, x), y)
+        start, _ = mse_loss(forward(net, x)[0], y)
         for _ in range(300):
             out, cache = forward(net, x)
             loss, loss_grad = mse_loss(out, y)
             grads = backward(net, cache, loss_grad)
             adam_step(net, grads, state, config)
-        final, _ = mse_loss(predict(net, x), y)
+        final, _ = mse_loss(forward(net, x)[0], y)
         assert final < 0.2 * start
