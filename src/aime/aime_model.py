@@ -182,9 +182,9 @@ def build_network(arch: Architecture, seed: int) -> Network:
 
 @dataclass
 class AimeModel:
-    """A trained embedding model plus everything needed to apply it."""
+    """A trained embedding model plus everything needed to apply it. The
+    network is the only description of its layers."""
 
-    architecture: Architecture
     network: Network
     seed: int
     input_means: np.ndarray
@@ -194,16 +194,8 @@ class AimeModel:
     loss_history: list[float] = field(default_factory=list)
 
     @property
-    def input_size(self) -> int:
-        return self.architecture.input_size
-
-    @property
-    def output_size(self) -> int:
-        return self.architecture.output_size
-
-    @property
     def embedding_size(self) -> int:
-        return self.architecture.embedding_size
+        return self.network.layers[self.network.bottleneck_index].fan_out
 
 
 def fit(
@@ -298,7 +290,6 @@ def fit(
         _canonical_bottleneck(network, xs)
 
     return AimeModel(
-        architecture=arch,
         network=network,
         seed=seed,
         input_means=input_means,
@@ -384,8 +375,8 @@ def save_model(model: AimeModel, path) -> None:
     header.append(
         struct.pack(
             "<6Q",
-            model.input_size,
-            model.output_size,
+            network.input_size,
+            network.output_size,
             model.embedding_size,
             model.seed,
             network.bottleneck_index,
@@ -494,18 +485,7 @@ def load_model(path) -> AimeModel:
     # The file is little-endian; ``params`` holds native doubles.
     if sys.byteorder == "big":
         network.params.byteswap(inplace=True)
-    layers = network.layers
-    arch = Architecture(
-        input_size=p,
-        output_size=q,
-        embedding_size=d,
-        encoder_sizes=tuple(layers[i].fan_out for i in range(3)),
-        decoder_sizes=tuple(layers[i].fan_out for i in range(4, 7)),
-        encoder_dropout=tuple(layers[i].dropout_rate for i in range(3)),
-        decoder_dropout=tuple(layers[i].dropout_rate for i in range(4, 7)),
-    )
     return AimeModel(
-        architecture=arch,
         network=network,
         seed=seed,
         input_means=input_means,

@@ -1,9 +1,10 @@
 """Command line front end for the whole pipeline.
 
 One executable with subcommands: filter, train, embed, importance, cca,
-synth, plot. Options can also come from a flat key=value config file via
---config; an explicit flag always wins over the file. Output files are
-written atomically (temp file in the target directory, then rename).
+synth, plot. Any option can also come from a flat key=value config file
+via --config, keyed by its parameter name (``d`` for --dim); an explicit
+flag always wins over the file. Output files are written atomically
+(temp file in the target directory, then rename).
 
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure.
 Warnings go to stderr as ``warning: ...`` lines, before any error line.
@@ -27,13 +28,14 @@ from .data_io import (
     LabeledMatrix,
     align_samples,
     cv_filter,
+    delimiter_char,
     read_labeled,
     read_text,
     sd_filter,
     write_labeled,
 )
 from .errors import AimeError, NumericalError, ParseError, ValidationError
-from .importance import permutation_importance, top_fraction
+from .importance import DEFAULT_REPEATS, permutation_importance, top_fraction
 from .neural_net import TrainConfig
 from .synth_bench import SynthSpec, generate
 
@@ -69,24 +71,14 @@ def parse_config(text: str) -> dict[str, str]:
     return out
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
-        return {}
-    return parse_config(read_text(path))
-
-
-def _resolve(cfg: dict[str, str], key: str, flag, default, cast):
-    """Precedence: explicit flag, then config file, then built-in default."""
-    if flag is not None:
-        return flag
-    if key in cfg:
+def _apply_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Make a config file's values the command's defaults: each goes
+    through its option's type, and a flag on the command line wins."""
+    if path is not None:
         try:
-            return cast(cfg[key])
-        except ValueError:
-            raise ValidationError(
-                f"config key {key}: cannot read {cfg[key]!r} as {cast.__name__}"
-            ) from None
-    return default
+            ctx.default_map = parse_config(read_text(path))
+        except AimeError as exc:
+            raise click.BadParameter(str(exc), ctx, param) from None
 
 
 # ---------------------------------------------------------------- output
@@ -154,10 +146,14 @@ _orientation_option = click.option(
 )
 _config_option = click.option(
     "--config",
-    "config_path",
     type=_in_path,
-    default=None,
-    help="Flat key=value file supplying defaults; flags override it.",
+    is_eager=True,
+    expose_value=False,
+    callback=_apply_config,
+    help="Flat key=value file supplying defaults, keyed by parameter name; flags override it.",
+)
+_seed_option = click.option(
+    "--seed", type=int, default=TrainConfig.seed, show_default=True, help="Base random seed."
 )
 
 
@@ -179,25 +175,23 @@ def main() -> None:
     "--threshold",
     type=float,
     default=None,
-    help="Cutoff; features strictly above it survive. [default: 0.05 for --cv, 1.25 for --sd]",
+    show_default="0.05 for --cv, 1.25 for --sd",
+    help="Cutoff; features strictly above it survive.",
 )
 @_delimiter_option
 @_orientation_option
 @_config_option
 @guarded
-def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, orientation, config_path):
+def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, orientation):
     """Drop low-variability features from a labeled matrix."""
-    cfg = _load_config(config_path)
     if use_cv == use_sd:
         click.echo("error: pass exactly one of --cv or --sd", err=True)
         sys.exit(2)
     m = read_labeled(input_path, delimiter=delimiter, orientation=orientation)
     if use_cv:
-        threshold = _resolve(cfg, "threshold", threshold, 0.05, float)
-        kept = cv_filter(m, threshold)
+        kept = cv_filter(m, 0.05 if threshold is None else threshold)
     else:
-        threshold = _resolve(cfg, "threshold", threshold, 1.25, float)
-        kept = sd_filter(m, threshold)
+        kept = sd_filter(m, 1.25 if threshold is None else threshold)
     _atomic_write(output_path, lambda tmp: write_labeled(kept, tmp, delimiter=delimiter))
     click.echo(
         f"kept {kept.n_features} of {m.n_features} features "
@@ -211,31 +205,26 @@ def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, or
 @main.command("train")
 @click.argument("x_path", type=_in_path)
 @click.argument("y_path", type=_in_path)
-@click.option("--dim", "-d", type=int, default=None, help="Embedding dimensions. [default: 4]")
-@click.option("--epochs", type=int, default=None, help="Training epochs. [default: 200]")
-@click.option("--seed", type=int, default=None, help="Base random seed. [default: 0]")
-@click.option("--learning-rate", type=float, default=None, help="Adam step size. [default: 0.001]")
-@click.option("--batch-size", type=int, default=None, help="Minibatch rows. [default: 32]")
+@click.option("--dim", "-d", "d", type=int, default=4, show_default=True, help="Embedding dimensions.")
+@click.option("--epochs", type=int, default=TrainConfig.epochs, show_default=True, help="Training epochs.")
+@_seed_option
+@click.option("--learning-rate", type=float, default=TrainConfig.learning_rate, show_default=True, help="Adam step size.")
+@click.option("--batch-size", type=int, default=TrainConfig.batch_size, show_default=True, help="Minibatch rows.")
 @click.option("--model-out", required=True, type=click.Path(dir_okay=False), help="Where to write the fitted model.")
-@click.option("--history-out", type=click.Path(dir_okay=False), default=None, help="Loss history file. [default: MODEL_OUT + '.history']")
+@click.option("--history-out", type=click.Path(dir_okay=False), default=None, show_default="MODEL_OUT + '.history'", help="Loss history file.")
 @_delimiter_option
 @_orientation_option
 @_config_option
 @guarded
-def cmd_train(x_path, y_path, dim, epochs, seed, learning_rate, batch_size, model_out, history_out, delimiter, orientation, config_path):
+def cmd_train(x_path, y_path, d, epochs, seed, learning_rate, batch_size, model_out, history_out, delimiter, orientation):
     """Fit the embedding network on paired X and Y matrices."""
-    cfg = _load_config(config_path)
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
     y = read_labeled(y_path, delimiter=delimiter, orientation=orientation)
     x, y = align_samples(x, y)
     config = TrainConfig(
-        learning_rate=_resolve(cfg, "learning_rate", learning_rate, 1e-3, float),
-        batch_size=_resolve(cfg, "batch_size", batch_size, 32, int),
-        epochs=_resolve(cfg, "epochs", epochs, 200, int),
-        seed=_resolve(cfg, "seed", seed, 0, int),
+        learning_rate=learning_rate, batch_size=batch_size, epochs=epochs, seed=seed
     )
-    dim = _resolve(cfg, "d", dim, 4, int)
-    model = fit(x.values, y.values, dim, config)
+    model = fit(x.values, y.values, d, config)
     _atomic_write(model_out, lambda tmp: save_model(model, tmp))
     history_out = history_out or (model_out + ".history")
     history = "".join(
@@ -275,24 +264,20 @@ def cmd_embed(model_path, x_path, output_path, delimiter, orientation):
 @click.argument("model_path", type=_in_path)
 @click.argument("x_path", type=_in_path)
 @click.argument("output_path", type=click.Path(dir_okay=False))
-@click.option("--repeats", type=int, default=None, help="Shuffles per variable. [default: 10]")
-@click.option("--fraction", type=float, default=None, help="Report the top ceil(fraction * p) variables. [default: 0.01]")
-@click.option("--seed", type=int, default=None, help="Base random seed. [default: 0]")
+@click.option("--repeats", type=click.IntRange(min=1), default=DEFAULT_REPEATS, show_default=True, help="Shuffles per variable.")
+@click.option("--fraction", type=click.FloatRange(0, 1, min_open=True), default=0.01, show_default=True, help="Report the top ceil(fraction * p) variables.")
+@_seed_option
 @_delimiter_option
 @_orientation_option
 @_config_option
 @guarded
-def cmd_importance(model_path, x_path, output_path, repeats, fraction, seed, delimiter, orientation, config_path):
+def cmd_importance(model_path, x_path, output_path, repeats, fraction, seed, delimiter, orientation):
     """Rank input variables by how much shuffling them moves the embedding."""
-    cfg = _load_config(config_path)
-    repeats = _resolve(cfg, "repeats", repeats, 10, int)
-    fraction = _resolve(cfg, "fraction", fraction, 0.01, float)
-    seed = _resolve(cfg, "seed", seed, 0, int)
     model = load_model(model_path)
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
     report = permutation_importance(model, x.values, repeats=repeats, seed=seed)
     chosen = top_fraction(report, fraction)
-    sep = "\t" if delimiter == "tab" else ","
+    sep = delimiter_char(delimiter)
     lines = ["variable_id" + sep + "score" + sep + "rank\n"]
     for rank, j in enumerate(chosen, start=1):
         lines.append(
@@ -309,17 +294,14 @@ def cmd_importance(model_path, x_path, output_path, repeats, fraction, seed, del
 @click.argument("x_path", type=_in_path)
 @click.argument("y_path", type=_in_path)
 @click.argument("out_prefix")
-@click.option("--k", type=int, default=None, help="Canonical pairs to extract. [default: 4]")
-@click.option("--ridge", type=float, default=None, help=f"Regularization scale; 0 is plain CCA. [default: {DEFAULT_RIDGE_SCALE}]")
+@click.option("--k", type=int, default=4, show_default=True, help="Canonical pairs to extract.")
+@click.option("--ridge", type=float, default=DEFAULT_RIDGE_SCALE, show_default=True, help="Regularization scale; 0 is plain CCA.")
 @_delimiter_option
 @_orientation_option
 @_config_option
 @guarded
-def cmd_cca(x_path, y_path, out_prefix, k, ridge, delimiter, orientation, config_path):
+def cmd_cca(x_path, y_path, out_prefix, k, ridge, delimiter, orientation):
     """Fit regularized linear CCA as the comparison baseline."""
-    cfg = _load_config(config_path)
-    k = _resolve(cfg, "k", k, 4, int)
-    ridge = _resolve(cfg, "ridge", ridge, DEFAULT_RIDGE_SCALE, float)
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
     y = read_labeled(y_path, delimiter=delimiter, orientation=orientation)
     x, y = align_samples(x, y)
@@ -335,7 +317,7 @@ def cmd_cca(x_path, y_path, out_prefix, k, ridge, delimiter, orientation, config
         f"{out_prefix}_y_variates.tsv",
         lambda tmp: write_labeled(y_out, tmp, delimiter=delimiter),
     )
-    sep = "\t" if delimiter == "tab" else ","
+    sep = delimiter_char(delimiter)
     correlations = "".join(
         f"{i}{sep}{float(c)!r}\n" for i, c in enumerate(result.correlations)
     )
@@ -373,7 +355,7 @@ def cmd_synth(out_prefix, n, p, q, n_signal, noise_sd, design, seed, delimiter):
     _atomic_write(
         f"{out_prefix}_y.tsv", lambda tmp: write_labeled(data.y, tmp, delimiter=delimiter)
     )
-    sep = "\t" if delimiter == "tab" else ","
+    sep = delimiter_char(delimiter)
     label_lines = ["id" + sep + "label\n"] + [
         f"{sid}{sep}{int(lab)}\n"
         for sid, lab in zip(data.x.sample_ids, data.labels)
@@ -393,18 +375,23 @@ def cmd_synth(out_prefix, n, p, q, n_signal, noise_sd, design, seed, delimiter):
 
 
 def read_labels(path: str, delimiter: str = "tab") -> dict[str, str]:
-    """Read the two-column id/label sidecar written by the synth command."""
-    sep = "\t" if delimiter == "tab" else ","
-    lines = [line for line in read_text(path).splitlines() if line]
+    """Read the two-column id/label sidecar written by the synth command.
+    Blank lines are skipped; errors name the file and its 1-based line."""
+    sep = delimiter_char(delimiter)
+    lines = [
+        (line_no, line)
+        for line_no, line in enumerate(read_text(path).splitlines(), start=1)
+        if line
+    ]
     out: dict[str, str] = {}
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in lines[1:]:
         parts = line.split(sep)
         if len(parts) != 2:
             raise ParseError(
-                f"label file line {line_no}: expected 2 fields, got {len(parts)}"
+                f"{path}: line {line_no}: expected 2 fields, got {len(parts)}"
             )
         if parts[0] in out:
-            raise ValidationError(f"duplicate sample id {parts[0]!r} in labels")
+            raise ValidationError(f"{path}: duplicate sample id {parts[0]!r} in labels")
         out[parts[0]] = parts[1]
     return out
 

@@ -127,7 +127,7 @@ def read_labeled(
     always comes back samples-in-rows. Ragged or non-numeric content raises
     ParseError pointing at the offending line and column (both 1-based).
     """
-    sep = _delimiter_char(delimiter)
+    sep = delimiter_char(delimiter)
     if orientation not in _ORIENTATIONS:
         raise DomainError(f"unknown orientation {orientation!r}")
 
@@ -182,7 +182,7 @@ def write_labeled(
     Values use repr's shortest round-trippable decimal form; reading the file
     back yields bitwise-identical floats.
     """
-    sep = _delimiter_char(delimiter)
+    sep = delimiter_char(delimiter)
     if orientation not in _ORIENTATIONS:
         raise DomainError(f"unknown orientation {orientation!r}")
 
@@ -199,7 +199,8 @@ def write_labeled(
             )
 
 
-def _delimiter_char(delimiter: str) -> str:
+def delimiter_char(delimiter: str) -> str:
+    """The field separator named by ``delimiter`` ('tab' or 'comma')."""
     try:
         return _DELIMITERS[delimiter]
     except KeyError:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aime_model import AimeModel, embed
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .matrix_core import RngStream, as_matrix, permute_column
 
 DEFAULT_REPEATS = 10
@@ -66,12 +66,7 @@ def permutation_importance(
         raise DomainError(
             f"at most {MAX_COLUMNS - 1} columns supported, got {p}"
         )
-    if p != model.architecture.input_size:
-        raise ShapeError(
-            f"x has {p} columns but the model expects "
-            f"{model.architecture.input_size}"
-        )
-
+    # embed checks the width against the model.
     baseline = embed(model, x)
     scores = np.zeros(p)
     for j in range(p):

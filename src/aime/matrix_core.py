@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     ColumnIndexError,
     DataError,
+    DomainError,
     InsufficientDataError,
     ShapeError,
 )
@@ -59,9 +60,9 @@ class RngStream:
 
     def __init__(self, base_seed: int, stream_id: int = 0):
         if not 0 <= base_seed < _U64:
-            raise ValueError(f"base_seed must fit in 64 bits, got {base_seed}")
+            raise DomainError(f"base_seed must fit in 64 bits, got {base_seed}")
         if not 0 <= stream_id < _U64:
-            raise ValueError(f"stream_id must fit in 64 bits, got {stream_id}")
+            raise DomainError(f"stream_id must fit in 64 bits, got {stream_id}")
         self.base_seed = base_seed
         self.stream_id = stream_id
         key = np.array([base_seed, stream_id], dtype=np.uint64)
@@ -73,7 +74,7 @@ class RngStream:
     def randint_below(self, n: int) -> int:
         """One uniform integer in ``{0, ..., n-1}``."""
         if n < 1:
-            raise ValueError(f"randint_below needs n >= 1, got {n}")
+            raise DomainError(f"randint_below needs n >= 1, got {n}")
         return int(self._gen.integers(n))
 
     def randints_below(self, bounds: np.ndarray) -> np.ndarray:
@@ -84,7 +85,7 @@ class RngStream:
         """
         bounds = np.asarray(bounds, dtype=np.int64)
         if bounds.size and bounds.min() < 1:
-            raise ValueError(
+            raise DomainError(
                 f"randints_below needs every bound >= 1, got {bounds.min()}"
             )
         return self._gen.integers(bounds)

@@ -33,6 +33,11 @@ LayerSpec = tuple[int, int, str, float]
 # and 64K slower.
 ADAM_BLOCK = 1 << 15
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
 
 @dataclass
 class DenseLayer:
@@ -133,9 +138,6 @@ class TrainConfig:
     """Optimization settings plus the base seed for all training streams."""
 
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     epochs: int = 200
     seed: int = 0
@@ -143,12 +145,6 @@ class TrainConfig:
     def __post_init__(self):
         if not self.learning_rate > 0:
             raise DomainError(f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0 <= self.beta1 < 1 or not 0 <= self.beta2 < 1:
-            raise DomainError(
-                f"beta1/beta2 must lie in [0, 1), got {self.beta1}/{self.beta2}"
-            )
-        if not self.epsilon > 0:
-            raise DomainError(f"epsilon must be > 0, got {self.epsilon}")
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -359,10 +355,10 @@ def adam_step(
             f"{network.params.size} parameters"
         )
     state.t += 1
-    b1, b2 = config.beta1, config.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     keep1, keep2 = 1.0 - b1, 1.0 - b2
     debias1, debias2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    lr, eps = config.learning_rate, config.epsilon
+    lr, eps = config.learning_rate, ADAM_EPSILON
     for start in range(0, network.params.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         p, g = network.params[block], grads[block]

@@ -374,9 +374,7 @@ class TestEmbed:
         net = Network([(3, 2, "linear", 0.0)], bottleneck_index=0)
         net.layers[0].weights[...] = w
         net.layers[0].bias[...] = [0.1, -0.2]
-        arch = build_architecture(3, 3, 2)
         model = AimeModel(
-            architecture=arch,
             network=net,
             seed=0,
             input_means=np.array([1.0, 0.0, -1.0]),
@@ -432,25 +430,17 @@ class TestModelFile:
         assert embed(model, x).tobytes() == embed(loaded, x).tobytes()
         assert loaded.loss_history == model.loss_history
         assert loaded.seed == model.seed
-        assert loaded.architecture == model.architecture
+        assert loaded.embedding_size == model.embedding_size == 2
 
-    def test_load_peak_memory_near_two_parameter_copies(self, tmp_path):
-        # The file bytes and the network's parameter buffer are the only
-        # parameter-sized allocations (p = q = 1600: about 1M parameters).
-        x = RngStream(3, 0).standard_normal((4, 1600))
-        model = fit(x, x, 4, TrainConfig(epochs=0))
-        path = tmp_path / "model.bin"
-        save_model(model, path)
-        tracemalloc.start()
-        try:
-            loaded = load_model(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert model.network.params.size > 1_000_000
-        assert peak < 2.5 * model.network.params.nbytes
-        save_model(loaded, tmp_path / "again.bin")
-        assert path.read_bytes() == (tmp_path / "again.bin").read_bytes()
+        def specs(network):
+            return [
+                (l.fan_in, l.fan_out, l.activation, l.dropout_rate)
+                for l in network.layers
+            ]
+
+        assert specs(loaded.network) == specs(model.network)
+        assert specs(loaded.network) == build_architecture(7, 6, 2).layer_specs()
+        assert loaded.network.bottleneck_index == model.network.bottleneck_index
 
     def test_save_copies_no_parameters(self, tmp_path):
         # Layers are written from views of the parameter buffer, so the
@@ -460,7 +450,7 @@ class TestModelFile:
             chunks = [b"AIMB", struct.pack("<I", 1)]
             chunks.append(
                 struct.pack(
-                    "<6Q", model.input_size, model.output_size,
+                    "<6Q", model.network.input_size, model.network.output_size,
                     model.embedding_size, model.seed,
                     model.network.bottleneck_index, len(model.network.layers),
                 )
@@ -527,7 +517,8 @@ class TestModelFile:
             load_model(path)
 
     def test_load_peak_memory_one_parameter_copy(self, tmp_path):
-        # Each layer is read straight into the network's parameter buffer.
+        # Each layer is read straight into the network's parameter buffer
+        # (p = q = 1600: about 1M parameters).
         x = RngStream(3, 0).standard_normal((4, 1600))
         model = fit(x, x, 4, TrainConfig(epochs=0))
         path = tmp_path / "model.bin"
@@ -535,17 +526,19 @@ class TestModelFile:
         load_model(path)  # warm imports
         tracemalloc.start()
         try:
-            load_model(path)
+            loaded = load_model(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert model.network.params.size > 1_000_000
         assert peak < 1.1 * model.network.params.nbytes
+        save_model(loaded, tmp_path / "again.bin")
+        assert path.read_bytes() == (tmp_path / "again.bin").read_bytes()
 
     def layer0_record(self, model):
         """Offset of layer 0's (fan_out, fan_in, code, rate) record."""
         return 4 + 4 + 48 + 8 + 8 * len(model.loss_history) + 16 * (
-            model.input_size + model.output_size
+            model.network.input_size + model.network.output_size
         )
 
     def test_overrun_sizes_rejected_before_allocating(self, tmp_path):

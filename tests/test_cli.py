@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from aime import cli
 from aime.cli import (
     _atomic_write,
     main,
@@ -14,7 +15,7 @@ from aime.cli import (
     scatter_matrix_svg,
 )
 from aime.data_io import LabeledMatrix, read_labeled, write_labeled
-from aime.errors import ParseError
+from aime.errors import ParseError, ValidationError
 
 
 @pytest.fixture()
@@ -67,6 +68,35 @@ class TestConfig:
         )
         assert r2.exit_code == 0
         assert "kept 3" in r2.output
+
+    def synth(self, runner, tmp_path):
+        r = invoke(runner, "synth", tmp_path / "d", "--n", 30, "--p", 8,
+                   "--q", 6, "--n-signal", 4, "--seed", 1)
+        assert r.exit_code == 0, r.output
+        return tmp_path / "d_x.tsv", tmp_path / "d_y.tsv"
+
+    def test_config_keys_are_parameter_names(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        conf = tmp_path / "run.conf"
+        conf.write_text("d=3\nepochs=2\n")
+        r = invoke(runner, "train", x, y, "--config", conf,
+                   "--model-out", tmp_path / "m.bin")
+        assert r.exit_code == 0, r.output
+        assert len((tmp_path / "m.bin.history").read_text().splitlines()) == 2
+        r = invoke(runner, "embed", tmp_path / "m.bin", x, tmp_path / "e.tsv")
+        assert r.exit_code == 0, r.output
+        assert read_labeled(tmp_path / "e.tsv").values.shape == (30, 3)
+
+    def test_bad_config_value_names_the_flag(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        conf = tmp_path / "run.conf"
+        conf.write_text("epochs=abc\n")
+        r = invoke(runner, "train", x, y, "--config", conf,
+                   "--model-out", tmp_path / "m.bin")
+        assert r.exit_code == 2
+        assert "--epochs" in r.stderr
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "m.bin").exists()
 
 
 class TestFilterCommand:
@@ -210,6 +240,13 @@ class TestSynthAndTrain:
         assert result.exit_code == 3
         assert "numerical failure" in result.output
 
+    def test_out_of_range_synth_seed_exits_2(self, runner, tmp_path):
+        result = invoke(runner, "synth", tmp_path / "z", "--n-signal", 4,
+                        "--seed", 2**64)
+        assert result.exit_code == 2
+        assert "base_seed must fit in 64 bits" in result.stderr
+        assert "Traceback" not in result.output
+
 
 class TestEmbedImportanceCca:
     @pytest.fixture()
@@ -243,6 +280,39 @@ class TestEmbedImportanceCca:
         lines = (trained / "imp.tsv").read_text().strip().split("\n")
         assert lines[0] == "variable_id\tscore\trank"
         assert len(lines) == 1 + 8
+
+    def test_out_of_range_importance_seed_exits_2(self, runner, trained):
+        result = invoke(
+            runner, "importance", trained / "m.bin", trained / "d_x.tsv",
+            trained / "imp.tsv", "--repeats", 1, "--seed", -1,
+        )
+        assert result.exit_code == 2
+        assert "base_seed must fit in 64 bits" in result.stderr
+        assert "Traceback" not in result.output
+        assert not (trained / "imp.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "setting, named",
+        [(["--fraction", "0"], "--fraction"), (["--repeats", "0"], "--repeats"),
+         ("fraction=0\n", "--fraction"), ("fraction=1.5\n", "--fraction")],
+    )
+    def test_bad_fraction_or_repeats_rejected_before_running(
+        self, runner, trained, monkeypatch, setting, named
+    ):
+        def not_called(*args, **kwargs):
+            raise AssertionError("permutation_importance ran")
+
+        monkeypatch.setattr(cli, "permutation_importance", not_called)
+        if isinstance(setting, str):
+            (trained / "run.conf").write_text(setting)
+            setting = ["--config", trained / "run.conf"]
+        result = invoke(
+            runner, "importance", trained / "m.bin", trained / "d_x.tsv",
+            trained / "imp.tsv", *setting,
+        )
+        assert result.exit_code == 2
+        assert named in result.stderr
+        assert "Traceback" not in result.output
 
     @pytest.mark.parametrize("rate", [1.5, float("nan")])
     def test_model_with_bad_dropout_rate_exits_2(self, runner, trained, rate):
@@ -322,6 +392,20 @@ class TestPlot:
         )
         assert result.exit_code == 2
         assert "labels.tsv: byte 0xff at offset 12" in result.stderr
+
+    def test_label_errors_name_file_and_true_line(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_text("id\tlabel\n\ns0\t0\textra\n")
+        with pytest.raises(ParseError, match=r"labels\.tsv: line 3: expected 2 fields, got 3"):
+            read_labels(path)
+        path.write_text("id\tlabel\ns0\t0\n\ns0\t1\n")
+        with pytest.raises(ValidationError, match=r"labels\.tsv: duplicate sample id 's0'"):
+            read_labels(path)
+
+    def test_crlf_and_blank_label_lines_parse(self, tmp_path):
+        path = tmp_path / "labels.tsv"
+        path.write_bytes(b"\r\nid\tlabel\r\ns0\t0\r\n\r\ns1\t1\r\n")
+        assert read_labels(path) == {"s0": "0", "s1": "1"}
 
     def test_deterministic_svg(self):
         coords = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])

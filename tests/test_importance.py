@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from aime.aime_model import AimeModel, build_architecture, embed
+from aime.aime_model import AimeModel, embed
 from aime.errors import DomainError, ShapeError
 from aime.importance import (
     ImportanceReport,
@@ -15,15 +15,13 @@ from aime.matrix_core import permute_column
 from aime.neural_net import Network
 
 
-def hand_model(w, d=None):
+def hand_model(w):
     """Single linear layer as the bottleneck; identity standardization."""
     w = np.asarray(w, dtype=float)
     out_size, p = w.shape
-    d = d or out_size
     net = Network([(p, out_size, "linear", 0.0)], bottleneck_index=0)
     net.layers[0].weights[...] = w
     return AimeModel(
-        architecture=build_architecture(p, p, d),
         network=net,
         seed=0,
         input_means=np.zeros(p),
