@@ -54,8 +54,9 @@ PALETTE = [
 # ---------------------------------------------------------------- config
 
 
-def parse_config(text: str) -> dict[str, str]:
-    """Parse flat key=value lines; blank lines and # comments are skipped."""
+def parse_config(text: str, known: set[str] | None = None) -> dict[str, str]:
+    """Parse flat key=value lines; blank lines and # comments are skipped.
+    A key outside ``known`` (when given) raises ParseError naming its line."""
     out: dict[str, str] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -67,16 +68,25 @@ def parse_config(text: str) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ParseError(f"config line {line_no}: empty key")
+        if known is not None and key not in known:
+            raise ParseError(f"config line {line_no}: no command takes key {key!r}")
         out[key] = value.strip()
     return out
 
 
 def _apply_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
     """Make a config file's values the command's defaults: each goes
-    through its option's type, and a flag on the command line wins."""
+    through its option's type, and a flag on the command line wins. One
+    file may serve several commands, so a key is rejected only when no
+    command that reads --config takes it."""
     if path is not None:
+        known: set[str] = set()
+        for command in ctx.find_root().command.commands.values():
+            names = {p.name for p in command.params}
+            if "config" in names:
+                known |= names - {"config"}
         try:
-            ctx.default_map = parse_config(read_text(path))
+            ctx.default_map = parse_config(read_text(path), known)
         except AimeError as exc:
             raise click.BadParameter(str(exc), ctx, param) from None
 

@@ -2,8 +2,11 @@
 
 File format: delimited text with feature names in the header row and sample
 names in the first column (or the transpose, when ``orientation`` says the
-features run down the rows). Values are written in shortest round-trippable
-decimal form, so a write/read cycle reproduces the floats bit for bit.
+features run down the rows). A cell is any number Python's ``float()``
+accepts, without underscores, and must be finite; whitespace around it is
+allowed. A cell outside that set raises ParseError naming its line and
+column. Values are written in shortest round-trippable decimal form, so a
+write/read cycle reproduces the floats bit for bit.
 """
 
 from __future__ import annotations
@@ -143,8 +146,8 @@ def read_labeled(
         raise ParseError("line 1: header has no column labels")
     width = len(header)
 
+    values = np.empty((len(lines) - 1, width - 1))
     row_labels: list[str] = []
-    rows: list[list[float]] = []
     for line_no, line in enumerate(lines[1:], start=2):
         fields = line.split(sep)
         if len(fields) != width:
@@ -152,16 +155,26 @@ def read_labeled(
                 f"line {line_no} has {len(fields)} fields, expected {width}"
             )
         row_labels.append(fields[0].strip())
-        rows.append(
-            [
+        # One C-level float() call per cell. A row that fails, holds an
+        # underscore or a non-finite value (or overflows the sum) is re-read
+        # cell by cell, so _parse_cell accepts it or names its first bad cell.
+        try:
+            row = list(map(float, fields[1:]))
+        except ValueError:
+            row = None
+        if (
+            row is None
+            or line.find("_", len(fields[0])) >= 0
+            or not math.isfinite(sum(row))
+        ):
+            row = [
                 _parse_cell(text, line_no, col_no)
                 for col_no, text in enumerate(fields[1:], start=2)
             ]
-        )
+        values[line_no - 2] = row
 
-    values = np.array(rows, dtype=np.float64).reshape(len(rows), len(col_labels))
     if orientation == "features_in_rows":
-        values = values.T.copy()
+        values = values.T
         sample_ids, feature_ids = col_labels, row_labels
     else:
         sample_ids, feature_ids = row_labels, col_labels
@@ -194,9 +207,7 @@ def write_labeled(
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write("id" + sep + sep.join(col_ids) + "\n")
         for label, row in zip(row_ids, grid):
-            handle.write(
-                label + sep + sep.join(repr(float(v)) for v in row) + "\n"
-            )
+            handle.write(label + sep + sep.join(map(repr, row.tolist())) + "\n")
 
 
 def delimiter_char(delimiter: str) -> str:

@@ -99,6 +99,27 @@ class TestConfig:
         assert not (tmp_path / "m.bin").exists()
 
 
+    def test_config_key_no_command_takes_exits_2(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        conf = tmp_path / "bad.cfg"
+        conf.write_text("d=2\nepoch=2\n")
+        r = invoke(runner, "train", x, y, "--config", conf,
+                   "--model-out", tmp_path / "m.bin")
+        assert r.exit_code == 2
+        assert "config line 2: no command takes key 'epoch'" in r.stderr
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_config_key_of_another_command_accepted(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        conf = tmp_path / "shared.cfg"
+        conf.write_text("ridge=0.5\nepochs=2\n")
+        r = invoke(runner, "train", x, y, "--config", conf,
+                   "--model-out", tmp_path / "m.bin")
+        assert r.exit_code == 0, r.output
+        assert len((tmp_path / "m.bin.history").read_text().splitlines()) == 2
+
+
 class TestFilterCommand:
     def test_cv_counts_match_oracle(self, runner, tmp_path):
         rng = np.random.default_rng(1)

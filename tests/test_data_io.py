@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aime import data_io
 from aime.data_io import (
     LabeledMatrix,
+    _parse_cell,
     align_samples,
     cv_filter,
     read_labeled,
@@ -171,6 +173,115 @@ class TestRoundTrip:
         assert np.array_equal(
             back.values.view(np.uint64), m.values.view(np.uint64)
         )
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+class TestRowParser:
+    """read_labeled converts each row in one call and hands any row that
+    fails that check to _parse_cell, the per-cell oracle used here."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_odd_valid_cells_match_oracle_bitwise(self, tmp_path, newline):
+        cells = [" 1.5 ", "+.5", "1E5", "-0.0", "5e-324", "\u0661\u0662"]
+        header = "id\t" + "\t".join(f"c{j}" for j in range(len(cells)))
+        rows = [cells, cells[::-1]]
+        text = newline.join(
+            [header] + [f"s{i}\t" + "\t".join(r) for i, r in enumerate(rows)]
+        )
+        path = tmp_path / "odd.tsv"
+        path.write_bytes((text + newline).encode("utf-8"))
+        m = read_labeled(path)
+        expected = [[_parse_cell(c, 0, 0) for c in r] for r in rows]
+        assert np.array_equal(bits(m.values), bits(expected))
+        assert m.sample_ids == ["s0", "s1"]
+        assert m.feature_ids[-1] == f"c{len(cells) - 1}"
+
+    @pytest.mark.parametrize(
+        "cell, kind",
+        [
+            ("1_0", "non-numeric"),
+            ("", "non-numeric"),
+            ("NA", "non-numeric"),
+            ("nan", "non-finite"),
+            ("inf", "non-finite"),
+            ("1e400", "non-finite"),
+            ("1 2", "non-numeric"),
+        ],
+    )
+    def test_malformed_cell_exact_message(self, tmp_path, cell, kind):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"id\ta\tb\ns1\t1\t2\ns2\t3\t{cell}\n")
+        with pytest.raises(ParseError) as caught:
+            read_labeled(path)
+        assert str(caught.value) == f"line 3, column 3: {kind} cell {cell!r}"
+
+    @pytest.mark.parametrize("cell", ["NA", "inf", "1_0"])
+    def test_bad_cell_reported_before_later_ragged_line(self, tmp_path, cell):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"id\ta\tb\ns1\t1\t{cell}\ns2\t3\n")
+        with pytest.raises(ParseError, match="^line 2, column 3: "):
+            read_labeled(path)
+
+    def test_first_of_two_bad_cells_reported(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("id\ta\tb\tc\ns1\t1\tinf\tNA\n")
+        with pytest.raises(ParseError) as caught:
+            read_labeled(path)
+        assert str(caught.value) == "line 2, column 3: non-finite cell 'inf'"
+
+    def test_line_without_separator_has_one_field(self, tmp_path):
+        path = tmp_path / "bad.tsv"
+        path.write_text("id\ta\ns1\t1\nlonely\n")
+        with pytest.raises(ParseError) as caught:
+            read_labeled(path)
+        assert str(caught.value) == "line 3 has 1 fields, expected 2"
+
+    def test_per_cell_parser_only_for_rows_that_fail(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(text, line_no, col_no):
+            calls.append(line_no)
+            return _parse_cell(text, line_no, col_no)
+
+        monkeypatch.setattr(data_io, "_parse_cell", counting)
+        path = tmp_path / "m.tsv"
+        # Underscores in labels are fine; only the data part is checked.
+        path.write_text("id\tg_1\tg_2\ns_1\t1\t2\ns_2\t1e308\t1e308\n")
+        m = read_labeled(path)
+        # Row 3 overflows the finiteness sum, so it is re-read, and stands.
+        assert calls == [3, 3]
+        assert m.values.tolist() == [[1.0, 2.0], [1e308, 1e308]]
+
+
+class TestPaperWidth:
+    def test_round_trip_bytes_and_bits(self, tmp_path):
+        rng = np.random.default_rng(8)
+        n, p = 32, 5459
+        values = rng.normal(size=(n, p))
+        subnormal, zero, huge = rng.random((3, n, p)) < 0.005
+        values[subnormal] = np.ldexp(rng.uniform(-1, 1, subnormal.sum()), -1060)
+        values[zero] = -0.0
+        # Near-maximal values overflow a row's sum; only the first half holds
+        # them, so both the one-call rows and the re-read rows are covered.
+        huge[n // 2 :] = False
+        values[huge] = np.ldexp(
+            rng.choice([-1.0, 1.0], huge.sum()) * rng.uniform(0.99, 1, huge.sum()),
+            1024,
+        )
+        assert np.abs(values).max() > 1.78e308
+        m = lm(values)
+        path = tmp_path / "wide.tsv"
+        write_labeled(m, path)
+        oracle = "id\t" + "\t".join(m.feature_ids) + "\n" + "".join(
+            label + "\t" + "\t".join(repr(float(v)) for v in row) + "\n"
+            for label, row in zip(m.sample_ids, values)
+        )
+        assert path.read_bytes() == oracle.encode("utf-8")
+        back = read_labeled(path)
+        assert np.array_equal(bits(back.values), bits(values))
 
 
 class TestAlignSamples:
