@@ -3,11 +3,11 @@
 The model reads a standardized input matrix X (n samples by p features),
 funnels it through a fixed chain of dense layers to a small linear
 bottleneck of size d, then expands to predict the standardized paired
-matrix Y (n by q). The bottleneck activations are the embedding. Layer
-widths are derived from p and q by ceiling division:
-
-    p -> ceil(p/5) -> ceil(p/25) -> ceil(p/625) -> d
-      -> ceil(q/625) -> ceil(q/25) -> ceil(q/5) -> q
+matrix Y (n by q). The bottleneck activations are the embedding. The
+hidden widths on each side are ceil(w/5), ceil(w/25) and ceil(w/625) of
+its data width w, the last two floored at 2d and d (see _hidden_widths):
+p = q = 40 and d = 4 give 40-8-8-4-4-4-8-8-40, and the paper's p = 5459,
+q = 5703, d = 4 give 5459-1092-219-9-4-10-229-1141-5703.
 
 Hidden layers are relu; the bottleneck and the output are linear.
 Dropout on the three encoder hidden layers is (0.20, 0.10, 0) and on the
@@ -54,6 +54,7 @@ from .matrix_core import (
 )
 from .neural_net import (
     AdamState,
+    LayerSpec,
     Network,
     TrainConfig,
     adam_step,
@@ -70,49 +71,16 @@ BOTTLENECK_INDEX = 3
 # Initial bias for relu layers; see build_network for why not zero.
 RELU_BIAS_INIT = 0.5
 
-_ENCODER_DROPOUT = (0.20, 0.10, 0.0)
-_DECODER_DROPOUT = (0.0, 0.10, 0.20)
+# One entry per dense layer, input to output: three relu encoder layers,
+# the linear bottleneck, three relu decoder layers and the linear output.
+_ACTIVATIONS = ("relu",) * 3 + ("linear",) + ("relu",) * 3 + ("linear",)
+_DROPOUT_RATES = (0.20, 0.10, 0.0, 0.0, 0.0, 0.10, 0.20, 0.0)
+_LAYER_COUNT = len(_ACTIVATIONS)
 
 _MAGIC = b"AIMB"
 _FORMAT_VERSION = 1
-_LAYER_COUNT = 8
 _ACTIVATION_CODES = {"linear": 0, "relu": 1}
 _ACTIVATION_NAMES = {code: name for name, code in _ACTIVATION_CODES.items()}
-
-
-@dataclass(frozen=True)
-class Architecture:
-    """Derived layer plan for one (p, q, d) triple."""
-
-    input_size: int
-    output_size: int
-    embedding_size: int
-    encoder_sizes: tuple[int, int, int]
-    decoder_sizes: tuple[int, int, int]
-    encoder_dropout: tuple[float, float, float] = _ENCODER_DROPOUT
-    decoder_dropout: tuple[float, float, float] = _DECODER_DROPOUT
-
-    @property
-    def layer_sizes(self) -> list[int]:
-        """All 9 sizes from input to output, bottleneck in the middle."""
-        return [
-            self.input_size,
-            *self.encoder_sizes,
-            self.embedding_size,
-            *self.decoder_sizes,
-            self.output_size,
-        ]
-
-    def layer_specs(self) -> list[tuple[int, int, str, float]]:
-        """(fan_in, fan_out, activation, dropout_rate) for each of the
-        8 dense layers."""
-        sizes = self.layer_sizes
-        activations = ["relu"] * 3 + ["linear"] + ["relu"] * 3 + ["linear"]
-        dropout = [*self.encoder_dropout, 0.0, *self.decoder_dropout, 0.0]
-        return [
-            (sizes[i], sizes[i + 1], activations[i], dropout[i])
-            for i in range(_LAYER_COUNT)
-        ]
 
 
 def _hidden_widths(width: int, d: int) -> tuple[int, int, int]:
@@ -131,21 +99,17 @@ def _hidden_widths(width: int, d: int) -> tuple[int, int, int]:
     )
 
 
-def build_architecture(p: int, q: int, d: int) -> Architecture:
-    """Layer plan for input width p, output width q, embedding size d."""
+def build_architecture(p: int, q: int, d: int) -> list[LayerSpec]:
+    """Layer plan for input width p, output width q, embedding size d:
+    one (fan_in, fan_out, activation, dropout_rate) spec per dense layer."""
     for name, value in (("input width", p), ("output width", q), ("embedding size", d)):
         if value < 1:
             raise DomainError(f"{name} must be a positive integer, got {value}")
-    return Architecture(
-        input_size=p,
-        output_size=q,
-        embedding_size=d,
-        encoder_sizes=_hidden_widths(p, d),
-        decoder_sizes=_hidden_widths(q, d)[::-1],
-    )
+    sizes = [p, *_hidden_widths(p, d), d, *_hidden_widths(q, d)[::-1], q]
+    return list(zip(sizes, sizes[1:], _ACTIVATIONS, _DROPOUT_RATES))
 
 
-def build_network(arch: Architecture, seed: int) -> Network:
+def build_network(plan: list[LayerSpec], seed: int) -> Network:
     """Freshly initialized network for the plan, deterministic in seed.
 
     Each layer draws from its own stream, so widening one layer never
@@ -164,7 +128,7 @@ def build_network(arch: Architecture, seed: int) -> Network:
     zero and the whole encoder freezes. A positive bias keeps every unit
     initially active so training can decide.
     """
-    network = Network(arch.layer_specs(), bottleneck_index=BOTTLENECK_INDEX)
+    network = Network(plan, bottleneck_index=BOTTLENECK_INDEX)
     for index, layer in enumerate(network.layers):
         if layer.activation == "relu":
             limit = math.sqrt(6.0 / layer.fan_in)
@@ -244,10 +208,10 @@ def fit(
         raise InsufficientDataError(f"training needs at least 2 samples, got {n}")
 
     seed = config.seed
-    arch = build_architecture(x.shape[1], y.shape[1], embedding_size)
+    plan = build_architecture(x.shape[1], y.shape[1], embedding_size)
     for side, width, widest in (
-        ("input", arch.input_size, arch.encoder_sizes[0]),
-        ("output", arch.output_size, arch.decoder_sizes[-1]),
+        ("input", x.shape[1], plan[0][1]),
+        ("output", y.shape[1], plan[-1][0]),
     ):
         if widest < embedding_size:
             warnings.warn(
@@ -261,7 +225,7 @@ def fit(
     xs = standardize_columns(x, input_means, input_sds)
     ys = standardize_columns(y, output_means, output_sds)
 
-    network = build_network(arch, seed)
+    network = build_network(plan, seed)
     state = AdamState.for_network(network)
     grads = np.empty(network.params.size)
     history: list[float] = []
@@ -334,6 +298,17 @@ def _canonical_bottleneck(network: Network, xs: np.ndarray) -> None:
     nxt.weights[...] = nxt.weights @ (axes * scale)
 
 
+def _standardized_input(model: AimeModel, x) -> np.ndarray:
+    """Rows of the input modality, checked against the model's input width
+    and standardized with its training statistics."""
+    x = as_matrix(x, name="x")
+    if x.shape[1] != model.network.input_size:
+        raise ShapeError(
+            f"x has {x.shape[1]} columns, model expects {model.network.input_size}"
+        )
+    return standardize_columns(x, model.input_means, model.input_sds)
+
+
 def embed(model: AimeModel, x) -> np.ndarray:
     """Bottleneck activations (n, d) for new rows of the input modality.
 
@@ -341,24 +316,13 @@ def embed(model: AimeModel, x) -> np.ndarray:
     embeddings of new data live in the same space as the training ones.
     Only the encoder runs, up to the bottleneck.
     """
-    x = as_matrix(x, name="x")
-    if x.shape[1] != model.network.input_size:
-        raise ShapeError(
-            f"x has {x.shape[1]} columns, model expects {model.network.input_size}"
-        )
-    xs = standardize_columns(x, model.input_means, model.input_sds)
+    xs = _standardized_input(model, x)
     return forward(model.network, xs, stop=model.network.bottleneck_index + 1)[0]
 
 
 def reconstruct(model: AimeModel, x) -> np.ndarray:
     """Predicted paired matrix (n, q), mapped back to original Y units."""
-    x = as_matrix(x, name="x")
-    if x.shape[1] != model.network.input_size:
-        raise ShapeError(
-            f"x has {x.shape[1]} columns, model expects {model.network.input_size}"
-        )
-    xs = standardize_columns(x, model.input_means, model.input_sds)
-    out = forward(model.network, xs)[0]
+    out = forward(model.network, _standardized_input(model, x))[0]
     return destandardize_columns(out, model.output_means, model.output_sds)
 
 

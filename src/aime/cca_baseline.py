@@ -32,6 +32,7 @@ still about 0.995.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,8 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
         raise DomainError(
             f"k must lie in [1, min(n-1={n - 1}, p={p}, q={q})], got {k}"
         )
-    if ridge < 0:
-        raise DomainError(f"ridge must be nonnegative, got {ridge}")
+    if not 0 <= ridge < math.inf:
+        raise DomainError(f"ridge must be finite and nonnegative, got {ridge}")
     if ridge == 0 and (p >= n or q >= n):
         raise DomainError(
             "ridge = 0 needs more samples than columns on both sides"
@@ -127,10 +128,16 @@ def _whitening(s: np.ndarray, shape: tuple[int, int], ridge: float) -> np.ndarra
 
     Without a ridge term, a singular value at or under numpy's
     ``matrix_rank`` tolerance means the covariance block is singular.
+    A ridge term that overflows raises DomainError.
     """
     n, dim = shape
     variances = s**2 / (n - 1)
-    lam = ridge * variances.sum() / dim
+    # As a Python float, an overflow gives inf without a numpy warning.
+    lam = ridge * float(variances.sum()) / dim
+    if not math.isfinite(lam):
+        raise DomainError(
+            f"ridge {ridge} overflows: ridge * trace(S) / {dim} is not finite"
+        )
     tol = s[0] * max(shape) * np.finfo(np.float64).eps
     if lam == 0 and s[-1] <= tol:
         raise DefinitenessError(

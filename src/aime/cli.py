@@ -54,10 +54,12 @@ PALETTE = [
 # ---------------------------------------------------------------- config
 
 
-def parse_config(text: str, known: set[str] | None = None) -> dict[str, str]:
+def parse_config(text: str, known: set[str]) -> dict[str, str]:
     """Parse flat key=value lines; blank lines and # comments are skipped.
-    A key outside ``known`` (when given) raises ParseError naming its line."""
+    A key outside ``known``, or one set twice, raises ParseError naming
+    its lines."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -68,8 +70,13 @@ def parse_config(text: str, known: set[str] | None = None) -> dict[str, str]:
         key = key.strip()
         if not key:
             raise ParseError(f"config line {line_no}: empty key")
-        if known is not None and key not in known:
+        if key not in known:
             raise ParseError(f"config line {line_no}: no command takes key {key!r}")
+        if key in first_line:
+            raise ParseError(
+                f"config line {line_no}: key {key!r} already set on line {first_line[key]}"
+            )
+        first_line[key] = line_no
         out[key] = value.strip()
     return out
 

@@ -27,7 +27,6 @@ from .errors import (
 from .matrix_core import as_matrix, column_stats
 
 _DELIMITERS = {"tab": "\t", "comma": ","}
-_ORIENTATIONS = ("samples_in_rows", "features_in_rows")
 
 # Mean magnitudes below this make a coefficient of variation meaningless.
 NEAR_ZERO_MEAN = 1e-12
@@ -131,7 +130,7 @@ def read_labeled(
     ParseError pointing at the offending line and column (both 1-based).
     """
     sep = delimiter_char(delimiter)
-    if orientation not in _ORIENTATIONS:
+    if orientation not in ("samples_in_rows", "features_in_rows"):
         raise DomainError(f"unknown orientation {orientation!r}")
 
     lines = read_text(path).split("\n")
@@ -184,29 +183,17 @@ def read_labeled(
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def write_labeled(
-    m: LabeledMatrix,
-    path,
-    delimiter: str = "tab",
-    orientation: str = "samples_in_rows",
-) -> None:
-    """Write a labeled matrix as delimited text with unix newlines.
+def write_labeled(m: LabeledMatrix, path, delimiter: str = "tab") -> None:
+    """Write a labeled matrix as delimited text with unix newlines, one
+    sample per row.
 
     Values use repr's shortest round-trippable decimal form; reading the file
     back yields bitwise-identical floats.
     """
     sep = delimiter_char(delimiter)
-    if orientation not in _ORIENTATIONS:
-        raise DomainError(f"unknown orientation {orientation!r}")
-
-    if orientation == "samples_in_rows":
-        grid, row_ids, col_ids = m.values, m.sample_ids, m.feature_ids
-    else:
-        grid, row_ids, col_ids = m.values.T, m.feature_ids, m.sample_ids
-
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("id" + sep + sep.join(col_ids) + "\n")
-        for label, row in zip(row_ids, grid):
+        handle.write("id" + sep + sep.join(m.feature_ids) + "\n")
+        for label, row in zip(m.sample_ids, m.values):
             handle.write(label + sep + sep.join(map(repr, row.tolist())) + "\n")
 
 

@@ -1,7 +1,8 @@
-"""Dense matrix kernels and deterministic random streams.
+"""Matrix helpers and deterministic random streams.
 
 Matrices are plain 2-D float64 numpy arrays stored row-major with samples
-in rows. All functions here are pure: inputs are never mutated, and a
+in rows. No function here mutates its inputs, apart from
+:meth:`RngStream.fill_uniform`, which writes into ``out``; a
 :class:`RngStream` is the only stateful object (single-owner by design).
 
 Stream-id registry
@@ -165,14 +166,10 @@ def column_stats(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return means, sds
 
 
-def standardize_columns(
-    m: np.ndarray, means: np.ndarray, sds: np.ndarray
-) -> np.ndarray:
-    """Z-score columns with the supplied statistics.
-
-    Columns whose sd is below 1e-12 are treated as constant and mapped to
-    all zeros.
-    """
+def _column_scaling(m: np.ndarray, means, sds) -> tuple[np.ndarray, ...]:
+    """Checked statistics for the columns of ``m``: the means, the sds with
+    those of constant columns (sd below 1e-12) set to 1, and the mask of
+    constant columns."""
     means = np.asarray(means, dtype=np.float64)
     sds = np.asarray(sds, dtype=np.float64)
     if means.shape != (m.shape[1],) or sds.shape != (m.shape[1],):
@@ -181,7 +178,18 @@ def standardize_columns(
             f"{m.shape[1]} columns"
         )
     constant = sds < _SD_CONSTANT_FLOOR
-    safe_sds = np.where(constant, 1.0, sds)
+    return means, np.where(constant, 1.0, sds), constant
+
+
+def standardize_columns(
+    m: np.ndarray, means: np.ndarray, sds: np.ndarray
+) -> np.ndarray:
+    """Z-score columns with the supplied statistics.
+
+    Columns whose sd is below 1e-12 are treated as constant and mapped to
+    all zeros.
+    """
+    means, safe_sds, constant = _column_scaling(m, means, sds)
     out = (m - means) / safe_sds
     out[:, constant] = 0.0
     return out
@@ -191,15 +199,7 @@ def destandardize_columns(
     m: np.ndarray, means: np.ndarray, sds: np.ndarray
 ) -> np.ndarray:
     """Inverse of :func:`standardize_columns` for non-constant columns."""
-    means = np.asarray(means, dtype=np.float64)
-    sds = np.asarray(sds, dtype=np.float64)
-    if means.shape != (m.shape[1],) or sds.shape != (m.shape[1],):
-        raise ShapeError(
-            f"statistics of lengths {means.shape[0]}/{sds.shape[0]} do not match "
-            f"{m.shape[1]} columns"
-        )
-    constant = sds < _SD_CONSTANT_FLOOR
-    safe_sds = np.where(constant, 1.0, sds)
+    means, safe_sds, constant = _column_scaling(m, means, sds)
     out = m * safe_sds + means
     out[:, constant] = means[constant]
     return out

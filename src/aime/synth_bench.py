@@ -31,6 +31,7 @@ from .matrix_core import (
     as_matrix,
     column_stats,
     permuted,
+    standardize_columns,
     stream_id,
 )
 
@@ -171,9 +172,7 @@ def evaluate_embedding(embedding, labels, seed: int = 0) -> float:
     if len(np.unique(labels)) < 2:
         raise DomainError("need at least 2 distinct classes to score")
 
-    means, sds = column_stats(emb)
-    safe = np.where(sds < 1e-12, 1.0, sds)
-    emb = np.where(sds < 1e-12, 0.0, (emb - means) / safe)
+    emb = standardize_columns(emb, *column_stats(emb))
 
     order = permuted(
         np.arange(n), RngStream(seed, stream_id(KIND_FOLDS, 0))

@@ -113,18 +113,22 @@ def test_criterion_1_gradient_correctness(scorecard):
 
 
 def test_criterion_2_architecture_fidelity(scorecard):
-    arch = build_architecture(5459, 5703, 4)
+    plan = build_architecture(5459, 5703, 4)
+    # Output width and dropout rate of the encoder's and the decoder's
+    # three hidden layers; layer 3 is the bottleneck.
+    encoder_sizes, encoder_dropout = zip(*[(out, rate) for _, out, _, rate in plan[:3]])
+    decoder_sizes, decoder_dropout = zip(*[(out, rate) for _, out, _, rate in plan[4:7]])
     ok = (
-        arch.encoder_sizes == (1092, 219, 9)
-        and arch.encoder_dropout == (0.20, 0.10, 0.0)
-        and arch.decoder_sizes == (10, 229, 1141)
-        and arch.decoder_dropout == (0.0, 0.10, 0.20)
+        encoder_sizes == (1092, 219, 9)
+        and encoder_dropout == (0.20, 0.10, 0.0)
+        and decoder_sizes == (10, 229, 1141)
+        and decoder_dropout == (0.0, 0.10, 0.20)
     )
     assert scorecard(
         2, ok,
-        f"(5459, 5703, 4) -> encoder {arch.encoder_sizes} dropout "
-        f"{arch.encoder_dropout}, decoder {arch.decoder_sizes} dropout "
-        f"{arch.decoder_dropout} (exact equality)",
+        f"(5459, 5703, 4) -> encoder {encoder_sizes} dropout "
+        f"{encoder_dropout}, decoder {decoder_sizes} dropout "
+        f"{decoder_dropout} (exact equality)",
     )
 
 

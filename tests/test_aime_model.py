@@ -47,39 +47,36 @@ def make_pair(n, p, q, seed=0, latent_dim=2, noise=0.1):
     return x, y
 
 
+def layer_sizes(plan):
+    """All 9 sizes of a layer plan, input to output."""
+    return [plan[0][0]] + [fan_out for _, fan_out, _, _ in plan]
+
+
 class TestBuildArchitecture:
     def test_wide_genomic_shapes(self):
-        arch = build_architecture(5459, 5703, 4)
-        assert arch.encoder_sizes == (1092, 219, 9)
-        assert arch.decoder_sizes == (10, 229, 1141)
-        assert arch.encoder_dropout == (0.20, 0.10, 0.0)
-        assert arch.decoder_dropout == (0.0, 0.10, 0.20)
-        assert arch.layer_sizes == [5459, 1092, 219, 9, 4, 10, 229, 1141, 5703]
+        plan = build_architecture(5459, 5703, 4)
+        assert layer_sizes(plan) == [5459, 1092, 219, 9, 4, 10, 229, 1141, 5703]
+        assert [rate for *_, rate in plan] == [0.20, 0.10, 0.0, 0.0, 0.0, 0.10, 0.20, 0.0]
 
     def test_exact_powers_of_five(self):
-        arch = build_architecture(625, 625, 1)
-        assert arch.encoder_sizes == (125, 25, 1)
-        assert arch.decoder_sizes == (1, 25, 125)
+        plan = build_architecture(625, 625, 1)
+        assert layer_sizes(plan) == [625, 125, 25, 1, 1, 1, 25, 125, 625]
 
     def test_tiny_inputs_ceil_to_one(self):
-        arch = build_architecture(3, 3, 2)
-        assert arch.encoder_sizes == (1, 1, 1)
-        assert arch.decoder_sizes == (1, 1, 1)
-        assert arch.layer_sizes == [3, 1, 1, 1, 2, 1, 1, 1, 3]
+        plan = build_architecture(3, 3, 2)
+        assert layer_sizes(plan) == [3, 1, 1, 1, 2, 1, 1, 1, 3]
 
     def test_small_inputs_floor_inner_widths(self):
         # Desk scale: the inner widths are floored at 2d and d, so the
         # waist is never narrower than the embedding.
-        arch = build_architecture(40, 40, 4)
-        assert arch.layer_sizes == [40, 8, 8, 4, 4, 4, 8, 8, 40]
+        plan = build_architecture(40, 40, 4)
+        assert layer_sizes(plan) == [40, 8, 8, 4, 4, 4, 8, 8, 40]
         # ... but never above ceil(w/5): the funnel only narrows.
-        arch = build_architecture(12, 100, 4)
-        assert arch.encoder_sizes == (3, 3, 3)
-        assert arch.decoder_sizes == (4, 8, 20)
+        plan = build_architecture(12, 100, 4)
+        assert layer_sizes(plan) == [12, 3, 3, 3, 4, 4, 8, 20, 100]
 
     def test_layer_specs_chain(self):
-        arch = build_architecture(100, 50, 3)
-        specs = arch.layer_specs()
+        specs = build_architecture(100, 50, 3)
         assert len(specs) == 8
         for (_, out_a, _, _), (in_b, _, _, _) in zip(specs, specs[1:]):
             assert out_a == in_b
@@ -98,13 +95,14 @@ class TestBuildArchitecture:
 
 class TestBuildNetwork:
     def test_shapes_follow_plan(self):
-        arch = build_architecture(40, 30, 4)
-        net = build_network(arch, seed=1)
-        sizes = arch.layer_sizes
+        plan = build_architecture(40, 30, 4)
+        net = build_network(plan, seed=1)
         assert net.bottleneck_index == BOTTLENECK_INDEX
-        for i, layer in enumerate(net.layers):
-            assert layer.weights.shape == (sizes[i + 1], sizes[i])
-            assert layer.bias.shape == (sizes[i + 1],)
+        assert len(net.layers) == len(plan)
+        for (fan_in, fan_out, activation, rate), layer in zip(plan, net.layers):
+            assert layer.weights.shape == (fan_out, fan_in)
+            assert layer.bias.shape == (fan_out,)
+            assert (layer.activation, layer.dropout_rate) == (activation, rate)
             if layer.activation == "relu":
                 np.testing.assert_array_equal(layer.bias, RELU_BIAS_INIT)
             else:
@@ -439,7 +437,7 @@ class TestModelFile:
             ]
 
         assert specs(loaded.network) == specs(model.network)
-        assert specs(loaded.network) == build_architecture(7, 6, 2).layer_specs()
+        assert specs(loaded.network) == build_architecture(7, 6, 2)
         assert loaded.network.bottleneck_index == model.network.bottleneck_index
 
     def test_save_copies_no_parameters(self, tmp_path):

@@ -66,6 +66,18 @@ class TestFitErrors:
         with pytest.raises(DomainError, match="ridge"):
             fit_cca(x, x, 1, ridge=-0.1)
 
+    @pytest.mark.parametrize("ridge", [float("nan"), float("inf")])
+    def test_non_finite_ridge(self, ridge):
+        x = rng().normal(size=(20, 2))
+        with pytest.raises(DomainError, match="ridge must be finite"):
+            fit_cca(x, x, 1, ridge=ridge)
+
+    def test_overflowing_ridge_term(self):
+        # ridge * trace(S) overflows once the trace exceeds about 1.8.
+        x = 10.0 * rng().normal(size=(20, 2))
+        with pytest.raises(DomainError, match="ridge 1e\\+308 overflows"):
+            fit_cca(x, x, 1, ridge=1e308)
+
     def test_wide_block_needs_ridge(self):
         x = rng().normal(size=(5, 8))
         y = rng().normal(size=(5, 2))

@@ -41,12 +41,18 @@ def write_toy_matrix(path, values, prefix="f"):
 
 class TestConfig:
     def test_comments_and_blanks_skipped(self):
-        cfg = parse_config("# comment\n\nepochs = 7\n")
+        cfg = parse_config("# comment\n\nepochs = 7\n", {"epochs"})
         assert cfg == {"epochs": "7"}
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ParseError, match="line 1"):
-            parse_config("epochs 7\n")
+            parse_config("epochs 7\n", {"epochs"})
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(
+            ParseError, match="config line 3: key 'epochs' already set on line 1"
+        ):
+            parse_config("epochs=2\nd=3\n epochs = 5\n", {"epochs", "d"})
 
     def test_config_supplies_default_flag_overrides(self, runner, tmp_path):
         x = tmp_path / "x.tsv"
@@ -107,6 +113,17 @@ class TestConfig:
                    "--model-out", tmp_path / "m.bin")
         assert r.exit_code == 2
         assert "config line 2: no command takes key 'epoch'" in r.stderr
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_config_repeated_key_exits_2(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        conf = tmp_path / "twice.cfg"
+        conf.write_text("epochs=2\n# later\nepochs=5\n")
+        r = invoke(runner, "train", x, y, "--config", conf,
+                   "--model-out", tmp_path / "m.bin")
+        assert r.exit_code == 2
+        assert "config line 3: key 'epochs' already set on line 1" in r.stderr
         assert "Traceback" not in r.output
         assert not (tmp_path / "m.bin").exists()
 
@@ -364,6 +381,18 @@ class TestEmbedImportanceCca:
         assert len(corr_lines) == 2
         values = [float(line.split("\t")[1]) for line in corr_lines]
         assert values[0] >= values[1] >= 0
+
+    @pytest.mark.parametrize("ridge", ["nan", "inf", "1e308"])
+    def test_cca_non_finite_ridge_exits_2(self, runner, trained, ridge):
+        result = invoke(
+            runner, "cca", trained / "d_x.tsv", trained / "d_y.tsv",
+            trained / "c", "--k", 2, "--ridge", ridge,
+        )
+        assert result.exit_code == 2
+        assert "ridge" in result.stderr
+        assert "Traceback" not in result.output
+        assert "overflow encountered" not in result.stderr
+        assert not (trained / "c_correlations.tsv").exists()
 
 
 class TestPlot:

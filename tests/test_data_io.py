@@ -144,7 +144,7 @@ class TestRoundTrip:
     def test_features_in_rows_round_trip(self, tmp_path):
         m = lm([[1.0, 2.0], [3.0, 4.0]])
         path = tmp_path / "rt.tsv"
-        write_labeled(m, path, orientation="features_in_rows")
+        write_labeled(LabeledMatrix(m.values.T, m.feature_ids, m.sample_ids), path)
         back = read_labeled(path, orientation="features_in_rows")
         assert np.array_equal(back.values, m.values)
         assert back.sample_ids == m.sample_ids

@@ -144,6 +144,17 @@ class TestEvaluateEmbedding:
         doubled = evaluate_embedding(np.hstack([col, col]), labels)
         assert single == doubled
 
+    @pytest.mark.parametrize("jitter", [0.0, 1e-14])
+    def test_constant_column_changes_nothing(self, jitter):
+        # A column with sd below 1e-12 counts as constant and standardizes
+        # to zeros, not to NaN (sd 0) or to unit-variance noise.
+        rng = np.random.default_rng(2)
+        labels = rng.integers(0, 3, size=60)
+        emb = labels[:, None] + 0.3 * rng.normal(size=(60, 2))
+        constant = 5.0 + jitter * rng.normal(size=(60, 1))
+        padded = np.hstack([emb, constant])
+        assert evaluate_embedding(padded, labels) == evaluate_embedding(emb, labels)
+
     def test_single_class_rejected(self):
         with pytest.raises(DomainError, match="2 distinct classes"):
             evaluate_embedding(np.zeros((10, 2)) + np.arange(10)[:, None], np.zeros(10))
