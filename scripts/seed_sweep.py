@@ -14,6 +14,10 @@ factor a least-squares read-out of the embedding recovers (R^2). The
 summary line counts the seeds that pass. Use seeds other than 1-5 to
 judge a model change without tuning it to the acceptance data.
 
+A last block uses each seed as the training seed on criterion 3's
+pinned data (n=200, p=q=30, linear, noise sd 0.1, data seed 1) and
+prints the epoch-200 / epoch-1 loss ratio, which passes under 0.5.
+
 Usage: python scripts/seed_sweep.py [--design linear|quadratic|both]
                                     [--seeds 6-30]
 """
@@ -31,6 +35,10 @@ from aime.synth_bench import SynthSpec, evaluate_embedding, generate
 SIZES = dict(n=600, p=40, q=40, n_signal=10, noise_sd=0.3)
 GAP_BOUND = 0.1
 MARGIN = 0.25
+CRITERION_3_DATA = SynthSpec(
+    n=200, p=30, q=30, n_signal=10, noise_sd=0.1, design="linear", seed=1
+)
+LOSS_RATIO_BOUND = 0.5
 
 
 def numerical_rank(embedding: np.ndarray) -> int:
@@ -95,6 +103,16 @@ def main() -> int:
         passed = sum(r["ok"] for r in rows)
         print(f"{design}: {passed}/{len(rows)} seeds pass; median {label} "
               f"{np.median([r['figure'] for r in rows]):+.3f}\n")
+    data = generate(CRITERION_3_DATA)
+    print("criterion 3: training seed  loss ratio")
+    ratios = []
+    for seed in opts.seeds:
+        history = fit(data.x.values, data.y.values, embedding_size=4,
+                      config=TrainConfig(seed=seed)).loss_history
+        ratios.append(history[-1] / history[0])
+        print(f"{seed:>26}  {ratios[-1]:>10.3f}", flush=True)
+    passed = sum(r < LOSS_RATIO_BOUND for r in ratios)
+    print(f"criterion 3: {passed}/{len(ratios)} seeds under {LOSS_RATIO_BOUND}")
     return 0
 
 

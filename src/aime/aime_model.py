@@ -404,8 +404,15 @@ class _Reader:
             raise ParseError(f"model file truncated at offset {start}")
 
 
+def _finite(values: np.ndarray, what: str) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise ParseError(f"model file: non-finite value in {what}")
+    return values
+
+
 def load_model(path) -> AimeModel:
-    """Read a model written by save_model; malformed files raise ParseError.
+    """Read a model written by save_model; malformed files, including
+    non-finite values in any field, raise ParseError.
 
     A first pass reads the header and the layer record headers and checks
     that the declared sizes fill the file exactly; only then is the
@@ -423,9 +430,11 @@ def load_model(path) -> AimeModel:
         if n_layers != _LAYER_COUNT:
             raise ParseError(f"expected {_LAYER_COUNT} layers, header says {n_layers}")
         (history_len,) = reader.unpack("<Q")
-        history = reader.floats(history_len).tolist()
-        input_means, input_sds = reader.floats(p), reader.floats(p)
-        output_means, output_sds = reader.floats(q), reader.floats(q)
+        history = _finite(reader.floats(history_len), "loss history").tolist()
+        input_means = _finite(reader.floats(p), "x means")
+        input_sds = _finite(reader.floats(p), "x sds")
+        output_means = _finite(reader.floats(q), "y means")
+        output_sds = _finite(reader.floats(q), "y sds")
         specs, starts = [], []
         for index in range(n_layers):
             fan_out, fan_in, act_code, rate = reader.unpack("<QQBd")
@@ -449,6 +458,10 @@ def load_model(path) -> AimeModel:
     # The file is little-endian; ``params`` holds native doubles.
     if sys.byteorder == "big":
         network.params.byteswap(inplace=True)
+    # Layer by layer, so the check allocates no copy of all parameters.
+    for index, layer in enumerate(network.layers):
+        _finite(layer.weights, f"layer {index} weights")
+        _finite(layer.bias, f"layer {index} bias")
     return AimeModel(
         network=network,
         seed=seed,

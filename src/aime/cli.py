@@ -18,6 +18,7 @@ import sys
 import tempfile
 import warnings
 from collections.abc import Callable
+from html import escape
 
 import click
 import numpy as np
@@ -34,7 +35,7 @@ from .data_io import (
     sd_filter,
     write_labeled,
 )
-from .errors import AimeError, NumericalError, ParseError, ValidationError
+from .errors import AimeError, DomainError, NumericalError, ParseError, ValidationError
 from .importance import DEFAULT_REPEATS, permutation_importance, top_fraction
 from .neural_net import TrainConfig
 from .synth_bench import SynthSpec, generate
@@ -202,8 +203,7 @@ def main() -> None:
 def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, orientation):
     """Drop low-variability features from a labeled matrix."""
     if use_cv == use_sd:
-        click.echo("error: pass exactly one of --cv or --sd", err=True)
-        sys.exit(2)
+        raise DomainError("pass exactly one of --cv or --sd")
     m = read_labeled(input_path, delimiter=delimiter, orientation=orientation)
     if use_cv:
         kept = cv_filter(m, 0.05 if threshold is None else threshold)
@@ -292,16 +292,16 @@ def cmd_importance(model_path, x_path, output_path, repeats, fraction, seed, del
     """Rank input variables by how much shuffling them moves the embedding."""
     model = load_model(model_path)
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
-    report = permutation_importance(model, x.values, repeats=repeats, seed=seed)
-    chosen = top_fraction(report, fraction)
+    scores = permutation_importance(model, x.values, repeats=repeats, seed=seed)
+    chosen = top_fraction(scores, fraction)
     sep = delimiter_char(delimiter)
     lines = ["variable_id" + sep + "score" + sep + "rank\n"]
     for rank, j in enumerate(chosen, start=1):
         lines.append(
-            f"{x.feature_ids[j]}{sep}{float(report.scores[j])!r}{sep}{rank}\n"
+            f"{x.feature_ids[j]}{sep}{float(scores[j])!r}{sep}{rank}\n"
         )
     _atomic_write(output_path, lambda tmp: _write_text(tmp, "".join(lines)))
-    click.echo(f"wrote top {len(chosen)} of {report.n_variables} variables")
+    click.echo(f"wrote top {len(chosen)} of {len(scores)} variables")
 
 
 # ---------------------------------------------------------------- cca
@@ -474,7 +474,7 @@ def scatter_matrix_svg(coords: np.ndarray, labels: list[str]) -> str:
         )
         parts.append(
             f'<text x="{lx + 16.0:.1f}" y="{ly + 11.0:.1f}" '
-            f'font-family="sans-serif" font-size="12">{c}</text>'
+            f'font-family="sans-serif" font-size="12">{escape(c)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     AlignmentError,
     DomainError,
-    InsufficientDataError,
     ParseError,
     ValidationError,
 )
@@ -235,7 +234,7 @@ def cv_filter(m: LabeledMatrix, threshold: float) -> LabeledMatrix:
     Features whose mean is within NEAR_ZERO_MEAN of zero have no meaningful
     CV; they are dropped and counted in a warning.
     """
-    means, sds = _feature_stats(m)
+    means, sds = column_stats(m.values)
     kept: list[int] = []
     near_zero = 0
     for j in range(m.n_features):
@@ -254,17 +253,9 @@ def cv_filter(m: LabeledMatrix, threshold: float) -> LabeledMatrix:
 
 def sd_filter(m: LabeledMatrix, threshold: float) -> LabeledMatrix:
     """Keep features whose sample standard deviation exceeds threshold."""
-    _, sds = _feature_stats(m)
+    _, sds = column_stats(m.values)
     kept = [j for j in range(m.n_features) if sds[j] > threshold]
     return _warn_if_empty(m.select_features(kept), "sd_filter")
-
-
-def _feature_stats(m: LabeledMatrix) -> tuple[np.ndarray, np.ndarray]:
-    if m.n_samples < 2:
-        raise InsufficientDataError(
-            f"need at least 2 samples to filter, got {m.n_samples}"
-        )
-    return column_stats(m.values)
 
 
 def _warn_if_empty(result: LabeledMatrix, name: str) -> LabeledMatrix:

@@ -9,10 +9,8 @@ Stream-id registry
 ------------------
 Random streams are addressed by ``(base_seed, stream_id)``. To keep
 independent subsystems from colliding on stream ids derived from one seed,
-ids are namespaced as ``(kind << 48) + index`` via :func:`stream_id`. The
-permutation-importance module is the one exception: it derives ids as
-``variable * 2**32 + repeat`` (documented there), which stays below any
-``kind << 48`` for realistic variable counts.
+ids are namespaced as ``(kind << 48) + index`` via :func:`stream_id`, one
+``KIND_*`` constant per consumer.
 """
 
 from __future__ import annotations
@@ -39,6 +37,7 @@ KIND_SYNTH_COEF_Y = 8
 KIND_SYNTH_NOISE_Y = 9
 KIND_SYNTH_SIGNAL = 10
 KIND_FOLDS = 11
+KIND_IMPORTANCE = 12
 
 _SD_CONSTANT_FLOOR = 1e-12
 
@@ -72,24 +71,9 @@ class RngStream:
     def __repr__(self) -> str:
         return f"RngStream(base_seed={self.base_seed}, stream_id={self.stream_id})"
 
-    def randint_below(self, n: int) -> int:
-        """One uniform integer in ``{0, ..., n-1}``."""
-        if n < 1:
-            raise DomainError(f"randint_below needs n >= 1, got {n}")
-        return int(self._gen.integers(n))
-
-    def randints_below(self, bounds: np.ndarray) -> np.ndarray:
-        """One uniform integer in ``{0, ..., b-1}`` for each bound ``b``.
-
-        One call, with the same draws and the same stream state after it
-        as one :meth:`randint_below` call per bound, in order.
-        """
-        bounds = np.asarray(bounds, dtype=np.int64)
-        if bounds.size and bounds.min() < 1:
-            raise DomainError(
-                f"randints_below needs every bound >= 1, got {bounds.min()}"
-            )
-        return self._gen.integers(bounds)
+    def permutation(self, n: int) -> np.ndarray:
+        """A uniformly random ordering of ``0, ..., n-1``."""
+        return self._gen.permutation(n)
 
     def uniform(self, low: float, high: float, size=None) -> np.ndarray:
         return self._gen.uniform(low, high, size)
@@ -114,24 +98,11 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
 
 
 def permuted(values: np.ndarray, rng: RngStream) -> np.ndarray:
-    """Fisher-Yates shuffle of a copy of a 1-D array.
-
-    Draw order is fixed so traces can be replayed: for ``i`` from
-    ``n - 1`` down to ``1``, draw ``j = rng.randint_below(i + 1)`` and
-    swap positions ``i`` and ``j``. All n - 1 draws come from one
-    :meth:`RngStream.randints_below` call, which yields exactly those
-    numbers; the swaps then run on a list of positions, and one gather
-    applies them.
-    """
+    """Copy of a 1-D array in the order of ``rng``'s next permutation."""
     values = np.asarray(values)
     if values.ndim != 1:
         raise ShapeError(f"permuted expects a 1-D array, got {values.ndim}-D")
-    n = len(values)
-    draws = rng.randints_below(np.arange(n, 1, -1)).tolist()
-    order = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), draws):
-        order[i], order[j] = order[j], order[i]
-    return values[order]
+    return values[rng.permutation(len(values))]
 
 
 def permute_column(m: np.ndarray, col: int, rng: RngStream) -> np.ndarray:

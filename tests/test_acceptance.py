@@ -231,9 +231,9 @@ def test_criterion_6_importance_soundness(scorecard, quadratic_runs):
     x[:, 2] = 7.5
     y = rng.standard_normal((12, 4))
     frozen = fit(x, y, embedding_size=2, config=TrainConfig(epochs=0))
-    scores_const = permutation_importance(frozen, x, repeats=5, seed=0).scores
+    scores_const = permutation_importance(frozen, x, repeats=5, seed=0)
     frozen.network.layers[0].weights[:, 4] = 0.0
-    scores_zero = permutation_importance(frozen, x, repeats=5, seed=0).scores
+    scores_zero = permutation_importance(frozen, x, repeats=5, seed=0)
     exact_ok = scores_const[2] == 0.0 and scores_zero[4] == 0.0
 
     # Clause 2: at n=3 the shuffle has only 6 possible orders, so the
@@ -254,7 +254,7 @@ def test_criterion_6_importance_soundness(scorecard, quadratic_runs):
             values.append(float(np.sum((embed(tiny, xp) - base) ** 2)))
         oracle = float(np.mean(values))
         se = float(np.std(values)) / np.sqrt(repeats)
-        est = permutation_importance(tiny, x3, repeats=repeats, seed=0).scores[col]
+        est = permutation_importance(tiny, x3, repeats=repeats, seed=0)[col]
         oracle_ok = oracle_ok and abs(est - oracle) <= 3 * se + 1e-12
         oracle_text.append(f"{abs(est - oracle):.1e}<={3 * se:.1e}")
     # Clause 3: permuting a planted signal column moves the embedding
@@ -263,8 +263,8 @@ def test_criterion_6_importance_soundness(scorecard, quadratic_runs):
     n_signal = SURROGATE_SIZES["n_signal"]
     recalls = []
     for data, model in runs:
-        report = permutation_importance(model, data.x.values, seed=0)
-        top = set(top_fraction(report, n_signal / SURROGATE_SIZES["p"]))
+        scores = permutation_importance(model, data.x.values, seed=0)
+        top = set(top_fraction(scores, n_signal / SURROGATE_SIZES["p"]))
         recalls.append(len(top & set(data.signal_indices)) / n_signal)
     found = sum(r >= 0.8 for r in recalls)
     ok = exact_ok and oracle_ok and found >= 3

@@ -566,6 +566,20 @@ class TestModelFile:
         with pytest.raises(ParseError, match="layer 0: dropout rate"):
             load_model(path)
 
+    def test_nan_mean_rejected(self, tmp_path):
+        model, _, path = self.fitted(tmp_path)
+        model.output_means[1] = np.nan
+        save_model(model, path)
+        with pytest.raises(ParseError, match="non-finite value in y means"):
+            load_model(path)
+
+    def test_inf_weight_rejected(self, tmp_path):
+        model, _, path = self.fitted(tmp_path)
+        model.network.layers[2].weights[0, 1] = -np.inf
+        save_model(model, path)
+        with pytest.raises(ParseError, match="non-finite value in layer 2 weights"):
+            load_model(path)
+
     def test_layer_chain_mismatch(self, tmp_path):
         model, _, path = self.fitted(tmp_path)
         save_model(model, path)

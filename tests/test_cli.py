@@ -184,11 +184,13 @@ class TestFilterCommand:
 
     def test_both_modes_rejected(self, runner, tmp_path):
         write_toy_matrix(tmp_path / "in.tsv", np.ones((3, 2)))
-        result = invoke(
-            runner, "filter", tmp_path / "in.tsv", tmp_path / "o.tsv",
-            "--cv", "--sd",
-        )
-        assert result.exit_code == 2
+        for flags in (["--cv", "--sd"], []):
+            result = invoke(
+                runner, "filter", tmp_path / "in.tsv", tmp_path / "o.tsv", *flags
+            )
+            assert result.exit_code == 2
+            assert result.stderr == "error: pass exactly one of --cv or --sd\n"
+            assert not (tmp_path / "o.tsv").exists()
 
 
 class TestSynthAndTrain:
@@ -368,6 +370,22 @@ class TestEmbedImportanceCca:
         assert "layer 0: dropout rate" in result.stderr
         assert "Traceback" not in result.output
 
+    def test_model_with_nan_weight_exits_2(self, runner, trained):
+        raw = bytearray((trained / "m.bin").read_bytes())
+        # Layer 0's first weight follows its (fan_out, fan_in, code, rate)
+        # record; see test_model_with_bad_dropout_rate_exits_2.
+        offset = 4 + 4 + 48 + 8 + 8 * 2 + 16 * (8 + 6) + 25
+        raw[offset : offset + 8] = struct.pack("<d", float("nan"))
+        (trained / "bad.bin").write_bytes(bytes(raw))
+        result = invoke(
+            runner, "importance", trained / "bad.bin", trained / "d_x.tsv",
+            trained / "imp.tsv", "--repeats", 1,
+        )
+        assert result.exit_code == 2
+        assert "non-finite value in layer 0 weights" in result.stderr
+        assert "Traceback" not in result.output
+        assert not (trained / "imp.tsv").exists()
+
     def test_cca_outputs(self, runner, trained):
         result = invoke(
             runner, "cca", trained / "d_x.tsv", trained / "d_y.tsv",
@@ -401,8 +419,10 @@ class TestPlot:
         n, d = 25, 3
         coords = rng.normal(size=(n, d))
         write_toy_matrix(tmp_path / "emb.tsv", coords, prefix="e")
+        # The fourth class needs XML escaping in the legend.
+        names = ["0", "1", "2", "A&B<1>"]
         labels = ["id\tlabel\n"] + [
-            f"s{i}\t{i % 4}\n" for i in range(n)
+            f"s{i}\t{names[i % 4]}\n" for i in range(n)
         ]
         (tmp_path / "labels.tsv").write_text("".join(labels))
         result = invoke(
@@ -414,6 +434,8 @@ class TestPlot:
         text = (tmp_path / "out.svg").read_text()
         root = ET.fromstring(text)  # well-formed XML
         assert root.tag.endswith("svg")
+        legend = [el.text for el in root.iter() if el.tag.endswith("text")]
+        assert legend == names
         circles = text.count("<circle")
         assert circles == n * d * (d - 1)
         fills = {
