@@ -101,10 +101,15 @@ def _hidden_widths(width: int, d: int) -> tuple[int, int, int]:
 
 def build_architecture(p: int, q: int, d: int) -> list[LayerSpec]:
     """Layer plan for input width p, output width q, embedding size d:
-    one (fan_in, fan_out, activation, dropout_rate) spec per dense layer."""
+    one (fan_in, fan_out, activation, dropout_rate) spec per dense layer.
+    The embedding may be no wider than the narrower data matrix."""
     for name, value in (("input width", p), ("output width", q), ("embedding size", d)):
         if value < 1:
             raise DomainError(f"{name} must be a positive integer, got {value}")
+    if d > min(p, q):
+        raise DomainError(
+            f"embedding size {d} exceeds min(p, q) = {min(p, q)} data columns"
+        )
     sizes = [p, *_hidden_widths(p, d), d, *_hidden_widths(q, d)[::-1], q]
     return list(zip(sizes, sizes[1:], _ACTIVATIONS, _DROPOUT_RATES))
 
@@ -450,6 +455,10 @@ def load_model(path) -> AimeModel:
             raise ParseError(f"model file: {exc}") from None
         if network.input_size != p or network.output_size != q:
             raise ParseError("layer shapes disagree with the header sizes")
+        if bottleneck != BOTTLENECK_INDEX:
+            raise ParseError(
+                f"bottleneck index {bottleneck}, expected {BOTTLENECK_INDEX}"
+            )
         if network.layers[bottleneck].fan_out != d:
             raise ParseError("bottleneck width disagrees with the header sizes")
         for layer, start in zip(network.layers, starts):

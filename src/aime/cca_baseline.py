@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitenessError, DomainError, ShapeError
+from .errors import DefinitenessError, DomainError
 from .matrix_core import as_matrix, svd_thin
 
 # fit_cca calls none of these; bench/run.py's trace table wraps them here.
@@ -54,9 +54,6 @@ class CcaResult:
     correlations: np.ndarray
     x_variates: np.ndarray
     y_variates: np.ndarray
-    ridge: float
-    x_means: np.ndarray
-    y_means: np.ndarray
 
 
 def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
@@ -89,10 +86,8 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
             "ridge = 0 needs more samples than columns on both sides"
         )
 
-    x_means = x.mean(axis=0)
-    y_means = y.mean(axis=0)
-    xc = x - x_means
-    yc = y - y_means
+    xc = x - x.mean(axis=0)
+    yc = y - y.mean(axis=0)
 
     ux, sx, vx = svd_thin(xc)
     uy, sy, vy = svd_thin(yc)
@@ -116,9 +111,6 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
         correlations=s[:k].copy(),
         x_variates=xc @ x_dirs,
         y_variates=yc @ y_dirs,
-        ridge=float(ridge),
-        x_means=x_means,
-        y_means=y_means,
     )
 
 
@@ -145,15 +137,3 @@ def _whitening(s: np.ndarray, shape: tuple[int, int], ridge: float) -> np.ndarra
             "columns); increase ridge"
         )
     return 1.0 / np.sqrt(variances + lam)
-
-
-def project_cca(result: CcaResult, x_new) -> np.ndarray:
-    """Map new samples into the fitted canonical coordinates of the X side."""
-    x_new = as_matrix(x_new)
-    p = result.x_directions.shape[0]
-    if x_new.shape[1] != p:
-        raise ShapeError(
-            f"expected {p} columns to match the fitted X block, "
-            f"got {x_new.shape[1]}"
-        )
-    return (x_new - result.x_means) @ result.x_directions

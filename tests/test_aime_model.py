@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from aime.aime_model import (
@@ -88,7 +88,8 @@ class TestBuildArchitecture:
         assert specs[BOTTLENECK_INDEX][1] == 3
 
     def test_rejects_nonpositive(self):
-        for p, q, d in [(0, 3, 1), (3, 0, 1), (3, 3, 0), (-2, 3, 1)]:
+        for p, q, d in [(0, 3, 1), (3, 0, 1), (3, 3, 0), (-2, 3, 1),
+                        (3, 5, 4), (5, 3, 4), (8, 6, 99999999999)]:
             with pytest.raises(DomainError):
                 build_architecture(p, q, d)
 
@@ -160,7 +161,9 @@ class TestBuildNetwork:
     @settings(max_examples=12, deadline=None)
     def test_any_plan_forwards_one_batch(self, p, q, d, seed):
         # The derived chain is always dimension-consistent: one batch
-        # flows through without shape errors for any sizes.
+        # flows through without shape errors for any sizes that make a
+        # plan (the embedding no wider than either matrix).
+        assume(d <= min(p, q))
         net = build_network(build_architecture(p, q, d), seed=seed)
         x = RngStream(seed, 1).standard_normal((3, p))
         out, cache = forward(net, x)
@@ -601,4 +604,16 @@ class TestModelFile:
         raw[40:48] = struct.pack("<Q", 8)  # after magic, version, p, q, d, seed
         path.write_bytes(bytes(raw))
         with pytest.raises(ParseError, match="bottleneck index 8 out of range"):
+            load_model(path)
+
+    def test_bottleneck_index_pinned(self, tmp_path):
+        # Layer 1 of the 7/6/2 plan is as wide as the embedding, so only
+        # the index itself tells the file is wrong.
+        model, _, path = self.fitted(tmp_path)
+        assert model.network.layers[1].fan_out == 2
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[40:48] = struct.pack("<Q", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="bottleneck index 1, expected 3"):
             load_model(path)

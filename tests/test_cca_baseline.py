@@ -3,8 +3,8 @@ import time
 import numpy as np
 import pytest
 
-from aime.cca_baseline import CcaResult, fit_cca, project_cca
-from aime.errors import DefinitenessError, DomainError, ShapeError
+from aime.cca_baseline import fit_cca
+from aime.errors import DefinitenessError, DomainError
 from aime.synth_bench import SynthSpec, generate
 
 
@@ -217,6 +217,13 @@ class TestInvariances:
             sxx = regularized_covariance(x, ridge)
             gram = result.x_directions.T @ sxx @ result.x_directions
             assert np.all(np.abs(np.diag(gram) - 1.0) < 1e-6)
+            # the variates are the centred blocks times the directions
+            for block, dirs, variates in (
+                (x, result.x_directions, result.x_variates),
+                (y, result.y_directions, result.y_variates),
+            ):
+                centred = block - block.mean(axis=0)
+                assert np.abs(centred @ dirs - variates).max() < 1e-10
 
     def test_sign_convention_deterministic(self):
         g = rng(24)
@@ -228,45 +235,6 @@ class TestInvariances:
                 [result.x_directions[:, i], result.y_directions[:, i]]
             )
             assert stacked[np.argmax(np.abs(stacked))] > 0
-
-
-class TestProject:
-    def test_training_projection_matches_variates(self):
-        g = rng(31)
-        x = g.normal(size=(40, 4))
-        y = g.normal(size=(40, 3))
-        result = fit_cca(x, y, 2, ridge=0.1)
-        again = project_cca(result, x)
-        assert np.all(np.abs(again - result.x_variates) < 1e-10)
-
-    def test_sample_at_training_mean_maps_to_zero(self):
-        g = rng(32)
-        x = g.normal(size=(30, 3))
-        y = g.normal(size=(30, 3))
-        result = fit_cca(x, y, 2, ridge=0.1)
-        out = project_cca(result, x.mean(axis=0, keepdims=True))
-        assert np.all(np.abs(out) < 1e-12)
-
-    def test_hand_two_by_two(self):
-        result = CcaResult(
-            x_directions=np.array([[1.0, 0.0], [0.0, 2.0]]),
-            y_directions=np.eye(2),
-            correlations=np.array([1.0, 1.0]),
-            x_variates=np.zeros((1, 2)),
-            y_variates=np.zeros((1, 2)),
-            ridge=0.0,
-            x_means=np.array([1.0, -1.0]),
-            y_means=np.zeros(2),
-        )
-        out = project_cca(result, np.array([[3.0, 4.0]]))
-        assert out.tolist() == [[2.0, 10.0]]
-
-    def test_column_mismatch(self):
-        g = rng(33)
-        x = g.normal(size=(30, 3))
-        result = fit_cca(x, x.copy(), 1, ridge=0.1)
-        with pytest.raises(ShapeError, match="expected 3 columns"):
-            project_cca(result, g.normal(size=(5, 4)))
 
 
 class TestOnSyntheticData:

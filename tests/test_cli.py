@@ -7,6 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from aime import cli
+from aime.aime_model import embed, fit
+from aime.cca_baseline import fit_cca
 from aime.cli import (
     _atomic_write,
     main,
@@ -16,6 +18,8 @@ from aime.cli import (
 )
 from aime.data_io import LabeledMatrix, read_labeled, write_labeled
 from aime.errors import ParseError, ValidationError
+from aime.neural_net import TrainConfig
+from aime.synth_bench import SynthSpec, generate
 
 
 @pytest.fixture()
@@ -124,6 +128,17 @@ class TestConfig:
                    "--model-out", tmp_path / "m.bin")
         assert r.exit_code == 2
         assert "config line 3: key 'epochs' already set on line 1" in r.stderr
+        assert "Traceback" not in r.output
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_config_embedding_wider_than_data_exits_2(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        conf = tmp_path / "wide.cfg"
+        conf.write_text("d=99999999999\n")
+        r = invoke(runner, "train", x, y, "--config", conf,
+                   "--model-out", tmp_path / "m.bin")
+        assert r.exit_code == 2
+        assert "embedding size 99999999999 exceeds min(p, q) = 6" in r.stderr
         assert "Traceback" not in r.output
         assert not (tmp_path / "m.bin").exists()
 
@@ -386,6 +401,20 @@ class TestEmbedImportanceCca:
         assert "Traceback" not in result.output
         assert not (trained / "imp.tsv").exists()
 
+    def test_model_with_wrong_bottleneck_index_exits_2(self, runner, trained):
+        raw = bytearray((trained / "m.bin").read_bytes())
+        # The bottleneck index follows magic, version, p, q, d and seed.
+        raw[40:48] = struct.pack("<Q", 1)
+        (trained / "bad.bin").write_bytes(bytes(raw))
+        result = invoke(
+            runner, "embed", trained / "bad.bin", trained / "d_x.tsv",
+            trained / "emb.tsv",
+        )
+        assert result.exit_code == 2
+        assert "bottleneck index 1, expected 3" in result.stderr
+        assert "Traceback" not in result.output
+        assert not (trained / "emb.tsv").exists()
+
     def test_cca_outputs(self, runner, trained):
         result = invoke(
             runner, "cca", trained / "d_x.tsv", trained / "d_y.tsv",
@@ -411,6 +440,32 @@ class TestEmbedImportanceCca:
         assert "Traceback" not in result.output
         assert "overflow encountered" not in result.stderr
         assert not (trained / "c_correlations.tsv").exists()
+
+
+def test_cli_chain_matches_library(runner, tmp_path):
+    # The text files in between hold every value exactly, so the numbers
+    # out of the CLI chain are the library's to the bit.
+    for args in (
+        ["synth", tmp_path / "d", "--n", 60, "--p", 8, "--q", 6,
+         "--n-signal", 4, "--design", "quadratic", "--seed", 3],
+        ["train", tmp_path / "d_x.tsv", tmp_path / "d_y.tsv", "--dim", 2,
+         "--epochs", 3, "--seed", 5, "--model-out", tmp_path / "m.bin"],
+        ["embed", tmp_path / "m.bin", tmp_path / "d_x.tsv", tmp_path / "e.tsv"],
+        ["cca", tmp_path / "d_x.tsv", tmp_path / "d_y.tsv", tmp_path / "c",
+         "--k", 2],
+    ):
+        result = invoke(runner, *args)
+        assert result.exit_code == 0, result.output
+
+    data = generate(SynthSpec(n=60, p=8, q=6, n_signal=4, noise_sd=0.1,
+                              design="quadratic", seed=3))
+    x, y = data.x.values, data.y.values
+    model = fit(x, y, 2, TrainConfig(epochs=3, seed=5))
+    assert np.array_equal(read_labeled(tmp_path / "e.tsv").values, embed(model, x))
+    assert np.array_equal(
+        read_labeled(tmp_path / "c_x_variates.tsv").values,
+        fit_cca(x, y, 2).x_variates,
+    )
 
 
 class TestPlot:
