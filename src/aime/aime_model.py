@@ -16,8 +16,10 @@ wide data matrices are regularized hardest and the bottleneck itself is
 never dropped.
 
 Training is plain minibatch Adam on mean squared reconstruction error in
-the standardized Y space. Everything downstream of the config seed is
-deterministic; see fit() for the stream layout.
+the standardized Y space, with float32 parameters, activations, gradients
+and moments (PARAM_DTYPE) and the loss accumulated in float64; model files
+store the parameters as float32 too. Everything downstream of the config
+seed is deterministic; see fit() for the stream layout.
 """
 
 from __future__ import annotations
@@ -71,6 +73,13 @@ BOTTLENECK_INDEX = 3
 # Initial bias for relu layers; see build_network for why not zero.
 RELU_BIAS_INIT = 0.5
 
+# The dtype fit trains in and model files store the parameters in.
+PARAM_DTYPE = np.dtype(np.float32)
+
+# build_network draws this many weights at a time into a float64 scratch
+# block (256 KiB), so initialization never holds a float64 copy of a layer.
+_INIT_BLOCK = 1 << 15
+
 # One entry per dense layer, input to output: three relu encoder layers,
 # the linear bottleneck, three relu decoder layers and the linear output.
 _ACTIVATIONS = ("relu",) * 3 + ("linear",) + ("relu",) * 3 + ("linear",)
@@ -78,7 +87,7 @@ _DROPOUT_RATES = (0.20, 0.10, 0.0, 0.0, 0.0, 0.10, 0.20, 0.0)
 _LAYER_COUNT = len(_ACTIVATIONS)
 
 _MAGIC = b"AIMB"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _ACTIVATION_CODES = {"linear": 0, "relu": 1}
 _ACTIVATION_NAMES = {code: name for name, code in _ACTIVATION_CODES.items()}
 
@@ -114,7 +123,7 @@ def build_architecture(p: int, q: int, d: int) -> list[LayerSpec]:
     return list(zip(sizes, sizes[1:], _ACTIVATIONS, _DROPOUT_RATES))
 
 
-def build_network(plan: list[LayerSpec], seed: int) -> Network:
+def build_network(plan: list[LayerSpec], seed: int, dtype=np.float64) -> Network:
     """Freshly initialized network for the plan, deterministic in seed.
 
     Each layer draws from its own stream, so widening one layer never
@@ -122,8 +131,10 @@ def build_network(plan: list[LayerSpec], seed: int) -> Network:
     weights (limit sqrt(6 / fan_in)), linear layers Glorot-uniform
     (limit sqrt(6 / (fan_in + fan_out))).
 
-    The network is allocated from the plan and every layer is drawn
-    straight into its views of ``params``.
+    The weights are drawn in float64, a block at a time, and written into
+    the layer views of ``params``; a float32 network (``PARAM_DTYPE``,
+    what fit trains) holds the float64 draws rounded once, and a float64
+    one (the default, for the gradient oracle) holds them exactly.
 
     Linear biases start at zero; relu biases start at a small positive
     constant. The derived funnel still has 1-unit relu layers when d = 1
@@ -133,19 +144,24 @@ def build_network(plan: list[LayerSpec], seed: int) -> Network:
     zero and the whole encoder freezes. A positive bias keeps every unit
     initially active so training can decide.
     """
-    network = Network(plan, bottleneck_index=BOTTLENECK_INDEX)
+    network = Network(plan, bottleneck_index=BOTTLENECK_INDEX, dtype=dtype)
+    scratch = np.empty(min(_INIT_BLOCK, network.params.size))
     for index, layer in enumerate(network.layers):
         if layer.activation == "relu":
             limit = math.sqrt(6.0 / layer.fan_in)
             layer.bias[...] = RELU_BIAS_INIT
         else:
             limit = math.sqrt(6.0 / (layer.fan_in + layer.fan_out))
-        # In place, the draws of rng.uniform(-limit, limit, shape): each
-        # weight is -limit + (2 limit) u, to the bit.
-        weights = layer.weights
-        RngStream(seed, stream_id(KIND_INIT, index)).fill_uniform(weights)
-        weights *= 2.0 * limit
-        weights -= limit
+        # Block by block, the draws of rng.uniform(-limit, limit, shape):
+        # each weight is -limit + (2 limit) u, to the bit.
+        rng = RngStream(seed, stream_id(KIND_INIT, index))
+        weights = layer.weights.reshape(-1)
+        for start in range(0, weights.size, _INIT_BLOCK):
+            block = scratch[: min(_INIT_BLOCK, weights.size - start)]
+            rng.fill_uniform(block)
+            block *= 2.0 * limit
+            block -= limit
+            weights[start : start + block.size] = block
     return network
 
 
@@ -227,12 +243,12 @@ def fit(
             )
     input_means, input_sds = column_stats(x)
     output_means, output_sds = column_stats(y)
-    xs = standardize_columns(x, input_means, input_sds)
-    ys = standardize_columns(y, output_means, output_sds)
+    xs = standardize_columns(x, input_means, input_sds).astype(PARAM_DTYPE)
+    ys = standardize_columns(y, output_means, output_sds).astype(PARAM_DTYPE)
 
-    network = build_network(plan, seed)
+    network = build_network(plan, seed, PARAM_DTYPE)
     state = AdamState.for_network(network)
-    grads = np.empty(network.params.size)
+    grads = np.empty_like(network.params)
     history: list[float] = []
     for epoch in range(config.epochs):
         order = permuted(np.arange(n), RngStream(seed, stream_id(KIND_SHUFFLE, epoch)))
@@ -278,11 +294,15 @@ def _canonical_bottleneck(network: Network, xs: np.ndarray) -> None:
     the embedding of the training rows zero-mean with uncorrelated
     unit-variance columns in order of decreasing variance (the basis CCA
     variates come in); each axis's largest weight is made positive. Axes
-    with no variance (below 1e-8 of the largest) are rotated but not
-    scaled, so a degenerate embedding keeps its numerical rank.
+    with no variance are rotated but not scaled, so a degenerate embedding
+    keeps its numerical rank. No variance means an sd below sqrt(eps) of
+    the largest, eps of the network's dtype (3.5e-4 for float32): a
+    float32 pass leaves an axis that is constant in exact arithmetic with
+    an sd of about 1e-7 of the largest, from rounding alone. The
+    transform is computed in float64 and rounded once into the weights.
     """
     b = network.bottleneck_index
-    emb = forward(network, xs, stop=b + 1)[0]
+    emb = forward(network, xs, stop=b + 1)[0].astype(np.float64)
     mean = emb.mean(axis=0)
     centered = emb - mean
     # Zero rows pad n < d up to a full set of d right singular vectors.
@@ -292,7 +312,7 @@ def _canonical_bottleneck(network: Network, xs: np.ndarray) -> None:
     pivots = np.argmax(np.abs(axes), axis=0)
     axes = axes * np.sign(axes[pivots, np.arange(axes.shape[1])])
     sds = singular / np.sqrt(len(xs) - 1)
-    scale = np.where(sds > 1e-8 * sds[0], sds, 1.0)
+    scale = np.where(sds > np.sqrt(np.finfo(network.dtype).eps) * sds[0], sds, 1.0)
     # new = T (old - mean) with T = diag(1/scale) axes^T; T^-1 = axes diag(scale)
     encode, nxt = network.layers[b], network.layers[b + 1]
     transform = axes.T / scale[:, None]
@@ -319,14 +339,17 @@ def embed(model: AimeModel, x) -> np.ndarray:
 
     Rows are standardized with the model's stored training statistics, so
     embeddings of new data live in the same space as the training ones.
-    Only the encoder runs, up to the bottleneck.
+    Only the encoder runs, up to the bottleneck, in the network's dtype;
+    the result is float64.
     """
     xs = _standardized_input(model, x)
-    return forward(model.network, xs, stop=model.network.bottleneck_index + 1)[0]
+    emb = forward(model.network, xs, stop=model.network.bottleneck_index + 1)[0]
+    return emb.astype(np.float64)
 
 
 def reconstruct(model: AimeModel, x) -> np.ndarray:
-    """Predicted paired matrix (n, q), mapped back to original Y units."""
+    """Predicted paired matrix (n, q), mapped back to original Y units, as
+    float64 (the float64 statistics promote the network's output)."""
     out = forward(model.network, _standardized_input(model, x))[0]
     return destandardize_columns(out, model.output_means, model.output_sds)
 
@@ -335,9 +358,11 @@ def save_model(model: AimeModel, path) -> None:
     """Write the model to the versioned binary format (see
     docs/model_format.md). Same model, same bytes.
 
-    The layers are written straight from views of the parameter buffer,
-    so saving makes no copy of the parameters (on a little-endian host;
-    a big-endian one converts them once).
+    The parameters are stored as float32. The layers are written straight
+    from views of a float32 parameter buffer, so saving a trained model
+    makes no copy of the parameters (on a little-endian host; a
+    big-endian one converts them once, as does a float64 network, which
+    is rounded).
     """
     network = model.network
     header = [_MAGIC, struct.pack("<I", _FORMAT_VERSION)]
@@ -357,7 +382,7 @@ def save_model(model: AimeModel, path) -> None:
     header.append(history.tobytes())
     for stats in (model.input_means, model.input_sds, model.output_means, model.output_sds):
         header.append(np.asarray(stats, dtype="<f8").tobytes())
-    views = network.layer_views(network.params.astype("<f8", copy=False))
+    views = network.layer_views(network.params.astype("<f4", copy=False))
     with open(path, "wb") as fh:
         fh.write(b"".join(header))
         for layer, (weights, bias) in zip(network.layers, views):
@@ -410,7 +435,9 @@ class _Reader:
 
 
 def _finite(values: np.ndarray, what: str) -> np.ndarray:
-    if not np.isfinite(values).all():
+    # min and max propagate NaN and reach any infinity, without the
+    # layer-sized mask np.isfinite would allocate.
+    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
         raise ParseError(f"model file: non-finite value in {what}")
     return values
 
@@ -429,6 +456,11 @@ def load_model(path) -> AimeModel:
         if reader.take(4) != _MAGIC:
             raise ParseError("not a model file: bad magic bytes")
         (version,) = reader.unpack("<I")
+        if version == 1:
+            raise ParseError(
+                "model format version 1 (float64 parameters) is no longer read; "
+                "retrain the model to write version 2"
+            )
         if version != _FORMAT_VERSION:
             raise ParseError(f"unsupported model format version {version}")
         p, q, d, seed, bottleneck, n_layers = reader.unpack("<6Q")
@@ -446,11 +478,11 @@ def load_model(path) -> AimeModel:
             if act_code not in _ACTIVATION_NAMES:
                 raise ParseError(f"layer {index}: unknown activation code {act_code}")
             specs.append((fan_in, fan_out, _ACTIVATION_NAMES[act_code], rate))
-            starts.append(reader.skip(8 * fan_out * (fan_in + 1)))
+            starts.append(reader.skip(PARAM_DTYPE.itemsize * fan_out * (fan_in + 1)))
         if reader.pos != reader.size:
             raise ParseError(f"{reader.size - reader.pos} unexpected trailing bytes")
         try:
-            network = Network(specs, bottleneck_index=bottleneck)
+            network = Network(specs, bottleneck_index=bottleneck, dtype=PARAM_DTYPE)
         except AimeError as exc:
             raise ParseError(f"model file: {exc}") from None
         if network.input_size != p or network.output_size != q:
@@ -464,10 +496,9 @@ def load_model(path) -> AimeModel:
         for layer, start in zip(network.layers, starts):
             reader.fill(start, layer.weights)
             reader.fill(start + layer.weights.nbytes, layer.bias)
-    # The file is little-endian; ``params`` holds native doubles.
+    # The file is little-endian; ``params`` holds native float32s.
     if sys.byteorder == "big":
         network.params.byteswap(inplace=True)
-    # Layer by layer, so the check allocates no copy of all parameters.
     for index, layer in enumerate(network.layers):
         _finite(layer.weights, f"layer {index} weights")
         _finite(layer.bias, f"layer {index} bias")

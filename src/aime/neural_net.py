@@ -8,7 +8,12 @@ framework is involved. Conventions:
 * layer weights are (fan_out, fan_in); forward is ``a @ W.T + b``
 * dropout is inverted: at train time the kept activations are scaled by
   ``1 / (1 - rate)`` so evaluation needs no rescaling
-* the loss is mean squared error averaged over every output entry
+* the loss is mean squared error averaged over every output entry,
+  accumulated in float64
+* every array of a pass (parameters, masks, activations, gradients,
+  Adam's moments) has the dtype of the network's ``params``: float32,
+  which training uses, or float64, which the finite-difference oracle
+  needs
 """
 
 from __future__ import annotations
@@ -26,12 +31,16 @@ ACTIVATIONS = ("relu", "linear")
 LayerSpec = tuple[int, int, str, float]
 
 # adam_step runs its in-place operations over slices of this many
-# elements (256 KiB per float64 operand), so the five operands of one
+# elements (256 KiB per float32 operand), so the five operands of one
 # slice (1.25 MiB) stay in a core's L2 cache across all 14 operations;
 # over whole vectors, each operation streams every one of them through
-# memory again. At 13M parameters 16K and 32K slices were fastest, 8K
-# and 64K slower.
-ADAM_BLOCK = 1 << 15
+# memory again. At 13M float32 parameters one step took 67.0 ms with 16K
+# slices, 58.2 ms with 32K and 55.5 ms with 64K.
+ADAM_BLOCK = 1 << 16
+
+# The dtypes a network's parameters may have: float32 for training and
+# model files, float64 for the finite-difference gradient oracle.
+DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba 2015).
 ADAM_BETA1 = 0.9
@@ -101,18 +110,28 @@ class Network:
     ``bottleneck_index`` marks the layer whose output is the embedding,
     for networks that have one; plain regression networks leave it None.
 
-    Every weight and bias lives in one contiguous float64 vector,
-    ``params``, allocated zeroed: layer by layer, each layer's weights
-    (row-major) before its bias. Each layer's ``weights`` and ``bias``
-    are views into it, so one vector operation can update the whole
-    network, and initialization or loading writes straight into them.
-    An invalid plan raises ShapeError or DomainError naming the layer.
+    Every weight and bias lives in one contiguous vector of ``dtype``
+    (one of ``DTYPES``), ``params``, allocated zeroed: layer by layer,
+    each layer's weights (row-major) before its bias. Each layer's
+    ``weights`` and ``bias`` are views into it, so one vector operation
+    can update the whole network, and initialization or loading writes
+    straight into them. An invalid plan raises ShapeError or DomainError
+    naming the layer.
     """
 
-    def __init__(self, specs: list[LayerSpec], bottleneck_index: int | None = None):
+    def __init__(
+        self,
+        specs: list[LayerSpec],
+        bottleneck_index: int | None = None,
+        dtype=np.float64,
+    ):
         _check_plan(specs, bottleneck_index)
+        if np.dtype(dtype) not in DTYPES:
+            raise DomainError(f"parameter dtype must be float32 or float64, got {dtype}")
         self.bottleneck_index = bottleneck_index
-        self.params = np.zeros(sum(fan_out * (fan_in + 1) for fan_in, fan_out, _, _ in specs))
+        self.params = np.zeros(
+            sum(fan_out * (fan_in + 1) for fan_in, fan_out, _, _ in specs), dtype=dtype
+        )
         views = _split(self.params, [(fan_out, fan_in) for fan_in, fan_out, _, _ in specs])
         self.layers = [
             DenseLayer(w, b, activation, rate)
@@ -131,6 +150,10 @@ class Network:
     @property
     def output_size(self) -> int:
         return self.layers[-1].fan_out
+
+    @property
+    def dtype(self) -> np.dtype:
+        return self.params.dtype
 
 
 @dataclass
@@ -171,14 +194,15 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
 
 def _activate_grad(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return (z > 0.0).astype(z.dtype)
     return np.ones_like(z)
 
 
 def draw_dropout_masks(
     network: Network, n: int, rng: RngStream, scale: float = 1.0
 ) -> list[np.ndarray | None]:
-    """Scaled keep masks for one batch, ``None`` for zero-rate layers.
+    """Scaled keep masks for one batch, ``None`` for zero-rate layers,
+    in the network's dtype.
 
     Each layer drops at ``scale`` times its own rate (fit anneals scale
     from near 0 up to 1). Only positive-rate layers consume randomness,
@@ -190,7 +214,7 @@ def draw_dropout_masks(
         rate = layer.dropout_rate * scale
         if rate > 0.0:
             u = rng.uniform(0.0, 1.0, (n, layer.fan_out))
-            masks.append((u >= rate) / (1.0 - rate))
+            masks.append((u >= rate) * network.dtype.type(1.0 / (1.0 - rate)))
         else:
             masks.append(None)
     return masks
@@ -210,9 +234,10 @@ def forward(
     for bit. Without masks the pass is the deterministic evaluation one.
     ``stop`` runs only the first ``stop`` layers, so the output is that
     layer's and the cache holds only those layers; the embedding is read
-    this way without running the decoder.
+    this way without running the decoder. The input is cast to the
+    network's dtype.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=network.dtype)
     if x.ndim != 2 or x.shape[1] != network.input_size:
         raise ShapeError(
             f"input of shape {x.shape} does not match input size "
@@ -237,11 +262,12 @@ def forward(
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
-    """Mean squared error over all entries, and its gradient w.r.t. pred."""
+    """Mean squared error over all entries, accumulated in float64, and its
+    gradient w.r.t. pred, in pred's dtype."""
     if pred.shape != target.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
+    loss = float(np.mean(diff * diff, dtype=np.float64))
     grad = (2.0 / diff.size) * diff
     return loss, grad
 
@@ -273,11 +299,11 @@ def backward(
         )
 
     if out is None:
-        out = np.empty(network.params.size)
-    elif out.shape != network.params.shape:
+        out = np.empty_like(network.params)
+    elif out.shape != network.params.shape or out.dtype != network.dtype:
         raise ShapeError(
-            f"gradient buffer of shape {out.shape} for "
-            f"{network.params.size} parameters"
+            f"gradient buffer of shape {out.shape} and dtype {out.dtype} for "
+            f"{network.params.size} {network.dtype} parameters"
         )
 
     n = pred.shape[0]
@@ -307,8 +333,8 @@ def backward(
 @dataclass
 class AdamState:
     """Adam's step count and moment vectors, laid out like the network's
-    ``params``, plus one scratch block of up to ``ADAM_BLOCK`` elements
-    for the update."""
+    ``params`` and of its dtype, plus one scratch block of up to
+    ``ADAM_BLOCK`` elements for the update."""
 
     m: np.ndarray
     v: np.ndarray
@@ -316,14 +342,14 @@ class AdamState:
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.scratch = np.empty(min(self.m.size, ADAM_BLOCK))
+        self.scratch = np.empty(min(self.m.size, ADAM_BLOCK), dtype=self.m.dtype)
 
     @classmethod
     def for_network(cls, network: Network) -> "AdamState":
         # np.zeros, unlike np.zeros_like, leaves the zeroing of the pages
         # to the first write, so the moments cost nothing before step 1.
-        size = network.params.size
-        return cls(m=np.zeros(size), v=np.zeros(size))
+        size, dtype = network.params.size, network.dtype
+        return cls(m=np.zeros(size, dtype), v=np.zeros(size, dtype))
 
 
 def adam_step(
@@ -344,21 +370,29 @@ def adam_step(
     ``m = b1 m + (1-b1) g``, ``v = b2 v + (g g)(1-b2)``, then
     ``p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)``.
     """
-    shape = network.params.shape
-    if grads.shape != shape:
+    shape, dtype = network.params.shape, network.dtype
+    if grads.shape != shape or grads.dtype != dtype:
         raise ShapeError(
-            f"gradient of shape {grads.shape} for {network.params.size} parameters"
+            f"gradient of shape {grads.shape} and dtype {grads.dtype} for "
+            f"{network.params.size} {dtype} parameters"
         )
-    if state.m.shape != shape or state.v.shape != shape:
+    moments = (state.m.shape, state.v.shape, state.m.dtype, state.v.dtype)
+    if moments != (shape, shape, dtype, dtype):
         raise ShapeError(
             f"Adam moments of shapes {state.m.shape} and {state.v.shape} for "
-            f"{network.params.size} parameters"
+            f"{network.params.size} {dtype} parameters"
         )
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
-    keep1, keep2 = 1.0 - b1, 1.0 - b2
-    debias1, debias2 = 1.0 - b1**state.t, 1.0 - b2**state.t
-    lr, eps = config.learning_rate, ADAM_EPSILON
+    # Each scalar is converted to the parameters' dtype once per step, as
+    # numpy would on every operation: at desk scale a float32 operation
+    # on a Python float costs half a microsecond more than on the array's
+    # own scalar type, which is more than its arithmetic.
+    b1, b2, keep1, keep2, debias1, debias2, lr, eps = map(
+        dtype.type,
+        (b1, b2, 1.0 - b1, 1.0 - b2, 1.0 - b1**state.t, 1.0 - b2**state.t,
+         config.learning_rate, ADAM_EPSILON),
+    )
     for start in range(0, network.params.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         p, g = network.params[block], grads[block]
@@ -396,8 +430,14 @@ def numerical_gradients(
     mse(up) - mse(down) exactly but does not subtract two rounded O(1)
     losses: that cancellation alone leaves ~1e-11 of error at h=1e-5,
     which swamps a gradient entry of 1e-7. Cost is two forward passes
-    per scalar parameter; meant for small test networks.
+    per scalar parameter; meant for small test networks. The network must
+    be float64: a step of 1e-5 is below float32's resolution of O(1)
+    weights.
     """
+    if network.dtype != np.float64:
+        raise DomainError(
+            f"finite differences need a float64 network, got {network.dtype}"
+        )
     target = np.asarray(target, dtype=np.float64)
     params = network.params
     grads = np.zeros_like(params)

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from aime import aime_model
 from aime.aime_model import (
     BOTTLENECK_INDEX,
+    PARAM_DTYPE,
     _canonical_bottleneck,
     RELU_BIAS_INIT,
     AimeModel,
@@ -33,7 +35,15 @@ from aime.errors import (
     ShapeError,
 )
 from aime.matrix_core import RngStream, column_stats, standardize_columns
-from aime.neural_net import Network, TrainConfig, forward
+from aime.neural_net import (
+    AdamState,
+    Network,
+    TrainConfig,
+    backward,
+    draw_dropout_masks,
+    forward,
+    mse_loss,
+)
 
 
 def make_pair(n, p, q, seed=0, latent_dim=2, noise=0.1):
@@ -154,6 +164,26 @@ class TestBuildNetwork:
         assert net.params.size > 1_000_000
         assert peak < 1.1 * net.params.nbytes
 
+    def test_float32_is_float64_draws_rounded_once(self):
+        # Layer 0 holds 98,000 weights: more than one block of draws.
+        plan = build_architecture(700, 650, 4)
+        exact = build_network(plan, seed=5)
+        rounded = build_network(plan, seed=5, dtype=PARAM_DTYPE)
+        assert exact.params.dtype == np.float64
+        assert rounded.params.dtype == np.float32
+        assert rounded.params.tobytes() == exact.params.astype(np.float32).tobytes()
+
+    def test_float32_peak_memory_one_parameter_copy(self):
+        build_network(build_architecture(3, 3, 1), seed=0, dtype=PARAM_DTYPE)
+        tracemalloc.start()
+        try:
+            net = build_network(build_architecture(1600, 1600, 4), 1, PARAM_DTYPE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert net.params.size > 1_000_000
+        assert peak < 1.1 * net.params.nbytes
+
     @given(
         st.integers(1, 2000), st.integers(1, 2000), st.integers(1, 16),
         st.integers(0, 2**32),
@@ -199,7 +229,7 @@ class TestFit:
         config = TrainConfig(epochs=0, seed=3)
         model = fit(x, y, embedding_size=2, config=config)
         assert model.loss_history == []
-        fresh = build_network(build_architecture(6, 5, 2), seed=3)
+        fresh = build_network(build_architecture(6, 5, 2), seed=3, dtype=PARAM_DTYPE)
         for trained, init in zip(model.network.layers, fresh.layers):
             assert trained.weights.tobytes() == init.weights.tobytes()
             assert trained.bias.tobytes() == init.bias.tobytes()
@@ -276,18 +306,62 @@ class TestFit:
                 fit(x, y, embedding_size=2, config=config)
 
 
+class TestParameterDtype:
+    F32 = np.dtype(np.float32)
+
+    def test_fit_trains_in_float32(self, monkeypatch):
+        seen = set()
+
+        def spy_step(network, grads, state, config):
+            seen.add(("adam", network.params.dtype, grads.dtype, state.m.dtype, state.v.dtype))
+            step(network, grads, state, config)
+
+        def spy_masks(*args, **kwargs):
+            masks = draw(*args, **kwargs)
+            seen.update(("mask", m.dtype) for m in masks if m is not None)
+            return masks
+
+        step, draw = aime_model.adam_step, aime_model.draw_dropout_masks
+        monkeypatch.setattr(aime_model, "adam_step", spy_step)
+        monkeypatch.setattr(aime_model, "draw_dropout_masks", spy_masks)
+        x, y = make_pair(30, 10, 7, seed=6)
+        model = fit(x, y, 3, TrainConfig(epochs=2, batch_size=10, seed=2))
+        assert seen == {("adam", *[self.F32] * 4), ("mask", self.F32)}
+        assert model.network.params.dtype == self.F32
+        assert np.asarray(model.loss_history).dtype == np.float64
+        assert embed(model, x).dtype == np.float64
+        assert reconstruct(model, x).dtype == np.float64
+
+    def test_loaded_model_is_float32(self, tmp_path):
+        x, y = make_pair(30, 10, 7, seed=6)
+        save_model(fit(x, y, 3, TrainConfig(epochs=2, seed=2)), tmp_path / "m.bin")
+        model = load_model(tmp_path / "m.bin")
+        net = model.network
+        masks = draw_dropout_masks(net, len(x), RngStream(1, 0))
+        out, cache = forward(net, x, masks)
+        grads = backward(net, cache, mse_loss(out, np.zeros_like(out))[1])
+        state = AdamState.for_network(net)
+        dtypes = {net.params.dtype, grads.dtype, state.m.dtype, state.v.dtype}
+        dtypes |= {m.dtype for m in masks if m is not None}
+        assert dtypes == {self.F32}
+        assert np.asarray(model.loss_history).dtype == np.float64
+        assert embed(model, x).dtype == np.float64
+
+
 class TestCanonicalBottleneck:
     def test_training_embedding_is_whitened(self):
         x, y = make_pair(60, 40, 8, seed=14)
         model = fit(x, y, 3, TrainConfig(epochs=5, batch_size=20, seed=1))
         e = embed(model, x)
-        np.testing.assert_allclose(e.mean(axis=0), 0.0, atol=1e-10)
+        # The network is float32: its rounding leaves about 1e-7.
+        np.testing.assert_allclose(e.mean(axis=0), 0.0, atol=1e-5)
         # Unit variance on every axis the embedding spans, none elsewhere
-        # (a relu waist unit that died in training leaves an empty axis).
-        rank = np.linalg.matrix_rank(e)
+        # (a relu waist unit that died in training leaves an empty axis,
+        # whose sd float32 rounding puts near 1e-7 rather than at 0).
+        rank = np.linalg.matrix_rank(e, tol=1e-3 * np.abs(e).max())
         assert rank >= 2
         expected = np.diag([1.0] * rank + [0.0] * (3 - rank))
-        np.testing.assert_allclose(np.cov(e.T), expected, atol=1e-10)
+        np.testing.assert_allclose(np.cov(e.T), expected, atol=1e-5)
 
     def test_network_function_unchanged(self):
         net = build_network(build_architecture(10, 8, 3), seed=2)
@@ -302,7 +376,7 @@ class TestCanonicalBottleneck:
         e = embed(fit(x, y, 4, TrainConfig(epochs=1, seed=0)), x)
         assert e.shape == (3, 4)
         assert np.all(np.isfinite(e))
-        np.testing.assert_allclose(e.mean(axis=0), 0.0, atol=1e-10)
+        np.testing.assert_allclose(e.mean(axis=0), 0.0, atol=1e-5)
 
     def test_degenerate_axis_keeps_rank(self):
         # A bottleneck unit that never varies stays a zero-variance axis
@@ -448,7 +522,7 @@ class TestModelFile:
         # extra peak is the small header, not a copy of the parameters.
         # The bytes are those of a layer-by-layer writer.
         def layer_by_layer_bytes(model):
-            chunks = [b"AIMB", struct.pack("<I", 1)]
+            chunks = [b"AIMB", struct.pack("<I", 2)]
             chunks.append(
                 struct.pack(
                     "<6Q", model.network.input_size, model.network.output_size,
@@ -467,8 +541,8 @@ class TestModelFile:
                     struct.pack("<QQBd", layer.fan_out, layer.fan_in, code,
                                 layer.dropout_rate)
                 )
-                chunks.append(layer.weights.astype("<f8").tobytes())
-                chunks.append(layer.bias.astype("<f8").tobytes())
+                chunks.append(layer.weights.astype("<f4").tobytes())
+                chunks.append(layer.bias.astype("<f4").tobytes())
             return b"".join(chunks)
 
         x = RngStream(3, 0).standard_normal((4, 1600))
@@ -483,6 +557,22 @@ class TestModelFile:
         assert model.network.params.size > 1_000_000
         assert peak < 0.1 * model.network.params.nbytes
         assert path.read_bytes() == layer_by_layer_bytes(model)
+
+    def test_file_is_header_plus_four_bytes_per_parameter(self, tmp_path):
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        headers = self.layer0_record(model) + 25 * len(model.network.layers)
+        assert path.stat().st_size == headers + 4 * model.network.params.size
+
+    def test_version_1_rejected(self, tmp_path):
+        # Version 1 stored float64 parameters; it is not converted.
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError, match="version 1 .* retrain the model"):
+            load_model(path)
 
     def test_bad_magic(self, tmp_path):
         model, _, path = self.fitted(tmp_path)
@@ -590,7 +680,7 @@ class TestModelFile:
         # Layer 1 (2 -> 2) claims to be 5 -> 1: the same 6 parameters, so
         # the file still adds up, but layer 0's 2 outputs cannot feed it.
         layer0 = model.network.layers[0]
-        offset = self.layer0_record(model) + 25 + 8 * layer0.fan_out * (layer0.fan_in + 1)
+        offset = self.layer0_record(model) + 25 + 4 * layer0.fan_out * (layer0.fan_in + 1)
         assert struct.unpack_from("<QQ", raw, offset) == (2, 2)
         raw[offset : offset + 16] = struct.pack("<QQ", 1, 5)
         path.write_bytes(bytes(raw))

@@ -11,6 +11,7 @@ from aime.aime_model import embed, fit
 from aime.cca_baseline import fit_cca
 from aime.cli import (
     _atomic_write,
+    _escape,
     main,
     parse_config,
     read_labels,
@@ -390,7 +391,7 @@ class TestEmbedImportanceCca:
         # Layer 0's first weight follows its (fan_out, fan_in, code, rate)
         # record; see test_model_with_bad_dropout_rate_exits_2.
         offset = 4 + 4 + 48 + 8 + 8 * 2 + 16 * (8 + 6) + 25
-        raw[offset : offset + 8] = struct.pack("<d", float("nan"))
+        raw[offset : offset + 4] = struct.pack("<f", float("nan"))
         (trained / "bad.bin").write_bytes(bytes(raw))
         result = invoke(
             runner, "importance", trained / "bad.bin", trained / "d_x.tsv",
@@ -534,6 +535,12 @@ class TestPlot:
         path.write_bytes(b"\r\nid\tlabel\r\ns0\t0\r\n\r\ns1\t1\r\n")
         assert read_labels(path) == {"s0": "0", "s1": "1"}
 
+    def test_escape_matches_html_escape(self):
+        import html
+
+        for text in ["A&B<1>", "\"quoted\" & 'single'", "&amp; <>", "plain", ""]:
+            assert _escape(text) == html.escape(text, quote=True)
+
     def test_deterministic_svg(self):
         coords = np.array([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
         labels = ["a", "b", "a"]
@@ -568,6 +575,16 @@ class TestAtomicWrite:
             assert not target.exists()
         else:
             assert target.read_text() == existing
+
+
+    def test_missing_directory_names_the_given_path(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = invoke(runner, "synth", "nodir/demo", "--n", 10, "--p", 4, "--q", 4,
+                        "--n-signal", 2)
+        assert result.exit_code == 2
+        assert "error: [Errno 2] No such file or directory: 'nodir/demo_x.tsv'" in result.stderr
+        assert ".tmp_" not in result.stderr
+        assert "Traceback" not in result.output
 
 
 class TestHelp:

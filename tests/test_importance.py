@@ -3,11 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
-from aime.aime_model import AimeModel, embed
+from aime.aime_model import AimeModel, embed, fit
 from aime.errors import DomainError, ShapeError
 from aime.importance import permutation_importance, top_fraction
 from aime.matrix_core import KIND_IMPORTANCE, RngStream, permute_column, stream_id
-from aime.neural_net import Network
+from aime.neural_net import Network, TrainConfig
 
 
 def hand_model(w):
@@ -42,6 +42,18 @@ class TestExactZeros:
         assert scores[1] == 0.0
         assert scores[0] > 0.0
         assert scores[2] > 0.0
+
+    def test_float32_model_zero_weight_and_constant_columns(self):
+        x = RngStream(8, 0).standard_normal((30, 8))
+        x[:, 5] = 3.0
+        y = RngStream(8, 1).standard_normal((30, 6))
+        model = fit(x, y, 2, TrainConfig(epochs=2, batch_size=10, seed=1))
+        assert model.network.params.dtype == np.float32
+        model.network.layers[0].weights[:, 2] = 0.0
+        scores = permutation_importance(model, x, repeats=3)
+        assert scores[2] == 0.0
+        assert scores[5] == 0.0
+        assert np.all(np.delete(scores, [2, 5]) > 0.0)
 
     def test_all_zero_weights_rank_by_index(self):
         model = hand_model(np.zeros((2, 4)))

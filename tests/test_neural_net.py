@@ -25,11 +25,11 @@ from aime.neural_net import (
 )
 
 
-def hand_network(layers, bottleneck_index=None):
+def hand_network(layers, bottleneck_index=None, dtype=np.float64):
     """A Network holding the given values: one (weights, bias,
     activation, dropout_rate) tuple per layer."""
     specs = [(len(w[0]), len(w), act, rate) for w, _, act, rate in layers]
-    net = Network(specs, bottleneck_index)
+    net = Network(specs, bottleneck_index, dtype)
     for (w, b), layer in zip(net.layer_views(net.params), layers):
         w[...], b[...] = layer[:2]
     return net
@@ -45,7 +45,7 @@ def tiny_network():
     )
 
 
-def random_network(sizes, rng, dropout=None):
+def random_network(sizes, rng, dropout=None, dtype=np.float64):
     layers = []
     for i in range(len(sizes) - 1):
         w = rng.standard_normal((sizes[i + 1], sizes[i])) * 0.5
@@ -53,7 +53,7 @@ def random_network(sizes, rng, dropout=None):
         act = "linear" if i == len(sizes) - 2 else "relu"
         rate = dropout[i] if dropout else 0.0
         layers.append((w, b, act, rate))
-    return hand_network(layers)
+    return hand_network(layers, dtype=dtype)
 
 
 def relu_margin(network, x, masks):
@@ -156,6 +156,11 @@ class TestPlan:
         with pytest.raises(DomainError, match="layer 0: dropout rate"):
             Network([(2, 3, "relu", rate)])
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128])
+    def test_dtype_is_float32_or_float64(self, dtype):
+        with pytest.raises(DomainError, match="float32 or float64"):
+            Network([(2, 3, "relu", 0.0)], dtype=dtype)
+
 
 class TestParameterBuffer:
     def test_layers_are_views_in_layer_order(self):
@@ -213,6 +218,26 @@ class TestMseLoss:
             mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
+class TestFloat32Pass:
+    def test_every_array_stays_float32(self):
+        # A float64 array anywhere in the pass would promote the rest.
+        net = random_network([5, 4, 3], RngStream(36, 0), [0.2, 0.0], np.float32)
+        x = RngStream(36, 1).standard_normal((6, 5))
+        target = RngStream(36, 2).standard_normal((6, 3)).astype(np.float32)
+        out, cache = forward(net, x, draw_dropout_masks(net, 6, RngStream(36, 3)))
+        _, loss_grad = mse_loss(out, target)
+        grads = backward(net, cache, loss_grad)
+        arrays = [out, loss_grad, grads, *cache.pre_activations, *cache.outputs]
+        assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+    def test_loss_accumulated_in_float64(self):
+        pred = RngStream(37, 0).standard_normal((50, 40)).astype(np.float32)
+        target = np.zeros_like(pred)
+        loss, _ = mse_loss(pred, target)
+        squares = (pred * pred).astype(np.float64)
+        assert loss == float(np.mean(squares))
+
+
 class TestBackward:
     def test_hand_worked_gradient(self):
         # loss = (pred - y)^2 with pred = 2, y = 0 -> dL/dpred = 4
@@ -261,6 +286,8 @@ class TestBackward:
         assert buf.tobytes() == backward(net, cache, loss_grad).tobytes()
         with pytest.raises(ShapeError):
             backward(net, cache, loss_grad, out=np.empty(net.params.size + 1))
+        with pytest.raises(ShapeError, match="dtype float32"):
+            backward(net, cache, loss_grad, out=np.empty(net.params.size, np.float32))
 
     def test_cache_network_mismatch(self):
         net = tiny_network()
@@ -317,6 +344,11 @@ class TestGradientCheck:
         numeric = numerical_gradients(net, x, y)
         assert max_relative_error(grads, numeric) > 1e-2
 
+    def test_oracle_needs_float64(self):
+        net = hand_network([([[1.5]], [0.0], "linear", 0.0)], dtype=np.float32)
+        with pytest.raises(DomainError, match="float64"):
+            numerical_gradients(net, np.array([[2.0]]), np.array([[1.0]]))
+
     def test_numeric_matches_slope_of_loss(self):
         # Independent check of the checker itself on a 1-parameter net.
         net = hand_network([([[1.5]], [0.0], "linear", 0.0)])
@@ -368,6 +400,18 @@ class TestDropout:
         eval_out = forward(net, x)[0][0, 0]
         se = outs.std(ddof=1) / np.sqrt(draws)
         assert abs(outs.mean() - eval_out) < 3.0 * se
+
+    def test_masks_follow_network_dtype(self):
+        # The same draws in either dtype: float32 masks are the float64
+        # ones rounded once.
+        sizes, rates = [4, 3, 3, 2], [0.3, 0.0, 0.0]
+        wide = random_network(sizes, RngStream(35, 0), dropout=rates)
+        narrow = random_network(sizes, RngStream(35, 0), dropout=rates, dtype=np.float32)
+        m64 = draw_dropout_masks(wide, 20, RngStream(35, 1), scale=0.5)
+        m32 = draw_dropout_masks(narrow, 20, RngStream(35, 1), scale=0.5)
+        assert m32[0].dtype == np.float32
+        assert m32[0].tobytes() == m64[0].astype(np.float32).tobytes()
+        assert m32[1:] == [None, None]
 
     def test_eval_pass_deterministic(self):
         net = random_network([4, 3, 2], RngStream(33, 0), dropout=[0.9, 0.0])
@@ -501,22 +545,38 @@ class TestAdam:
         y = rng.standard_normal((8, 2))
         self.check_against_per_layer_reference(net, x, y, steps=6)
 
-    def test_blocked_step_matches_per_layer_reference(self):
+    def check_blocked_step(self, dtype):
         # Over two full blocks and a partial third one, with block
         # boundaries falling inside the first layer's weights.
         rng = RngStream(42, 0)
-        net = random_network([300, 220, 3], rng)
+        net = random_network([600, 220, 3], rng, dtype=dtype)
         assert net.params.size > 2 * ADAM_BLOCK
         assert net.params.size % ADAM_BLOCK != 0
-        assert AdamState.for_network(net).scratch.size == ADAM_BLOCK
-        x = rng.standard_normal((6, 300))
-        y = rng.standard_normal((6, 3))
+        state = AdamState.for_network(net)
+        assert state.scratch.size == ADAM_BLOCK
+        assert state.m.dtype == state.v.dtype == state.scratch.dtype == dtype
+        x = rng.standard_normal((6, 600)).astype(dtype)
+        y = rng.standard_normal((6, 3)).astype(dtype)
         self.check_against_per_layer_reference(net, x, y, steps=3)
+
+    def test_blocked_step_matches_per_layer_reference(self):
+        self.check_blocked_step(np.float64)
+
+    def test_float32_blocked_step_matches_per_layer_reference(self):
+        self.check_blocked_step(np.float32)
 
     def test_gradient_layout_checked(self):
         net = tiny_network()
         with pytest.raises(ShapeError):
             adam_step(net, np.zeros(3), AdamState.for_network(net), TrainConfig())
+
+    def test_dtype_mismatch_checked(self):
+        net = hand_network([([[1.0]], [0.0], "linear", 0.0)], dtype=np.float32)
+        with pytest.raises(ShapeError, match="dtype float64"):
+            adam_step(net, np.zeros(2), AdamState.for_network(net), TrainConfig())
+        with pytest.raises(ShapeError, match="moments"):
+            state = AdamState(m=np.zeros(2), v=np.zeros(2))
+            adam_step(net, np.zeros(2, np.float32), state, TrainConfig())
 
     def test_moment_layout_checked(self):
         # A state built for a larger network must not be sliced silently.
