@@ -252,18 +252,21 @@ def fit(
     history: list[float] = []
     for epoch in range(config.epochs):
         order = permuted(np.arange(n), RngStream(seed, stream_id(KIND_SHUFFLE, epoch)))
+        # The epoch's rows in shuffled order, so each batch is a slice.
+        x_epoch, y_epoch = xs[order], ys[order]
         mask_rng = RngStream(seed, stream_id(KIND_DROPOUT, epoch))
         ramp = (epoch + 1) / config.epochs
         total = 0.0
         for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            xb, yb = xs[idx], ys[idx]
-            masks = draw_dropout_masks(network, len(idx), mask_rng, ramp)
+            xb = x_epoch[start : start + config.batch_size]
+            yb = y_epoch[start : start + config.batch_size]
+            rows = len(xb)
+            masks = draw_dropout_masks(network, rows, mask_rng, ramp)
             out, cache = forward(network, xb, masks)
             loss, loss_grad = mse_loss(out, yb)
             backward(network, cache, loss_grad, out=grads)
             adam_step(network, grads, state, config)
-            total += loss * len(idx)
+            total += loss * rows
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
             raise NumericalError(
@@ -271,6 +274,8 @@ def fit(
                 "lower the learning rate or check the data scale"
             )
         history.append(epoch_loss)
+    # backward keeps views of the last gradient buffer; the model need not.
+    network._grad_views = None
     if history:
         _canonical_bottleneck(network, xs)
 

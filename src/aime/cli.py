@@ -251,8 +251,13 @@ def cmd_train(x_path, y_path, d, epochs, seed, learning_rate, batch_size, model_
         f"{i + 1}\t{float(loss)!r}\n" for i, loss in enumerate(model.loss_history)
     )
     _atomic_write(history_out, lambda tmp: _write_text(tmp, history))
-    final = model.loss_history[-1] if model.loss_history else float("nan")
-    click.echo(f"trained {x.n_samples} samples, final epoch loss {final:.6f}")
+    if model.loss_history:
+        click.echo(
+            f"trained {x.n_samples} samples, final epoch loss "
+            f"{model.loss_history[-1]:.6f}"
+        )
+    else:
+        click.echo(f"{x.n_samples} samples: no epoch ran; the model is as initialized")
 
 
 # ---------------------------------------------------------------- embed

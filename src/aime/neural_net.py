@@ -137,6 +137,10 @@ class Network:
             DenseLayer(w, b, activation, rate)
             for (w, b), (_, _, activation, rate) in zip(views, specs)
         ]
+        # The gradient buffer backward last wrote and its layer views, so
+        # a training loop that passes one buffer on every step splits it
+        # once.
+        self._grad_views: tuple[np.ndarray, list] | None = None
 
     def layer_views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(weights, bias) views of each layer into a vector laid out like
@@ -166,8 +170,14 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise DomainError(f"learning_rate must be > 0, got {self.learning_rate}")
+        # Training runs in float32, where 1e308 is inf and 1e-50 is 0.
+        with np.errstate(over="ignore"):
+            rounded = np.float32(self.learning_rate)
+        if not (self.learning_rate > 0 and 0 < rounded < np.inf):
+            raise DomainError(
+                "learning_rate must be > 0 and finite in float32, got "
+                f"{self.learning_rate}"
+            )
         if self.batch_size < 1:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -192,12 +202,6 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activate_grad(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return (z > 0.0).astype(z.dtype)
-    return np.ones_like(z)
-
-
 def draw_dropout_masks(
     network: Network, n: int, rng: RngStream, scale: float = 1.0
 ) -> list[np.ndarray | None]:
@@ -207,14 +211,22 @@ def draw_dropout_masks(
     Each layer drops at ``scale`` times its own rate (fit anneals scale
     from near 0 up to 1). Only positive-rate layers consume randomness,
     in layer order, so the draw sequence is stable under architecture
-    changes that touch only no-dropout layers.
+    changes that touch only no-dropout layers. The draws for all of them
+    are taken in one call and split in layer order, which yields the
+    same doubles as one ``uniform(0, 1, (n, fan_out))`` call per layer.
     """
+    rates = [layer.dropout_rate * scale for layer in network.layers]
+    units = sum(layer.fan_out for layer, rate in zip(network.layers, rates) if rate > 0.0)
+    u = np.empty(n * units)
+    rng.fill_uniform(u)
     masks: list[np.ndarray | None] = []
-    for layer in network.layers:
-        rate = layer.dropout_rate * scale
+    start = 0
+    for layer, rate in zip(network.layers, rates):
         if rate > 0.0:
-            u = rng.uniform(0.0, 1.0, (n, layer.fan_out))
-            masks.append((u >= rate) * network.dtype.type(1.0 / (1.0 - rate)))
+            end = start + n * layer.fan_out
+            keep = u[start:end].reshape(n, layer.fan_out) >= rate
+            masks.append(keep * network.dtype.type(1.0 / (1.0 - rate)))
+            start = end
         else:
             masks.append(None)
     return masks
@@ -267,7 +279,8 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     if pred.shape != target.shape:
         raise ShapeError(f"prediction {pred.shape} vs target {target.shape}")
     diff = pred - target
-    loss = float(np.mean(diff * diff, dtype=np.float64))
+    # np.mean's own arithmetic, without its Python wrapper.
+    loss = float(np.add.reduce(diff * diff, axis=None, dtype=np.float64) / diff.size)
     grad = (2.0 / diff.size) * diff
     return loss, grad
 
@@ -306,9 +319,12 @@ def backward(
             f"{network.params.size} {network.dtype} parameters"
         )
 
+    if network._grad_views is None or network._grad_views[0] is not out:
+        network._grad_views = (out, network.layer_views(out))
+    views = network._grad_views[1]
+
     n = pred.shape[0]
     grad_a = loss_grad
-    views = network.layer_views(out)
     for idx in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[idx]
         z = cache.pre_activations[idx]
@@ -320,7 +336,9 @@ def backward(
         mask = cache.masks[idx]
         if mask is not None:
             grad_a = grad_a * mask
-        grad_z = grad_a * _activate_grad(layer.activation, z)
+        # relu passes the gradient where z > 0; the bool operand
+        # multiplies as 0.0 or 1.0. A linear layer passes it unchanged.
+        grad_z = grad_a * (z > 0.0) if layer.activation == "relu" else grad_a
         below = cache.x if idx == 0 else cache.outputs[idx - 1]
         gw, gb = views[idx]
         np.matmul(grad_z.T, below, out=gw)
@@ -340,9 +358,25 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
+    _constants: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.scratch = np.empty(min(self.m.size, ADAM_BLOCK), dtype=self.m.dtype)
+
+    def constants(self, learning_rate: float) -> tuple:
+        """b1, b2, 1-b1, 1-b2, the learning rate and eps in the moments'
+        dtype, converted once per learning rate, as numpy would convert
+        them on every operation: at desk scale a float32 operation on a
+        Python float costs half a microsecond more than on the array's
+        own scalar type, which is more than its arithmetic."""
+        if self._constants[0] != learning_rate:
+            b1, b2 = ADAM_BETA1, ADAM_BETA2
+            self._constants = (
+                learning_rate,
+                tuple(map(self.m.dtype.type,
+                          (b1, b2, 1.0 - b1, 1.0 - b2, learning_rate, ADAM_EPSILON))),
+            )
+        return self._constants[1]
 
     @classmethod
     def for_network(cls, network: Network) -> "AdamState":
@@ -383,16 +417,9 @@ def adam_step(
             f"{network.params.size} {dtype} parameters"
         )
     state.t += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    # Each scalar is converted to the parameters' dtype once per step, as
-    # numpy would on every operation: at desk scale a float32 operation
-    # on a Python float costs half a microsecond more than on the array's
-    # own scalar type, which is more than its arithmetic.
-    b1, b2, keep1, keep2, debias1, debias2, lr, eps = map(
-        dtype.type,
-        (b1, b2, 1.0 - b1, 1.0 - b2, 1.0 - b1**state.t, 1.0 - b2**state.t,
-         config.learning_rate, ADAM_EPSILON),
-    )
+    b1, b2, keep1, keep2, lr, eps = state.constants(config.learning_rate)
+    debias1 = dtype.type(1.0 - ADAM_BETA1**state.t)
+    debias2 = dtype.type(1.0 - ADAM_BETA2**state.t)
     for start in range(0, network.params.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         p, g = network.params[block], grads[block]

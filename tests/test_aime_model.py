@@ -34,8 +34,18 @@ from aime.errors import (
     ParseError,
     ShapeError,
 )
-from aime.matrix_core import RngStream, column_stats, standardize_columns
+from aime.matrix_core import (
+    KIND_DROPOUT,
+    KIND_SHUFFLE,
+    RngStream,
+    column_stats,
+    standardize_columns,
+    stream_id,
+)
 from aime.neural_net import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     Network,
     TrainConfig,
@@ -298,12 +308,91 @@ class TestFit:
 
     def test_divergence_raises_numerical_error(self):
         x, y = make_pair(30, 6, 6, seed=5)
-        config = TrainConfig(learning_rate=1e200, epochs=3, batch_size=8, seed=0)
-        # The absurd learning rate overflows float64 on the way to the
+        config = TrainConfig(learning_rate=1e30, epochs=3, batch_size=8, seed=0)
+        # The absurd learning rate overflows float32 on the way to the
         # non-finite loss we are checking for; silence numpy's warnings.
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="epoch"):
                 fit(x, y, embedding_size=2, config=config)
+
+
+def reference_fit(x, y, embedding_size, config):
+    """fit's training loop written out the plain way, kept as a bitwise
+    oracle for the optimized one: per-layer uniform mask draws, an
+    explicit float relu gradient, the textbook mean loss, per-batch row
+    gathers, and Adam's scalars converted on every step. Returns the
+    params after the principal-axes pass and the loss history."""
+    f32 = PARAM_DTYPE.type
+    xs = standardize_columns(x, *column_stats(x)).astype(PARAM_DTYPE)
+    ys = standardize_columns(y, *column_stats(y)).astype(PARAM_DTYPE)
+    plan = build_architecture(x.shape[1], y.shape[1], embedding_size)
+    network = build_network(plan, config.seed, PARAM_DTYPE)
+    m, v, t = np.zeros_like(network.params), np.zeros_like(network.params), 0
+    n, history = len(xs), []
+    for epoch in range(config.epochs):
+        order = RngStream(config.seed, stream_id(KIND_SHUFFLE, epoch)).permutation(n)
+        mask_rng = RngStream(config.seed, stream_id(KIND_DROPOUT, epoch))
+        scale = (epoch + 1) / config.epochs
+        total = 0.0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            masks = []
+            for layer in network.layers:
+                rate = layer.dropout_rate * scale
+                if rate > 0.0:
+                    u = mask_rng.uniform(0.0, 1.0, (len(idx), layer.fan_out))
+                    masks.append((u >= rate) * f32(1.0 / (1.0 - rate)))
+                else:
+                    masks.append(None)
+            out, cache = forward(network, xs[idx], masks)
+            diff = out - ys[idx]
+            total += float(np.mean(diff * diff, dtype=np.float64)) * len(idx)
+            grad_a = (2.0 / diff.size) * diff
+            grads = []
+            for k in range(len(network.layers) - 1, -1, -1):
+                layer, z = network.layers[k], cache.pre_activations[k]
+                if masks[k] is not None:
+                    grad_a = grad_a * masks[k]
+                if layer.activation == "relu":
+                    grad_z = grad_a * (z > 0.0).astype(z.dtype)
+                else:
+                    grad_z = grad_a * np.ones_like(z)
+                below = cache.x if k == 0 else cache.outputs[k - 1]
+                grads[:0] = [(grad_z.T @ below).ravel(), grad_z.sum(axis=0)]
+                grad_a = grad_z @ layer.weights
+            g = np.concatenate(grads)
+            t += 1
+            b1, b2 = ADAM_BETA1, ADAM_BETA2
+            m[:] = f32(b1) * m + g * f32(1.0 - b1)
+            v[:] = f32(b2) * v + g * g * f32(1.0 - b2)
+            m_hat = m / f32(1.0 - b1**t) * f32(config.learning_rate)
+            v_hat = np.sqrt(v / f32(1.0 - b2**t)) + f32(ADAM_EPSILON)
+            network.params[:] -= m_hat / v_hat
+        history.append(total / n)
+    if history:
+        _canonical_bottleneck(network, xs)
+    return network.params, history
+
+
+class TestFitOracle:
+    """fit's params and loss history equal the plain reference loop's to
+    the bit, at the desk shape (p = q = 40, d = 4)."""
+
+    @pytest.mark.parametrize(
+        "n, batch_size",
+        [(600, 32), (50, 64)],
+        ids=["600 rows, short last batch of 24", "batch above n"],
+    )
+    def test_params_and_history_bitwise(self, n, batch_size):
+        x, y = make_pair(n, 40, 40, seed=8)
+        config = TrainConfig(epochs=4, batch_size=batch_size, seed=2)
+        model = fit(x, y, 4, config)
+        params, history = reference_fit(x, y, 4, config)
+        assert model.network.params.dtype == params.dtype
+        assert model.network.params.tobytes() == params.tobytes()
+        assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
+        # The model does not keep the training gradient buffer alive.
+        assert model.network._grad_views is None
 
 
 class TestParameterDtype:

@@ -284,13 +284,38 @@ class TestSynthAndTrain:
         assert "run.conf: byte 0xff at offset 11" in result.stderr
         assert not (tmp_path / "m.bin").exists()
 
+    def test_zero_epochs_reports_initial_model(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        result = invoke(
+            runner, "train", x, y, "--dim", 2, "--epochs", 0,
+            "--model-out", tmp_path / "m.bin",
+        )
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "40 samples: no epoch ran; the model is as initialized\n"
+        assert (tmp_path / "m.bin").exists()
+        assert (tmp_path / "m.bin.history").read_text() == ""
+
+    @pytest.mark.parametrize("rate", ["inf", "1e308"])
+    def test_learning_rate_infinite_in_float32_exits_2(self, runner, tmp_path, rate):
+        # 1e308 is finite in float64 but rounds to inf in float32.
+        x, y = self.synth(runner, tmp_path)
+        result = invoke(
+            runner, "train", x, y, "--epochs", 1, "--learning-rate", rate,
+            "--model-out", tmp_path / "m.bin",
+        )
+        assert result.exit_code == 2
+        assert "learning_rate must be > 0 and finite in float32" in result.stderr
+        assert "Traceback" not in result.output
+        assert "invalid value" not in result.stderr
+        assert not (tmp_path / "m.bin").exists()
+
     def test_divergent_training_exits_3(self, runner, tmp_path):
         x, y = self.synth(runner, tmp_path, n=20)
         # Overflow on the way to the non-finite loss is the point here.
         with np.errstate(over="ignore", invalid="ignore"):
             result = invoke(
                 runner, "train", x, y, "--epochs", 5,
-                "--learning-rate", "1e200",
+                "--learning-rate", "1e30",
                 "--model-out", tmp_path / "m.bin",
             )
         assert result.exit_code == 3

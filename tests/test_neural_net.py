@@ -289,6 +289,21 @@ class TestBackward:
         with pytest.raises(ShapeError, match="dtype float32"):
             backward(net, cache, loss_grad, out=np.empty(net.params.size, np.float32))
 
+    def test_switching_buffers_writes_the_new_one(self):
+        # backward keeps the layer views of the buffer it last wrote; a
+        # different buffer must get views of its own.
+        net = random_network([4, 3, 2], RngStream(6, 0))
+        x = RngStream(6, 1).standard_normal((5, 4))
+        out, cache = forward(net, x)
+        loss_grad = mse_loss(out, RngStream(6, 2).standard_normal((5, 2)))[1]
+        expected = backward(net, cache, loss_grad).tobytes()
+        first, second = np.zeros(net.params.size), np.zeros(net.params.size)
+        backward(net, cache, loss_grad, out=first)
+        backward(net, cache, 0.0 * loss_grad, out=second)
+        backward(net, cache, loss_grad, out=second)
+        assert first.tobytes() == expected
+        assert second.tobytes() == expected
+
     def test_cache_network_mismatch(self):
         net = tiny_network()
         _, cache = forward(net, np.array([[1.0, 2.0]]))
@@ -413,6 +428,33 @@ class TestDropout:
         assert m32[0].tobytes() == m64[0].astype(np.float32).tobytes()
         assert m32[1:] == [None, None]
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_draw_equals_per_layer_draws(self, dtype):
+        # The masks come from one draw split in layer order; they must be
+        # the masks of one uniform(0, 1) call per positive-rate layer,
+        # and leave the stream where those calls would.
+        sizes, rates = [5, 4, 3, 6, 2], [0.4, 0.0, 0.25, 0.0]
+        net = random_network(sizes, RngStream(37, 0), dropout=rates, dtype=dtype)
+        rng, ref_rng = RngStream(37, 1), RngStream(37, 1)
+        for n, scale in ((7, 0.3), (1, 0.9), (4, 1.0)):
+            masks = draw_dropout_masks(net, n, rng, scale)
+            for layer, mask in zip(net.layers, masks):
+                rate = layer.dropout_rate * scale
+                if rate == 0.0:
+                    assert mask is None
+                    continue
+                u = ref_rng.uniform(0.0, 1.0, (n, layer.fan_out))
+                expected = (u >= rate) * net.dtype.type(1.0 / (1.0 - rate))
+                assert mask.dtype == net.dtype
+                assert mask.tobytes() == expected.tobytes()
+        assert rng.uniform(0.0, 1.0, 3).tobytes() == ref_rng.uniform(0.0, 1.0, 3).tobytes()
+
+    def test_no_dropout_consumes_no_draws(self):
+        net = random_network([4, 3, 2], RngStream(38, 0))
+        rng = RngStream(38, 1)
+        assert draw_dropout_masks(net, 5, rng) == [None, None]
+        assert rng.uniform(0.0, 1.0, 2).tobytes() == RngStream(38, 1).uniform(0.0, 1.0, 2).tobytes()
+
     def test_eval_pass_deterministic(self):
         net = random_network([4, 3, 2], RngStream(33, 0), dropout=[0.9, 0.0])
         x = RngStream(33, 1).standard_normal((5, 4))
@@ -434,6 +476,16 @@ class TestTrainConfig:
         with pytest.raises(DomainError):
             TrainConfig(epochs=-1)
 
+    @pytest.mark.parametrize("rate", [float("inf"), 1e308, float("nan"), 1e-50])
+    def test_rejects_learning_rate_outside_float32(self, rate):
+        # Training runs in float32, where 1e308 rounds to inf and 1e-50 to 0.
+        with pytest.raises(DomainError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
+    def test_accepts_float32_extremes(self):
+        TrainConfig(learning_rate=float(np.finfo(np.float32).max))
+        TrainConfig(learning_rate=1e-45)
+
 
 class TestAdam:
     def scalar_reference(self, grads, lr, b1, b2, eps, w0):
@@ -453,6 +505,17 @@ class TestAdam:
         assert net.layers[0].weights[0, 0] == 2.0
         assert net.layers[0].bias[0] == 0.5
         assert state.t == 1
+
+    def test_learning_rate_change_takes_effect(self):
+        # The state converts its constants once per learning rate, so a
+        # second rate on the same state must not reuse the first.
+        net = hand_network([([[1.0]], [0.0], "linear", 0.0)])
+        state = AdamState.for_network(net)
+        for lr in (0.1, 0.01):
+            adam_step(net, np.array([0.5, 0.0]), state, TrainConfig(learning_rate=lr))
+        # A constant gradient makes every bias-corrected step exactly lr
+        # in size, up to eps.
+        assert net.layers[0].weights[0, 0] == pytest.approx(1.0 - 0.1 - 0.01, rel=1e-7)
 
     def test_first_step_magnitude_is_learning_rate(self):
         net = hand_network([([[1.0]], [0.0], "linear", 0.0)])
