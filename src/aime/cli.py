@@ -30,6 +30,7 @@ from .data_io import (
     cv_filter,
     delimiter_char,
     read_labeled,
+    read_labeled_text,
     read_text,
     sd_filter,
     write_labeled,
@@ -207,12 +208,14 @@ def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, or
     """Drop low-variability features from a labeled matrix."""
     if use_cv == use_sd:
         raise DomainError("pass exactly one of --cv or --sd")
-    m = read_labeled(input_path, delimiter=delimiter, orientation=orientation)
+    table = read_labeled_text(input_path, delimiter=delimiter, orientation=orientation)
+    m = table.matrix
     if use_cv:
         kept = cv_filter(m, 0.05 if threshold is None else threshold)
     else:
         kept = sd_filter(m, 1.25 if threshold is None else threshold)
-    _atomic_write(output_path, lambda tmp: write_labeled(kept, tmp, delimiter=delimiter))
+    # The kept cells are copied as the input spelled them, not re-printed.
+    _atomic_write(output_path, lambda tmp: table.write_features(kept.feature_ids, tmp))
     click.echo(
         f"kept {kept.n_features} of {m.n_features} features "
         f"(dropped {m.n_features - kept.n_features})"
@@ -401,7 +404,8 @@ def cmd_synth(out_prefix, n, p, q, n_signal, noise_sd, design, seed, delimiter):
 
 def read_labels(path: str, delimiter: str = "tab") -> dict[str, str]:
     """Read the two-column id/label sidecar written by the synth command.
-    Blank lines are skipped; errors name the file and its 1-based line."""
+    Whitespace around an id or label is stripped, as matrix ids are, and
+    blank lines are skipped; errors name the file and its 1-based line."""
     sep = delimiter_char(delimiter)
     lines = [
         (line_no, line)
@@ -410,7 +414,7 @@ def read_labels(path: str, delimiter: str = "tab") -> dict[str, str]:
     ]
     out: dict[str, str] = {}
     for line_no, line in lines[1:]:
-        parts = line.split(sep)
+        parts = [part.strip() for part in line.split(sep)]
         if len(parts) != 2:
             raise ParseError(
                 f"{path}: line {line_no}: expected 2 fields, got {len(parts)}"

@@ -5,8 +5,11 @@ names in the first column (or the transpose, when ``orientation`` says the
 features run down the rows). A cell is any number Python's ``float()``
 accepts, without underscores, and must be finite; whitespace around it is
 allowed. A cell outside that set raises ParseError naming its line and
-column. Values are written in shortest round-trippable decimal form, so a
-write/read cycle reproduces the floats bit for bit.
+column. ``write_labeled`` prints values in shortest round-trippable decimal
+form, while ``LabeledText.write_features`` (what ``aime filter`` writes)
+copies each kept cell as the input spelled it, minus surrounding whitespace.
+Either way, reading the output back reproduces the floats bit for bit, and
+for a file that ``write_labeled`` wrote the two outputs are the same bytes.
 """
 
 from __future__ import annotations
@@ -116,6 +119,44 @@ def read_text(path) -> str:
         ) from None
 
 
+@dataclass
+class LabeledText:
+    """A matrix file's lines together with the matrix parsed from them, so
+    that selected features can be written back as the file spelled them."""
+
+    lines: list[str]  # header first, no empty line after the last row
+    matrix: LabeledMatrix
+    sep: str
+    orientation: str
+
+    def write_features(self, feature_ids: list[str], path) -> None:
+        """Write the named features, samples in rows, with unix newlines.
+
+        The header is ``id`` and the feature ids; each cell is the input
+        cell's text stripped of surrounding whitespace, so reading the file
+        back gives the same floats bit for bit. Input rows are copied one
+        line at a time; a features-in-rows input holds the kept rows' fields
+        to transpose them.
+        """
+        sep = self.sep
+        position = {f: j for j, f in enumerate(self.matrix.feature_ids)}
+        # Field k of a samples-in-rows line, or line k of a features-in-rows
+        # file, holds feature k - 1.
+        keep = [position[f] + 1 for f in feature_ids]
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(sep.join(["id", *feature_ids]) + "\n")
+            if self.orientation == "samples_in_rows":
+                keep = [0, *keep]  # the sample label, then the kept cells
+                for line in self.lines[1:]:
+                    fields = line.split(sep)
+                    handle.write(sep.join([fields[k].strip() for k in keep]) + "\n")
+            else:
+                rows = [self.lines[k].split(sep) for k in keep]
+                for i, label in enumerate(self.matrix.sample_ids, start=1):
+                    cells = [row[i].strip() for row in rows]
+                    handle.write(sep.join([label, *cells]) + "\n")
+
+
 def read_labeled(
     path,
     delimiter: str = "tab",
@@ -128,6 +169,16 @@ def read_labeled(
     always comes back samples-in-rows. Ragged or non-numeric content raises
     ParseError pointing at the offending line and column (both 1-based).
     """
+    return read_labeled_text(path, delimiter, orientation).matrix
+
+
+def read_labeled_text(
+    path,
+    delimiter: str = "tab",
+    orientation: str = "samples_in_rows",
+) -> LabeledText:
+    """What ``read_labeled`` reads, with the lines it parsed, from one
+    read of the file."""
     sep = delimiter_char(delimiter)
     if orientation not in ("samples_in_rows", "features_in_rows"):
         raise DomainError(f"unknown orientation {orientation!r}")
@@ -177,9 +228,10 @@ def read_labeled(
     else:
         sample_ids, feature_ids = row_labels, col_labels
     try:
-        return LabeledMatrix(values, sample_ids, feature_ids)
+        matrix = LabeledMatrix(values, sample_ids, feature_ids)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    return LabeledText(lines, matrix, sep, orientation)
 
 
 def write_labeled(m: LabeledMatrix, path, delimiter: str = "tab") -> None:
@@ -191,9 +243,9 @@ def write_labeled(m: LabeledMatrix, path, delimiter: str = "tab") -> None:
     """
     sep = delimiter_char(delimiter)
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write("id" + sep + sep.join(m.feature_ids) + "\n")
+        handle.write(sep.join(["id", *m.feature_ids]) + "\n")
         for label, row in zip(m.sample_ids, m.values):
-            handle.write(label + sep + sep.join(map(repr, row.tolist())) + "\n")
+            handle.write(sep.join([label, *map(repr, row.tolist())]) + "\n")
 
 
 def delimiter_char(delimiter: str) -> str:
@@ -232,8 +284,10 @@ def cv_filter(m: LabeledMatrix, threshold: float) -> LabeledMatrix:
     """Keep features whose coefficient of variation sd/|mean| exceeds threshold.
 
     Features whose mean is within NEAR_ZERO_MEAN of zero have no meaningful
-    CV; they are dropped and counted in a warning.
+    CV; they are dropped and counted in a warning. A threshold that is NaN
+    or infinite raises DomainError.
     """
+    _check_threshold(threshold)
     means, sds = column_stats(m.values)
     kept: list[int] = []
     near_zero = 0
@@ -252,10 +306,19 @@ def cv_filter(m: LabeledMatrix, threshold: float) -> LabeledMatrix:
 
 
 def sd_filter(m: LabeledMatrix, threshold: float) -> LabeledMatrix:
-    """Keep features whose sample standard deviation exceeds threshold."""
+    """Keep features whose sample standard deviation exceeds threshold.
+    A threshold that is NaN or infinite raises DomainError."""
+    _check_threshold(threshold)
     _, sds = column_stats(m.values)
     kept = [j for j in range(m.n_features) if sds[j] > threshold]
     return _warn_if_empty(m.select_features(kept), "sd_filter")
+
+
+def _check_threshold(threshold: float) -> None:
+    # A NaN cutoff keeps nothing and an infinite one keeps all or nothing,
+    # whatever the data say.
+    if not math.isfinite(threshold):
+        raise DomainError(f"threshold must be finite, got {threshold!r}")
 
 
 def _warn_if_empty(result: LabeledMatrix, name: str) -> LabeledMatrix:

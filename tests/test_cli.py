@@ -17,8 +17,15 @@ from aime.cli import (
     read_labels,
     scatter_matrix_svg,
 )
-from aime.data_io import LabeledMatrix, read_labeled, write_labeled
-from aime.errors import ParseError, ValidationError
+from aime.data_io import (
+    LabeledMatrix,
+    cv_filter,
+    read_labeled,
+    sd_filter,
+    write_labeled,
+)
+from aime.errors import AimeError, ParseError, ValidationError
+from aime.matrix_core import column_stats
 from aime.neural_net import TrainConfig
 from aime.synth_bench import SynthSpec, generate
 
@@ -207,6 +214,150 @@ class TestFilterCommand:
             assert result.exit_code == 2
             assert result.stderr == "error: pass exactly one of --cv or --sd\n"
             assert not (tmp_path / "o.tsv").exists()
+
+
+# Malformed matrix files: the TestReadLabeled and TestRowParser cases of
+# tests/test_data_io.py.
+MALFORMED = {
+    "ragged": "id\ta\tb\ns1\t1\t2\ns2\t3\n",
+    "na": "id\ta\tb\ns1\t1\tNA\n",
+    "inf": "id\ta\ns1\tinf\n",
+    "underscore": "id\ta\ns1\t1_0\n",
+    "duplicate_ids": "id\ta\ns1\t1\ns1\t2\n",
+    "header_only": "id\ta\n",
+    "empty_cell": "id\ta\tb\ns1\t1\t2\ns2\t3\t\n",
+    "overflow": "id\ta\tb\ns1\t1\t2\ns2\t3\t1e400\n",
+    "inner_space": "id\ta\tb\ns1\t1\t1 2\n",
+    "bad_cell_before_ragged": "id\ta\tb\ns1\t1\tinf\ns2\t3\n",
+    "no_separator": "id\ta\ns1\t1\nlonely\n",
+    "no_column_labels": "id\ns1\ns2\n",
+}
+
+
+class TestFilterCopiesCells:
+    """filter writes each kept cell as the input spelled it; the old path,
+    write_labeled(sd_filter(read_labeled(f), t)), is the oracle for files
+    that write_labeled wrote."""
+
+    @pytest.mark.parametrize(
+        "mode, delimiter, orientation",
+        [
+            ("--sd", "tab", "samples_in_rows"),
+            ("--cv", "tab", "samples_in_rows"),
+            ("--sd", "comma", "features_in_rows"),
+            ("--cv", "comma", "features_in_rows"),
+        ],
+    )
+    def test_synth_file_bytes_match_old_write_path(
+        self, runner, tmp_path, mode, delimiter, orientation
+    ):
+        x = generate(SynthSpec(n=30, p=40, q=6, n_signal=4, noise_sd=0.3,
+                               design="linear", seed=14)).x
+        if orientation == "features_in_rows":
+            x = LabeledMatrix(x.values.T, x.feature_ids, x.sample_ids)
+        path = tmp_path / "in.txt"
+        write_labeled(x, path, delimiter=delimiter)
+        m = read_labeled(path, delimiter=delimiter, orientation=orientation)
+        means, sds = column_stats(m.values)
+        stat = sds if mode == "--sd" else sds / np.abs(means)
+        threshold = float(np.median(stat))
+        result = invoke(
+            runner, "filter", path, tmp_path / "out.txt", mode,
+            "--threshold", repr(threshold), "--delimiter", delimiter,
+            "--orientation", orientation,
+        )
+        assert result.exit_code == 0, result.output
+        flt = sd_filter if mode == "--sd" else cv_filter
+        kept = flt(m, threshold)
+        assert 0 < kept.n_features < m.n_features
+        write_labeled(kept, tmp_path / "oracle.txt", delimiter=delimiter)
+        assert (tmp_path / "out.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+    def test_keep_all_of_synth_file_is_identity(self, runner, tmp_path):
+        r = invoke(runner, "synth", tmp_path / "d", "--n", 20, "--p", 7, "--q", 5,
+                   "--n-signal", 3, "--seed", 14)
+        assert r.exit_code == 0, r.output
+        for side in "xy":
+            source = tmp_path / f"d_{side}.tsv"
+            result = invoke(runner, "filter", source, tmp_path / "kept.tsv",
+                            "--sd", "--threshold", "0")
+            assert result.exit_code == 0, result.output
+            assert (tmp_path / "kept.tsv").read_bytes() == source.read_bytes()
+
+    def test_non_canonical_cells_copied_stripped_with_lf(self, runner, tmp_path):
+        path = tmp_path / "in.csv"
+        path.write_bytes(
+            b"id,a,b,c, d ,e\r\n"
+            b"s0,1.50, 2 ,1E3,+4,1e-400\r\n"
+            b" s1 ,2.50,3,2E3,5,0\r\n"
+        )
+        result = invoke(runner, "filter", path, tmp_path / "out.csv", "--cv",
+                        "--threshold", "0", "--delimiter", "comma")
+        assert result.exit_code == 0, result.output
+        # e has mean 0 and is dropped with a warning.
+        assert "kept 4 of 5 features (dropped 1)" in result.stdout
+        assert "warning: cv_filter dropped 1 feature(s) with near-zero mean" in result.stderr
+        assert (tmp_path / "out.csv").read_bytes() == (
+            b"id,a,b,c,d\ns0,1.50,2,1E3,+4\ns1,2.50,3,2E3,5\n"
+        )
+
+    def test_input_opened_once(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "in.tsv"
+        write_toy_matrix(path, np.arange(12.0).reshape(4, 3) ** 2)
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(path):
+                opened.append(args[:1])
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        result = invoke(runner, "filter", path, tmp_path / "out.tsv", "--sd",
+                        "--threshold", "0")
+        assert result.exit_code == 0, result.output
+        assert opened == [("rb",)]
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED))
+    def test_malformed_input_same_message_no_output(self, runner, tmp_path, name):
+        path = tmp_path / "bad.tsv"
+        path.write_text(MALFORMED[name])
+        with pytest.raises(AimeError) as caught:
+            read_labeled(str(path))
+        result = invoke(runner, "filter", path, tmp_path / "out.tsv", "--sd")
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {caught.value}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.tsv"]
+
+    def test_every_feature_dropped_writes_no_empty_column(self, runner, tmp_path):
+        write_toy_matrix(tmp_path / "in.tsv", np.ones((3, 2)))
+        result = invoke(runner, "filter", tmp_path / "in.tsv", tmp_path / "out.tsv",
+                        "--sd", "--threshold", "0")
+        assert result.exit_code == 0
+        assert "kept 0 of 2 features (dropped 2)" in result.stdout
+        assert (tmp_path / "out.tsv").read_bytes() == b"id\ns0\ns1\ns2\n"
+        with pytest.raises(ParseError, match="^line 1: header has no column labels$"):
+            read_labeled(tmp_path / "out.tsv")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_threshold_exits_2(self, runner, tmp_path, value):
+        write_toy_matrix(tmp_path / "in.tsv", np.arange(6.0).reshape(3, 2))
+        for mode in ("--sd", "--cv"):
+            result = invoke(runner, "filter", tmp_path / "in.tsv", tmp_path / "o.tsv",
+                            mode, "--threshold", value)
+            assert result.exit_code == 2
+            assert result.stderr == f"error: threshold must be finite, got {float(value)!r}\n"
+            assert not (tmp_path / "o.tsv").exists()
+
+    def test_non_finite_threshold_from_config_exits_2(self, runner, tmp_path):
+        write_toy_matrix(tmp_path / "in.tsv", np.arange(6.0).reshape(3, 2))
+        conf = tmp_path / "run.conf"
+        conf.write_text("threshold=nan\n")
+        result = invoke(runner, "filter", tmp_path / "in.tsv", tmp_path / "o.tsv",
+                        "--sd", "--config", conf)
+        assert result.exit_code == 2
+        assert "threshold must be finite" in result.stderr
+        assert not (tmp_path / "o.tsv").exists()
 
 
 class TestSynthAndTrain:
@@ -559,6 +710,14 @@ class TestPlot:
         path = tmp_path / "labels.tsv"
         path.write_bytes(b"\r\nid\tlabel\r\ns0\t0\r\n\r\ns1\t1\r\n")
         assert read_labels(path) == {"s0": "0", "s1": "1"}
+
+    def test_whitespace_around_label_fields_stripped(self, runner, tmp_path):
+        write_toy_matrix(tmp_path / "emb.tsv", np.arange(6.0).reshape(3, 2), prefix="e")
+        path = tmp_path / "labels.tsv"
+        path.write_text("id \t label\ns0 \tA\n s1\t B \ns2\tA\n")
+        assert read_labels(path) == {"s0": "A", "s1": "B", "s2": "A"}
+        result = invoke(runner, "plot", tmp_path / "emb.tsv", path, tmp_path / "out.svg")
+        assert result.exit_code == 0, result.output
 
     def test_escape_matches_html_escape(self):
         import html

@@ -10,6 +10,7 @@ from aime.data_io import (
     align_samples,
     cv_filter,
     read_labeled,
+    read_labeled_text,
     sd_filter,
     write_labeled,
 )
@@ -284,6 +285,61 @@ class TestPaperWidth:
         assert np.array_equal(bits(back.values), bits(values))
 
 
+class TestWriteFeatures:
+    """LabeledText.write_features copies kept cells as the input spelled
+    them; read_labeled of the copy is the oracle for the values."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_cells_stripped_and_otherwise_verbatim(self, tmp_path, newline):
+        rows = [
+            ["s0", "1.50", " 2 ", "1E3", "+4", "1e-400"],
+            [" s1 ", "-0.0", "\u0661\u0662", "5e-324 ", ".5", "7"],
+        ]
+        lines = ["id\ta\tb \tc\td\te"] + ["\t".join(r) for r in rows]
+        path = tmp_path / "odd.tsv"
+        path.write_bytes((newline.join(lines) + newline).encode("utf-8"))
+        out = tmp_path / "out.tsv"
+        table = read_labeled_text(path)
+        table.write_features(table.matrix.feature_ids, out)
+        assert out.read_bytes().decode("utf-8") == (
+            "id\ta\tb\tc\td\te\n"
+            "s0\t1.50\t2\t1E3\t+4\t1e-400\n"
+            "s1\t-0.0\t\u0661\u0662\t5e-324\t.5\t7\n"
+        )
+        assert np.array_equal(bits(read_labeled(out).values), bits(table.matrix.values))
+
+    @pytest.mark.parametrize("orientation", ["samples_in_rows", "features_in_rows"])
+    @pytest.mark.parametrize("delimiter", ["tab", "comma"])
+    def test_reads_back_as_kept_columns_bitwise(self, tmp_path, delimiter, orientation):
+        rng = np.random.default_rng(14)
+        values = rng.normal(size=(7, 9)) * 10.0 ** rng.integers(-300, 300, (7, 9))
+        m = lm(values)
+        stored = m if orientation == "samples_in_rows" else LabeledMatrix(
+            values.T, m.feature_ids, m.sample_ids
+        )
+        path = tmp_path / "in.txt"
+        write_labeled(stored, path, delimiter=delimiter)
+        table = read_labeled_text(path, delimiter, orientation)
+        keep = [7, 0, 3]
+        out = tmp_path / "out.txt"
+        table.write_features([m.feature_ids[j] for j in keep], out)
+        back = read_labeled(out, delimiter=delimiter)
+        assert back.sample_ids == m.sample_ids
+        assert back.feature_ids == ["f7", "f0", "f3"]
+        assert np.array_equal(bits(back.values), bits(values[:, keep]))
+
+    def test_no_features_writes_labels_only(self, tmp_path):
+        m = lm([[1.0, 2.0], [3.0, 4.0]])
+        path = tmp_path / "in.tsv"
+        write_labeled(m, path)
+        copied, printed = tmp_path / "copied.tsv", tmp_path / "printed.tsv"
+        read_labeled_text(path).write_features([], copied)
+        write_labeled(m.select_features([]), printed)
+        assert copied.read_bytes() == printed.read_bytes() == b"id\ns0\ns1\n"
+        with pytest.raises(ParseError, match="^line 1: header has no column labels$"):
+            read_labeled(copied)
+
+
 class TestAlignSamples:
     def test_reorders_b_to_a(self):
         a = lm([[1.0], [2.0]], samples=["s1", "s2"])
@@ -393,6 +449,13 @@ class TestFilters:
             if var**0.5 > 1.25:
                 expected.append(f"f{j}")
         assert out.feature_ids == expected
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("flt", [cv_filter, sd_filter])
+    def test_non_finite_threshold_rejected(self, flt, threshold):
+        m = lm([[1.0, 2.0], [3.0, 5.0]])
+        with pytest.raises(DomainError, match="^threshold must be finite, got "):
+            flt(m, threshold)
 
     def test_filters_preserve_order(self):
         rng = np.random.default_rng(9)
