@@ -193,11 +193,12 @@ def fit(
 
     Both matrices are standardized column-wise with their own training
     statistics (stored on the model). Each epoch shuffles the row order
-    with stream (KIND_SHUFFLE, epoch) and draws dropout masks batch by
-    batch from stream (KIND_DROPOUT, epoch), so a (config, data) pair
-    always yields the same model. A batch size above n falls back to one
-    full batch. The recorded loss history is the row-weighted mean
-    training MSE per epoch, in standardized Y units.
+    with stream (KIND_SHUFFLE, epoch) and draws its dropout masks from
+    stream (KIND_DROPOUT, epoch) in one call, batch by batch in stream
+    order, so a (config, data) pair always yields the same model. A batch
+    size above n falls back to one full batch. The recorded loss history
+    is the row-weighted mean training MSE per epoch, in standardized Y
+    units.
 
     Dropout is annealed in (curriculum dropout, after Morerio et al.
     2017, with a linear schedule): epoch e of E drops units at (e+1)/E of
@@ -256,17 +257,18 @@ def fit(
         x_epoch, y_epoch = xs[order], ys[order]
         mask_rng = RngStream(seed, stream_id(KIND_DROPOUT, epoch))
         ramp = (epoch + 1) / config.epochs
+        # The epoch's masks in one draw; each batch's are a row slice.
+        epoch_masks = draw_dropout_masks(network, n, mask_rng, ramp, config.batch_size)
         total = 0.0
         for start in range(0, n, config.batch_size):
-            xb = x_epoch[start : start + config.batch_size]
-            yb = y_epoch[start : start + config.batch_size]
-            rows = len(xb)
-            masks = draw_dropout_masks(network, rows, mask_rng, ramp)
+            rows = slice(start, start + config.batch_size)
+            xb, yb = x_epoch[rows], y_epoch[rows]
+            masks = [None if m is None else m[rows] for m in epoch_masks]
             out, cache = forward(network, xb, masks)
             loss, loss_grad = mse_loss(out, yb)
             backward(network, cache, loss_grad, out=grads)
             adam_step(network, grads, state, config)
-            total += loss * rows
+            total += loss * len(xb)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
             raise NumericalError(

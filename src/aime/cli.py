@@ -293,7 +293,7 @@ def cmd_embed(model_path, x_path, output_path, delimiter, orientation):
 @click.argument("x_path", type=_in_path)
 @click.argument("output_path", type=click.Path(dir_okay=False))
 @click.option("--repeats", type=click.IntRange(min=1), default=DEFAULT_REPEATS, show_default=True, help="Shuffles per variable.")
-@click.option("--fraction", type=click.FloatRange(0, 1, min_open=True), default=0.01, show_default=True, help="Report the top ceil(fraction * p) variables.")
+@click.option("--fraction", type=click.FloatRange(0, 1, min_open=True), default=0.01, show_default=True, help="Report the top ceil(fraction * p) variables, the fraction as written (0.07 of 100 is 7).")
 @_seed_option
 @_delimiter_option
 @_orientation_option
@@ -442,7 +442,7 @@ def scatter_matrix_svg(coords: np.ndarray, labels: list[str]) -> str:
     that dimension's axis. Colors come from a fixed palette keyed by the
     sorted unique labels, so output is deterministic.
     """
-    n, d = coords.shape
+    d = coords.shape[1]
     classes = sorted(set(labels))
     color = {c: PALETTE[i % len(PALETTE)] for i, c in enumerate(classes)}
 
@@ -450,9 +450,12 @@ def scatter_matrix_svg(coords: np.ndarray, labels: list[str]) -> str:
     lows = coords.min(axis=0)
     spans = coords.max(axis=0) - lows
     spans[spans == 0] = 1.0
-
-    def sx(value, dim):
-        return 6.0 + 138.0 * (value - lows[dim]) / spans[dim]
+    # Each sample's position within a panel, per dimension, formatted
+    # once: as a horizontal coordinate, and flipped as a vertical one.
+    scaled = 6.0 + 138.0 * (coords - lows) / spans
+    xs = [[f"{v:.2f}" for v in dim] for dim in scaled.T.tolist()]
+    ys = [[f"{v:.2f}" for v in dim] for dim in (150.0 - scaled).T.tolist()]
+    colors = [color[label] for label in labels]
 
     size = pad * 2 + panel * d + gap * (d - 1)
     parts = [
@@ -470,21 +473,20 @@ def scatter_matrix_svg(coords: np.ndarray, labels: list[str]) -> str:
                 '<rect x="0" y="0" width="150" height="150" '
                 'fill="none" stroke="#333333" stroke-width="1"/>'
             )
+            # One string per panel: at desk scale, 600 point strings per
+            # panel held apart until the end set the command's peak memory.
             if i == j:
-                for row in range(n):
-                    x = sx(coords[row, i], i)
-                    parts.append(
-                        f'<line x1="{x:.2f}" y1="60" x2="{x:.2f}" y2="90" '
-                        f'stroke="{color[labels[row]]}" stroke-width="1"/>'
-                    )
+                parts.append("\n".join(
+                    f'<line x1="{x}" y1="60" x2="{x}" y2="90" '
+                    f'stroke="{c}" stroke-width="1"/>'
+                    for x, c in zip(xs[i], colors, strict=True)
+                ))
             else:
-                for row in range(n):
-                    x = sx(coords[row, j], j)
-                    y = 150.0 - sx(coords[row, i], i)
-                    parts.append(
-                        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
-                        f'fill="{color[labels[row]]}" fill-opacity="0.7"/>'
-                    )
+                parts.append("\n".join(
+                    f'<circle cx="{x}" cy="{y}" r="2.5" '
+                    f'fill="{c}" fill-opacity="0.7"/>'
+                    for x, y, c in zip(xs[j], ys[i], colors, strict=True)
+                ))
             parts.append("</g>")
     for idx, c in enumerate(classes):
         lx = pad + idx * 110.0

@@ -196,16 +196,20 @@ class ForwardCache:
     masks: list[np.ndarray | None]
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    return z
+def activate(name: str, z: np.ndarray) -> np.ndarray:
+    """A layer's output for its pre-activation ``z``: a new array for
+    relu, ``z`` itself for a linear layer."""
+    return np.maximum(z, z.dtype.type(0)) if name == "relu" else z
 
 
 def draw_dropout_masks(
-    network: Network, n: int, rng: RngStream, scale: float = 1.0
+    network: Network,
+    n: int,
+    rng: RngStream,
+    scale: float = 1.0,
+    batch_size: int | None = None,
 ) -> list[np.ndarray | None]:
-    """Scaled keep masks for one batch, ``None`` for zero-rate layers,
+    """Scaled keep masks for ``n`` rows, ``None`` for zero-rate layers,
     in the network's dtype.
 
     Each layer drops at ``scale`` times its own rate (fit anneals scale
@@ -214,19 +218,43 @@ def draw_dropout_masks(
     changes that touch only no-dropout layers. The draws for all of them
     are taken in one call and split in layer order, which yields the
     same doubles as one ``uniform(0, 1, (n, fan_out))`` call per layer.
+
+    With ``batch_size``, the rows are an epoch's batches in order (the
+    last may be short): the stream is consumed batch by batch and, within
+    a batch, layer by layer, still in one call, so row slice
+    ``[k * batch_size, (k + 1) * batch_size)`` of each mask equals, bit
+    for bit, the mask that a call for that batch alone would draw next.
     """
+    if batch_size is not None and batch_size < 1:
+        raise DomainError(f"batch_size must be >= 1, got {batch_size}")
     rates = [layer.dropout_rate * scale for layer in network.layers]
     units = sum(layer.fan_out for layer, rate in zip(network.layers, rates) if rate > 0.0)
     u = np.empty(n * units)
     rng.fill_uniform(u)
+    batch = max(1, min(batch_size or n, n))
+    # (draws, first row, rows per batch): one row of draws per batch, for
+    # the full batches, then for the short last one.
+    full = n - n % batch
+    pieces = [(u[: full * units].reshape(full // batch, batch * units), 0, batch)]
+    if full < n:
+        pieces.append((u[full * units :].reshape(1, -1), full, n - full))
     masks: list[np.ndarray | None] = []
-    start = 0
+    offset = 0
     for layer, rate in zip(network.layers, rates):
         if rate > 0.0:
-            end = start + n * layer.fan_out
-            keep = u[start:end].reshape(n, layer.fan_out) >= rate
-            masks.append(keep * network.dtype.type(1.0 / (1.0 - rate)))
-            start = end
+            fan = layer.fan_out
+            value = network.dtype.type(1.0 / (1.0 - rate))
+            mask = np.empty((n, fan), network.dtype)
+            for draws, first, rows in pieces:
+                count = len(draws)
+                keep = draws[:, rows * offset : rows * (offset + fan)] >= rate
+                np.multiply(
+                    keep.reshape(count, rows, fan),
+                    value,
+                    out=mask[first : first + count * rows].reshape(count, rows, fan),
+                )
+            masks.append(mask)
+            offset += fan
         else:
             masks.append(None)
     return masks
@@ -237,6 +265,7 @@ def forward(
     x: np.ndarray,
     masks: list[np.ndarray | None] | None = None,
     stop: int | None = None,
+    start: int = 0,
 ) -> tuple[np.ndarray, ForwardCache]:
     """Run the network on a batch; returns (output, cache).
 
@@ -246,27 +275,35 @@ def forward(
     for bit. Without masks the pass is the deterministic evaluation one.
     ``stop`` runs only the first ``stop`` layers, so the output is that
     layer's and the cache holds only those layers; the embedding is read
-    this way without running the decoder. The input is cast to the
-    network's dtype.
+    this way without running the decoder. ``start`` skips the layers
+    before it: ``x`` is then the output of layer ``start - 1``, and
+    ``forward(start=k)`` on ``forward(stop=k)``'s output gives the full
+    pass's output bit for bit. The cache holds the layers that ran. The
+    input is cast to the network's dtype.
     """
+    layers = network.layers
+    if not 0 <= start < len(layers):
+        raise ShapeError(f"start layer {start} out of range for {len(layers)} layers")
     x = np.asarray(x, dtype=network.dtype)
-    if x.ndim != 2 or x.shape[1] != network.input_size:
+    if x.ndim != 2 or x.shape[1] != layers[start].fan_in:
         raise ShapeError(
             f"input of shape {x.shape} does not match input size "
-            f"{network.input_size}"
+            f"{layers[start].fan_in} of layer {start}"
         )
     if masks is None:
-        masks = [None] * len(network.layers)
-    elif len(masks) != len(network.layers):
-        raise ShapeError(f"{len(masks)} masks for {len(network.layers)} layers")
+        masks = [None] * len(layers)
+    elif len(masks) != len(layers):
+        raise ShapeError(f"{len(masks)} masks for {len(layers)} layers")
 
     a = x
     pre, outs = [], []
-    for layer, mask in zip(network.layers[:stop], masks):
-        z = a @ layer.weights.T + layer.bias
-        a = _activate(layer.activation, z)
+    for layer, mask in zip(layers[start:stop], masks[start:stop]):
+        z = a @ layer.weights.T
+        z += layer.bias
+        a = activate(layer.activation, z)
         if mask is not None:
-            a = a * mask
+            # a linear layer's output is z itself, which the cache keeps
+            a = z * mask if a is z else np.multiply(a, mask, out=a)
         pre.append(z)
         outs.append(a)
     cache = ForwardCache(x=x, pre_activations=pre, outputs=outs, masks=list(masks))
@@ -324,6 +361,7 @@ def backward(
     views = network._grad_views[1]
 
     n = pred.shape[0]
+    zero = network.dtype.type(0)
     grad_a = loss_grad
     for idx in range(len(network.layers) - 1, -1, -1):
         layer = network.layers[idx]
@@ -338,11 +376,11 @@ def backward(
             grad_a = grad_a * mask
         # relu passes the gradient where z > 0; the bool operand
         # multiplies as 0.0 or 1.0. A linear layer passes it unchanged.
-        grad_z = grad_a * (z > 0.0) if layer.activation == "relu" else grad_a
+        grad_z = grad_a * (z > zero) if layer.activation == "relu" else grad_a
         below = cache.x if idx == 0 else cache.outputs[idx - 1]
         gw, gb = views[idx]
         np.matmul(grad_z.T, below, out=gw)
-        grad_z.sum(axis=0, out=gb)
+        np.add.reduce(grad_z, axis=0, out=gb)
         if idx > 0:
             grad_a = grad_z @ layer.weights
     return out

@@ -10,6 +10,7 @@ from aime import cli
 from aime.aime_model import embed, fit
 from aime.cca_baseline import fit_cca
 from aime.cli import (
+    PALETTE,
     _atomic_write,
     _escape,
     main,
@@ -25,7 +26,7 @@ from aime.data_io import (
     write_labeled,
 )
 from aime.errors import AimeError, ParseError, ValidationError
-from aime.matrix_core import column_stats
+from aime.matrix_core import RngStream, column_stats
 from aime.neural_net import TrainConfig
 from aime.synth_bench import SynthSpec, generate
 
@@ -513,6 +514,21 @@ class TestEmbedImportanceCca:
         assert lines[0] == "variable_id\tscore\trank"
         assert len(lines) == 1 + 8
 
+    def test_importance_fraction_counts_as_written(self, runner, tmp_path):
+        # 0.07 * 100 is 7.000000000000001 in floating point; 7 rows, not 8
+        r = invoke(runner, "synth", tmp_path / "w", "--n", 20, "--p", 100,
+                   "--q", 6, "--n-signal", 4, "--seed", 3)
+        assert r.exit_code == 0, r.output
+        r = invoke(runner, "train", tmp_path / "w_x.tsv", tmp_path / "w_y.tsv",
+                   "--dim", 2, "--epochs", 1, "--model-out", tmp_path / "m.bin")
+        assert r.exit_code == 0, r.output
+        result = invoke(
+            runner, "importance", tmp_path / "m.bin", tmp_path / "w_x.tsv",
+            tmp_path / "imp.tsv", "--repeats", 1, "--fraction", "0.07",
+        )
+        assert result.exit_code == 0, result.output
+        assert len((tmp_path / "imp.tsv").read_text().splitlines()) == 1 + 7
+
     def test_out_of_range_importance_seed_exits_2(self, runner, trained):
         result = invoke(
             runner, "importance", trained / "m.bin", trained / "d_x.tsv",
@@ -732,6 +748,78 @@ class TestPlot:
             coords, labels
         )
 
+    @pytest.mark.parametrize(
+        "n, d, constant",
+        [(600, 4, None), (7, 1, None), (7, 2, None), (7, 3, 1), (1, 3, None), (5, 4, 0)],
+    )
+    def test_bytes_equal_per_point_oracle(self, n, d, constant):
+        coords = RngStream(n, d).standard_normal((n, d)) * 3.0 + 1.0
+        if constant is not None:
+            coords[:, constant] = -2.5
+        labels = [f"c{row % 3}" for row in range(n)]
+        assert scatter_matrix_svg(coords, labels) == per_point_svg(coords, labels)
+
+
+def per_point_svg(coords, labels):
+    """scatter_matrix_svg as it computed each point's coordinates with a
+    scalar function on every use, kept as a byte-for-byte oracle."""
+    n, d = coords.shape
+    classes = sorted(set(labels))
+    color = {c: PALETTE[i % len(PALETTE)] for i, c in enumerate(classes)}
+
+    panel, pad, gap = 150.0, 40.0, 12.0
+    lows = coords.min(axis=0)
+    spans = coords.max(axis=0) - lows
+    spans[spans == 0] = 1.0
+
+    def sx(value, dim):
+        return 6.0 + 138.0 * (value - lows[dim]) / spans[dim]
+
+    size = pad * 2 + panel * d + gap * (d - 1)
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{size:.0f}" height="{size + 24:.0f}" '
+        f'viewBox="0 0 {size:.0f} {size + 24:.0f}">',
+        f'<rect width="{size:.0f}" height="{size + 24:.0f}" fill="white"/>',
+    ]
+    for i in range(d):
+        for j in range(d):
+            ox = pad + j * (panel + gap)
+            oy = pad + i * (panel + gap)
+            parts.append(f'<g transform="translate({ox:.1f},{oy:.1f})">')
+            parts.append(
+                '<rect x="0" y="0" width="150" height="150" '
+                'fill="none" stroke="#333333" stroke-width="1"/>'
+            )
+            if i == j:
+                for row in range(n):
+                    x = sx(coords[row, i], i)
+                    parts.append(
+                        f'<line x1="{x:.2f}" y1="60" x2="{x:.2f}" y2="90" '
+                        f'stroke="{color[labels[row]]}" stroke-width="1"/>'
+                    )
+            else:
+                for row in range(n):
+                    x = sx(coords[row, j], j)
+                    y = 150.0 - sx(coords[row, i], i)
+                    parts.append(
+                        f'<circle cx="{x:.2f}" cy="{y:.2f}" r="2.5" '
+                        f'fill="{color[labels[row]]}" fill-opacity="0.7"/>'
+                    )
+            parts.append("</g>")
+    for idx, c in enumerate(classes):
+        lx = pad + idx * 110.0
+        ly = size + 4.0
+        parts.append(
+            f'<rect x="{lx:.1f}" y="{ly:.1f}" width="12" height="12" '
+            f'fill="{color[c]}"/>'
+        )
+        parts.append(
+            f'<text x="{lx + 16.0:.1f}" y="{ly + 11.0:.1f}" '
+            f'font-family="sans-serif" font-size="12">{_escape(c)}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 class TestAtomicWrite:
     def test_writer_output_replaces_target(self, tmp_path):

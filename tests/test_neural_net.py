@@ -133,6 +133,38 @@ class TestForward:
         assert len(cache.outputs) == 2
         assert out.tobytes() == forward(net, x)[1].outputs[1].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_start_resumes_a_stopped_pass(self, k, dtype):
+        net = random_network([4, 3, 5, 3, 2], RngStream(6, 0), dropout=[0.3, 0.2, 0.0, 0.0],
+                             dtype=dtype)
+        x = RngStream(6, 1).standard_normal((7, 4))
+        masks = draw_dropout_masks(net, 7, RngStream(6, 2))
+        for m in (None, masks):
+            full, _ = forward(net, x, m)
+            head, _ = forward(net, x, m, stop=k)
+            tail, cache = forward(net, head, m, start=k)
+            assert tail.dtype == net.dtype
+            assert tail.tobytes() == full.tobytes()
+            assert len(cache.outputs) == 4 - k
+            assert cache.x.tobytes() == head.tobytes()
+        # start and stop together run the layers between them
+        middle = forward(net, forward(net, x, stop=1)[0], start=1, stop=3)[0]
+        assert middle.tobytes() == forward(net, x, stop=3)[0].tobytes()
+
+    def test_start_input_width_checked(self):
+        net = random_network([4, 3, 5, 2], RngStream(7, 0))
+        with pytest.raises(ShapeError, match="input size 5 of layer 2"):
+            forward(net, np.zeros((2, 3)), start=2)
+        with pytest.raises(ShapeError, match="input size 4 of layer 0"):
+            forward(net, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("start", [-1, 3, 10])
+    def test_start_out_of_range(self, start):
+        net = random_network([4, 3, 5, 2], RngStream(7, 0))
+        with pytest.raises(ShapeError, match=f"start layer {start} out of range for 3 layers"):
+            forward(net, np.zeros((2, 4)), start=start)
+
 
 class TestPlan:
     def test_built_from_specs_with_zeroed_views(self):
@@ -448,6 +480,39 @@ class TestDropout:
                 assert mask.dtype == net.dtype
                 assert mask.tobytes() == expected.tobytes()
         assert rng.uniform(0.0, 1.0, 3).tobytes() == ref_rng.uniform(0.0, 1.0, 3).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "n, batch_size",
+        [(600, 32), (50, 64), (9, 1), (64, 32)],
+        ids=["short last batch", "batch above n", "batches of 1", "whole batches"],
+    )
+    def test_epoch_draw_equals_per_batch_draws(self, n, batch_size, dtype):
+        # One call for an epoch: each layer's mask is the per-batch masks
+        # concatenated, and the stream ends where the per-batch calls
+        # leave it.
+        sizes, rates = [5, 8, 3, 6, 2], [0.2, 0.0, 0.25, 0.1]
+        net = random_network(sizes, RngStream(39, 0), dropout=rates, dtype=dtype)
+        rng, ref_rng = RngStream(39, 1), RngStream(39, 1)
+        masks = draw_dropout_masks(net, n, rng, 0.7, batch_size=batch_size)
+        batches = [
+            draw_dropout_masks(net, len(range(start, min(start + batch_size, n))), ref_rng, 0.7)
+            for start in range(0, n, batch_size)
+        ]
+        for k, mask in enumerate(masks):
+            if rates[k] == 0.0:
+                assert mask is None
+                continue
+            expected = np.concatenate([batch[k] for batch in batches])
+            assert mask.dtype == net.dtype
+            assert mask.shape == (n, sizes[k + 1])
+            assert mask.tobytes() == expected.tobytes()
+        assert rng.uniform(0.0, 1.0, 3).tobytes() == ref_rng.uniform(0.0, 1.0, 3).tobytes()
+
+    def test_batch_size_must_be_positive(self):
+        net = random_network([4, 3, 2], RngStream(40, 0), dropout=[0.5, 0.0])
+        with pytest.raises(DomainError, match="batch_size"):
+            draw_dropout_masks(net, 5, RngStream(40, 1), batch_size=0)
 
     def test_no_dropout_consumes_no_draws(self):
         net = random_network([4, 3, 2], RngStream(38, 0))
