@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    AimeError,
     AlignmentError,
     DomainError,
     InsufficientDataError,
@@ -84,7 +83,6 @@ _INIT_BLOCK = 1 << 15
 # the linear bottleneck, three relu decoder layers and the linear output.
 _ACTIVATIONS = ("relu",) * 3 + ("linear",) + ("relu",) * 3 + ("linear",)
 _DROPOUT_RATES = (0.20, 0.10, 0.0, 0.0, 0.0, 0.10, 0.20, 0.0)
-_LAYER_COUNT = len(_ACTIVATIONS)
 
 _MAGIC = b"AIMB"
 _FORMAT_VERSION = 2
@@ -248,7 +246,7 @@ def fit(
     ys = standardize_columns(y, output_means, output_sds).astype(PARAM_DTYPE)
 
     network = build_network(plan, seed, PARAM_DTYPE)
-    state = AdamState.for_network(network)
+    state = AdamState.for_network(network, config.learning_rate)
     grads = np.empty_like(network.params)
     history: list[float] = []
     for epoch in range(config.epochs):
@@ -267,7 +265,7 @@ def fit(
             out, cache = forward(network, xb, masks)
             loss, loss_grad = mse_loss(out, yb)
             backward(network, cache, loss_grad, out=grads)
-            adam_step(network, grads, state, config)
+            adam_step(network, grads, state)
             total += loss * len(xb)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
@@ -453,9 +451,10 @@ def load_model(path) -> AimeModel:
     """Read a model written by save_model; malformed files, including
     non-finite values in any field, raise ParseError.
 
-    A first pass reads the header and the layer record headers and checks
-    that the declared sizes fill the file exactly; only then is the
-    network allocated, and each layer's parameters are read straight
+    A first pass reads the header and the layer record headers, checks
+    each record against ``build_architecture(p, q, d)`` of the header's
+    sizes, and checks that the layers fill the file exactly; only then is
+    the network allocated, and each layer's parameters are read straight
     into its views.
     """
     with open(path, "rb") as fh:
@@ -471,35 +470,36 @@ def load_model(path) -> AimeModel:
         if version != _FORMAT_VERSION:
             raise ParseError(f"unsupported model format version {version}")
         p, q, d, seed, bottleneck, n_layers = reader.unpack("<6Q")
-        if n_layers != _LAYER_COUNT:
-            raise ParseError(f"expected {_LAYER_COUNT} layers, header says {n_layers}")
+        try:
+            plan = build_architecture(p, q, d)
+        except DomainError as exc:
+            raise ParseError(f"model file: {exc}") from None
+        if bottleneck != BOTTLENECK_INDEX:
+            raise ParseError(
+                f"bottleneck index {bottleneck}, expected {BOTTLENECK_INDEX}"
+            )
+        if n_layers != len(plan):
+            raise ParseError(f"expected {len(plan)} layers, header says {n_layers}")
         (history_len,) = reader.unpack("<Q")
         history = _finite(reader.floats(history_len), "loss history").tolist()
         input_means = _finite(reader.floats(p), "x means")
         input_sds = _finite(reader.floats(p), "x sds")
         output_means = _finite(reader.floats(q), "y means")
         output_sds = _finite(reader.floats(q), "y sds")
-        specs, starts = [], []
-        for index in range(n_layers):
+        starts = []
+        for index, spec in enumerate(plan):
             fan_out, fan_in, act_code, rate = reader.unpack("<QQBd")
-            if act_code not in _ACTIVATION_NAMES:
-                raise ParseError(f"layer {index}: unknown activation code {act_code}")
-            specs.append((fan_in, fan_out, _ACTIVATION_NAMES[act_code], rate))
+            activation = _ACTIVATION_NAMES.get(act_code, f"code {act_code}")
+            if (fan_in, fan_out, activation, rate) != spec:
+                raise ParseError(
+                    f"layer {index}: (fan_in, fan_out, activation, dropout) is "
+                    f"{(fan_in, fan_out, activation, rate)} in the file, but "
+                    f"{spec} in AIME's plan for p={p}, q={q}, d={d}"
+                )
             starts.append(reader.skip(PARAM_DTYPE.itemsize * fan_out * (fan_in + 1)))
         if reader.pos != reader.size:
             raise ParseError(f"{reader.size - reader.pos} unexpected trailing bytes")
-        try:
-            network = Network(specs, bottleneck_index=bottleneck, dtype=PARAM_DTYPE)
-        except AimeError as exc:
-            raise ParseError(f"model file: {exc}") from None
-        if network.input_size != p or network.output_size != q:
-            raise ParseError("layer shapes disagree with the header sizes")
-        if bottleneck != BOTTLENECK_INDEX:
-            raise ParseError(
-                f"bottleneck index {bottleneck}, expected {BOTTLENECK_INDEX}"
-            )
-        if network.layers[bottleneck].fan_out != d:
-            raise ParseError("bottleneck width disagrees with the header sizes")
+        network = Network(plan, BOTTLENECK_INDEX, PARAM_DTYPE)
         for layer, start in zip(network.layers, starts):
             reader.fill(start, layer.weights)
             reader.fill(start + layer.weights.nbytes, layer.bias)

@@ -215,10 +215,10 @@ def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, or
     else:
         kept = sd_filter(m, 1.25 if threshold is None else threshold)
     # The kept cells are copied as the input spelled them, not re-printed.
-    _atomic_write(output_path, lambda tmp: table.write_features(kept.feature_ids, tmp))
+    _atomic_write(output_path, lambda tmp: table.write_features(kept, tmp))
     click.echo(
-        f"kept {kept.n_features} of {m.n_features} features "
-        f"(dropped {m.n_features - kept.n_features})"
+        f"kept {len(kept)} of {m.n_features} features "
+        f"(dropped {m.n_features - len(kept)})"
     )
 
 
@@ -250,8 +250,9 @@ def cmd_train(x_path, y_path, d, epochs, seed, learning_rate, batch_size, model_
     model = fit(x.values, y.values, d, config)
     _atomic_write(model_out, lambda tmp: save_model(model, tmp))
     history_out = history_out or (model_out + ".history")
+    sep = delimiter_char(delimiter)
     history = "".join(
-        f"{i + 1}\t{float(loss)!r}\n" for i, loss in enumerate(model.loss_history)
+        f"{i + 1}{sep}{float(loss)!r}\n" for i, loss in enumerate(model.loss_history)
     )
     _atomic_write(history_out, lambda tmp: _write_text(tmp, history))
     if model.loss_history:

@@ -68,14 +68,6 @@ class LabeledMatrix:
     def n_features(self) -> int:
         return self.values.shape[1]
 
-    def select_features(self, indices: list[int]) -> "LabeledMatrix":
-        """New matrix keeping the given feature columns, order preserved."""
-        return LabeledMatrix(
-            self.values[:, indices],
-            list(self.sample_ids),
-            [self.feature_ids[j] for j in indices],
-        )
-
 
 def _first_duplicate(ids: list[str]) -> str:
     seen: set[str] = set()
@@ -129,22 +121,24 @@ class LabeledText:
     sep: str
     orientation: str
 
-    def write_features(self, feature_ids: list[str], path) -> None:
-        """Write the named features, samples in rows, with unix newlines.
+    def write_features(self, columns, path) -> None:
+        """Write the features at the given column indices of ``matrix``, in
+        that order, samples in rows, with unix newlines.
 
-        The header is ``id`` and the feature ids; each cell is the input
+        The header is ``id`` and the kept feature ids; each cell is the input
         cell's text stripped of surrounding whitespace, so reading the file
         back gives the same floats bit for bit. Input rows are copied one
         line at a time; a features-in-rows input holds the kept rows' fields
         to transpose them.
         """
         sep = self.sep
-        position = {f: j for j, f in enumerate(self.matrix.feature_ids)}
+        columns = [int(j) for j in columns]
         # Field k of a samples-in-rows line, or line k of a features-in-rows
-        # file, holds feature k - 1.
-        keep = [position[f] + 1 for f in feature_ids]
+        # file, holds column k - 1.
+        keep = [j + 1 for j in columns]
+        feature_ids = self.matrix.feature_ids
         with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(sep.join(["id", *feature_ids]) + "\n")
+            handle.write(sep.join(["id", *[feature_ids[j] for j in columns]]) + "\n")
             if self.orientation == "samples_in_rows":
                 keep = [0, *keep]  # the sample label, then the kept cells
                 for line in self.lines[1:]:
@@ -280,38 +274,36 @@ def align_samples(
     return a_out, b_out
 
 
-def cv_filter(m: LabeledMatrix, threshold: float) -> LabeledMatrix:
-    """Keep features whose coefficient of variation sd/|mean| exceeds threshold.
+def cv_filter(m: LabeledMatrix, threshold: float) -> np.ndarray:
+    """Ascending indices of the features whose coefficient of variation
+    sd/|mean| exceeds threshold.
 
     Features whose mean is within NEAR_ZERO_MEAN of zero have no meaningful
-    CV; they are dropped and counted in a warning. A threshold that is NaN
-    or infinite raises DomainError.
+    CV; they are dropped and counted in a warning, and no ratio is formed
+    for them. A threshold that is NaN or infinite raises DomainError.
     """
     _check_threshold(threshold)
     means, sds = column_stats(m.values)
-    kept: list[int] = []
-    near_zero = 0
-    for j in range(m.n_features):
-        if abs(means[j]) < NEAR_ZERO_MEAN:
-            near_zero += 1
-            continue
-        if sds[j] / abs(means[j]) > threshold:
-            kept.append(j)
+    magnitudes = np.abs(means)
+    usable = magnitudes >= NEAR_ZERO_MEAN
+    near_zero = m.n_features - np.count_nonzero(usable)
     if near_zero:
         warnings.warn(
             f"cv_filter dropped {near_zero} feature(s) with near-zero mean",
             stacklevel=2,
         )
-    return _warn_if_empty(m.select_features(kept), "cv_filter")
+    candidates = np.flatnonzero(usable)
+    kept = candidates[sds[candidates] / magnitudes[candidates] > threshold]
+    return _warn_if_empty(kept, "cv_filter")
 
 
-def sd_filter(m: LabeledMatrix, threshold: float) -> LabeledMatrix:
-    """Keep features whose sample standard deviation exceeds threshold.
-    A threshold that is NaN or infinite raises DomainError."""
+def sd_filter(m: LabeledMatrix, threshold: float) -> np.ndarray:
+    """Ascending indices of the features whose sample standard deviation
+    exceeds threshold. A threshold that is NaN or infinite raises
+    DomainError."""
     _check_threshold(threshold)
     _, sds = column_stats(m.values)
-    kept = [j for j in range(m.n_features) if sds[j] > threshold]
-    return _warn_if_empty(m.select_features(kept), "sd_filter")
+    return _warn_if_empty(np.flatnonzero(sds > threshold), "sd_filter")
 
 
 def _check_threshold(threshold: float) -> None:
@@ -321,7 +313,7 @@ def _check_threshold(threshold: float) -> None:
         raise DomainError(f"threshold must be finite, got {threshold!r}")
 
 
-def _warn_if_empty(result: LabeledMatrix, name: str) -> LabeledMatrix:
-    if result.n_features == 0:
+def _warn_if_empty(kept: np.ndarray, name: str) -> np.ndarray:
+    if kept.size == 0:
         warnings.warn(f"{name} removed every feature", stacklevel=3)
-    return result
+    return kept

@@ -389,49 +389,42 @@ def backward(
 @dataclass
 class AdamState:
     """Adam's step count and moment vectors, laid out like the network's
-    ``params`` and of its dtype, plus one scratch block of up to
-    ``ADAM_BLOCK`` elements for the update."""
+    ``params`` and of its dtype, the learning rate, plus one scratch block
+    of up to ``ADAM_BLOCK`` elements for the update.
+
+    ``scalars`` holds b1, b2, 1-b1, 1-b2, the learning rate and eps in the
+    moments' dtype, converted once, where numpy would convert them on every
+    operation: at desk scale a float32 operation on a Python float costs
+    half a microsecond more than on the array's own scalar type, which is
+    more than its arithmetic.
+    """
 
     m: np.ndarray
     v: np.ndarray
+    learning_rate: float
     t: int = 0
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
-    _constants: tuple = field(default=(None, ()), init=False, repr=False, compare=False)
+    scalars: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.scratch = np.empty(min(self.m.size, ADAM_BLOCK), dtype=self.m.dtype)
-
-    def constants(self, learning_rate: float) -> tuple:
-        """b1, b2, 1-b1, 1-b2, the learning rate and eps in the moments'
-        dtype, converted once per learning rate, as numpy would convert
-        them on every operation: at desk scale a float32 operation on a
-        Python float costs half a microsecond more than on the array's
-        own scalar type, which is more than its arithmetic."""
-        if self._constants[0] != learning_rate:
-            b1, b2 = ADAM_BETA1, ADAM_BETA2
-            self._constants = (
-                learning_rate,
-                tuple(map(self.m.dtype.type,
-                          (b1, b2, 1.0 - b1, 1.0 - b2, learning_rate, ADAM_EPSILON))),
-            )
-        return self._constants[1]
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        self.scalars = tuple(map(
+            self.m.dtype.type,
+            (b1, b2, 1.0 - b1, 1.0 - b2, self.learning_rate, ADAM_EPSILON),
+        ))
 
     @classmethod
-    def for_network(cls, network: Network) -> "AdamState":
+    def for_network(cls, network: Network, learning_rate: float) -> "AdamState":
         # np.zeros, unlike np.zeros_like, leaves the zeroing of the pages
         # to the first write, so the moments cost nothing before step 1.
         size, dtype = network.params.size, network.dtype
-        return cls(m=np.zeros(size, dtype), v=np.zeros(size, dtype))
+        return cls(np.zeros(size, dtype), np.zeros(size, dtype), learning_rate)
 
 
-def adam_step(
-    network: Network,
-    grads: np.ndarray,
-    state: AdamState,
-    config: TrainConfig,
-) -> None:
+def adam_step(network: Network, grads: np.ndarray, state: AdamState) -> None:
     """One Adam update of every parameter, in place, with bias-corrected
-    moments (Kingma & Ba 2015, Algorithm 1).
+    moments (Kingma & Ba 2015, Algorithm 1), at the state's learning rate.
 
     ``grads`` is a flat gradient from :func:`backward`; it serves as
     scratch space and comes back overwritten. The update is a fixed run
@@ -455,7 +448,7 @@ def adam_step(
             f"{network.params.size} {dtype} parameters"
         )
     state.t += 1
-    b1, b2, keep1, keep2, lr, eps = state.constants(config.learning_rate)
+    b1, b2, keep1, keep2, lr, eps = state.scalars
     debias1 = dtype.type(1.0 - ADAM_BETA1**state.t)
     debias2 = dtype.type(1.0 - ADAM_BETA2**state.t)
     for start in range(0, network.params.size, ADAM_BLOCK):

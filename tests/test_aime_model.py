@@ -2,6 +2,7 @@
 model file round trip."""
 
 import hashlib
+import re
 import struct
 import tracemalloc
 import warnings
@@ -401,9 +402,9 @@ class TestParameterDtype:
     def test_fit_trains_in_float32(self, monkeypatch):
         seen = set()
 
-        def spy_step(network, grads, state, config):
+        def spy_step(network, grads, state):
             seen.add(("adam", network.params.dtype, grads.dtype, state.m.dtype, state.v.dtype))
-            step(network, grads, state, config)
+            step(network, grads, state)
 
         def spy_masks(*args, **kwargs):
             masks = draw(*args, **kwargs)
@@ -429,7 +430,7 @@ class TestParameterDtype:
         masks = draw_dropout_masks(net, len(x), RngStream(1, 0))
         out, cache = forward(net, x, masks)
         grads = backward(net, cache, mse_loss(out, np.zeros_like(out))[1])
-        state = AdamState.for_network(net)
+        state = AdamState.for_network(net, TrainConfig.learning_rate)
         dtypes = {net.params.dtype, grads.dtype, state.m.dtype, state.v.dtype}
         dtypes |= {m.dtype for m in masks if m is not None}
         assert dtypes == {self.F32}
@@ -573,6 +574,11 @@ class TestEmbed:
         assert recon.shape == y.shape
         resid = np.abs(recon - y).mean()
         assert resid < np.abs(y - y.mean(axis=0)).mean()
+
+
+# How load_model names the fields of a layer record it rejects.
+SPEC_TEXT = "(fan_in, fan_out, activation, dropout)"
+SPEC = re.escape(SPEC_TEXT)
 
 
 class TestModelFile:
@@ -730,6 +736,21 @@ class TestModelFile:
         path.write_bytes(bytes(raw))
         tracemalloc.start()
         try:
+            with pytest.raises(ParseError, match=rf"^layer 0: {SPEC} is \({2**40}, 2, "):
+                load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_header_size_overrun_rejected_before_allocating(self, tmp_path):
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[8:16] = struct.pack("<Q", 2**40)  # p, after magic and version
+        path.write_bytes(bytes(raw))
+        tracemalloc.start()
+        try:
             with pytest.raises(ParseError, match="truncated"):
                 load_model(path)
             peak = tracemalloc.get_traced_memory()[1]
@@ -737,15 +758,72 @@ class TestModelFile:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    @pytest.mark.parametrize("rate", [1.5, float("nan")])
+    def test_header_sizes_without_a_plan(self, tmp_path):
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[24:32] = struct.pack("<Q", 7)  # d, after magic, version, p and q
+        path.write_bytes(bytes(raw))
+        with pytest.raises(
+            ParseError, match=r"^model file: embedding size 7 exceeds min\(p, q\) = 6"
+        ):
+            load_model(path)
+
+    def record_offset(self, model, index):
+        """Offset of layer ``index``'s (fan_out, fan_in, code, rate) record."""
+        return self.layer0_record(model) + sum(
+            25 + 4 * layer.fan_out * (layer.fan_in + 1)
+            for layer in model.network.layers[:index]
+        )
+
+    @pytest.mark.parametrize("rate", [1.5, float("nan"), 0.9])
     def test_bad_dropout_rate(self, tmp_path, rate):
+        # 0.9 is a valid rate, but not the plan's 0.2 for layer 0.
         model, _, path = self.fitted(tmp_path)
         save_model(model, path)
         raw = bytearray(path.read_bytes())
         offset = self.layer0_record(model) + 17
         raw[offset : offset + 8] = struct.pack("<d", rate)
         path.write_bytes(bytes(raw))
-        with pytest.raises(ParseError, match="layer 0: dropout rate"):
+        with pytest.raises(ParseError) as caught:
+            load_model(path)
+        assert str(caught.value) == (
+            f"layer 0: {SPEC_TEXT} is (7, 2, 'relu', {rate!r}) in the file, "
+            "but (7, 2, 'relu', 0.2) in AIME's plan for p=7, q=6, d=2"
+        )
+
+    @pytest.mark.parametrize(
+        "index, code, found, planned",
+        [(0, 0, "'linear'", "'relu'"), (3, 1, "'relu'", "'linear'"), (7, 9, "'code 9'", "'linear'")],
+    )
+    def test_changed_activation(self, tmp_path, index, code, found, planned):
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        raw[self.record_offset(model, index) + 16] = code
+        path.write_bytes(bytes(raw))
+        fan_in, fan_out, _, rate = build_architecture(7, 6, 2)[index]
+        with pytest.raises(ParseError) as caught:
+            load_model(path)
+        assert str(caught.value).startswith(
+            f"layer {index}: {SPEC_TEXT} is ({fan_in}, {fan_out}, {found}, {rate!r}) "
+            f"in the file, but ({fan_in}, {fan_out}, {planned}, {rate!r}) in AIME's plan"
+        )
+
+    def test_chained_widths_off_the_plan(self, tmp_path):
+        # A network whose widths chain and whose p, q and d match the
+        # header, but whose first hidden layer is 3 units wide, not 2.
+        model, _, path = self.fitted(tmp_path)
+        plan = build_architecture(7, 6, 2)
+        plan[0] = (7, 3, "relu", 0.2)
+        plan[1] = (3, 2, "relu", 0.1)
+        model.network = Network(plan, BOTTLENECK_INDEX, np.float32)
+        save_model(model, path)
+        with pytest.raises(
+            ParseError,
+            match=rf"^layer 0: {SPEC} is \(7, 3, 'relu', 0.2\) in the file, "
+            r"but \(7, 2, 'relu', 0.2\) in AIME's plan",
+        ):
             load_model(path)
 
     def test_nan_mean_rejected(self, tmp_path):
@@ -773,7 +851,7 @@ class TestModelFile:
         assert struct.unpack_from("<QQ", raw, offset) == (2, 2)
         raw[offset : offset + 16] = struct.pack("<QQ", 1, 5)
         path.write_bytes(bytes(raw))
-        with pytest.raises(ParseError, match="layer 1: input size 5"):
+        with pytest.raises(ParseError, match=rf"^layer 1: {SPEC} is \(5, 1, 'relu', 0.1\) "):
             load_model(path)
 
     def test_bottleneck_out_of_range(self, tmp_path):
@@ -782,7 +860,7 @@ class TestModelFile:
         raw = bytearray(path.read_bytes())
         raw[40:48] = struct.pack("<Q", 8)  # after magic, version, p, q, d, seed
         path.write_bytes(bytes(raw))
-        with pytest.raises(ParseError, match="bottleneck index 8 out of range"):
+        with pytest.raises(ParseError, match="bottleneck index 8, expected 3"):
             load_model(path)
 
     def test_bottleneck_index_pinned(self, tmp_path):

@@ -236,9 +236,9 @@ MALFORMED = {
 
 
 class TestFilterCopiesCells:
-    """filter writes each kept cell as the input spelled it; the old path,
-    write_labeled(sd_filter(read_labeled(f), t)), is the oracle for files
-    that write_labeled wrote."""
+    """filter writes each kept cell as the input spelled it; for files that
+    write_labeled wrote, write_labeled of the columns that sd_filter or
+    cv_filter keeps is the oracle."""
 
     @pytest.mark.parametrize(
         "mode, delimiter, orientation",
@@ -270,8 +270,11 @@ class TestFilterCopiesCells:
         assert result.exit_code == 0, result.output
         flt = sd_filter if mode == "--sd" else cv_filter
         kept = flt(m, threshold)
-        assert 0 < kept.n_features < m.n_features
-        write_labeled(kept, tmp_path / "oracle.txt", delimiter=delimiter)
+        assert 0 < kept.size < m.n_features
+        oracle = LabeledMatrix(
+            m.values[:, kept], m.sample_ids, [m.feature_ids[j] for j in kept]
+        )
+        write_labeled(oracle, tmp_path / "oracle.txt", delimiter=delimiter)
         assert (tmp_path / "out.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
 
     def test_keep_all_of_synth_file_is_identity(self, runner, tmp_path):
@@ -301,6 +304,21 @@ class TestFilterCopiesCells:
         assert (tmp_path / "out.csv").read_bytes() == (
             b"id,a,b,c,d\ns0,1.50,2,1E3,+4\ns1,2.50,3,2E3,5\n"
         )
+
+    def test_cv_zero_mean_columns_warn_once_without_division(self, runner, tmp_path):
+        # Column z has mean exactly 0 and sd 1, column o is all zeros: a
+        # ratio formed for them would raise numpy's divide-by-zero and
+        # invalid-value warnings, which the CLI would print too.
+        path = tmp_path / "in.tsv"
+        path.write_text("id\ta\tz\to\ns0\t1\t-1\t0\ns1\t3\t1\t0\n")
+        result = invoke(runner, "filter", path, tmp_path / "out.tsv", "--cv",
+                        "--threshold", "0")
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "kept 1 of 3 features (dropped 2)\n"
+        assert result.stderr == (
+            "warning: cv_filter dropped 2 feature(s) with near-zero mean\n"
+        )
+        assert (tmp_path / "out.tsv").read_text() == "id\ta\ns0\t1\ns1\t3\n"
 
     def test_input_opened_once(self, runner, tmp_path, monkeypatch):
         path = tmp_path / "in.tsv"
@@ -391,6 +409,19 @@ class TestSynthAndTrain:
         history = (tmp_path / "m.bin.history").read_text().strip().split("\n")
         assert len(history) == 3
         assert all(np.isfinite(float(line.split("\t")[1])) for line in history)
+
+    def test_comma_delimiter_applies_to_history(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        (tmp_path / "csv").mkdir()
+        cx, cy = self.synth(runner, tmp_path / "csv", delimiter="comma")
+        for args, name in (((x, y), "tab.bin"), ((cx, cy, "--delimiter", "comma"), "comma.bin")):
+            result = invoke(runner, "train", *args, "--dim", 2, "--epochs", 3,
+                            "--model-out", tmp_path / name)
+            assert result.exit_code == 0, result.output
+        history = (tmp_path / "tab.bin.history").read_text()
+        assert history.count("\t") == 3
+        assert (tmp_path / "comma.bin.history").read_text() == history.replace("\t", ",")
+        assert (tmp_path / "comma.bin").read_bytes() == (tmp_path / "tab.bin").read_bytes()
 
     def test_narrow_side_warns_on_stderr(self, runner, tmp_path):
         x, y = self.synth(runner, tmp_path, p=12, q=40)
@@ -575,8 +606,27 @@ class TestEmbedImportanceCca:
             trained / "emb.tsv",
         )
         assert result.exit_code == 2
-        assert "layer 0: dropout rate" in result.stderr
+        assert f"layer 0: (fan_in, fan_out, activation, dropout) is (8, 2, 'relu', {rate!r})" \
+            in result.stderr
+        assert "(8, 2, 'relu', 0.2) in AIME's plan for p=8, q=6, d=2" in result.stderr
         assert "Traceback" not in result.output
+
+    def test_model_with_linear_first_layer_exits_2(self, runner, trained):
+        # Layer 0 made linear with dropout 0.9: a well-formed network, but
+        # not AIME's layer plan.
+        raw = bytearray((trained / "m.bin").read_bytes())
+        offset = 4 + 4 + 48 + 8 + 8 * 2 + 16 * (8 + 6) + 16
+        raw[offset : offset + 9] = struct.pack("<Bd", 0, 0.9)
+        (trained / "bad.bin").write_bytes(bytes(raw))
+        result = invoke(
+            runner, "embed", trained / "bad.bin", trained / "d_x.tsv",
+            trained / "emb.tsv",
+        )
+        assert result.exit_code == 2
+        assert "layer 0: (fan_in, fan_out, activation, dropout) is (8, 2, 'linear', 0.9)" \
+            in result.stderr
+        assert "Traceback" not in result.output
+        assert not (trained / "emb.tsv").exists()
 
     def test_model_with_nan_weight_exits_2(self, runner, trained):
         raw = bytearray((trained / "m.bin").read_bytes())

@@ -565,38 +565,25 @@ class TestAdam:
 
     def test_zero_gradient_leaves_parameters(self):
         net = hand_network([([[2.0]], [0.5], "linear", 0.0)])
-        state = AdamState.for_network(net)
-        adam_step(net, np.zeros(2), state, TrainConfig())
+        state = AdamState.for_network(net, TrainConfig.learning_rate)
+        adam_step(net, np.zeros(2), state)
         assert net.layers[0].weights[0, 0] == 2.0
         assert net.layers[0].bias[0] == 0.5
         assert state.t == 1
 
-    def test_learning_rate_change_takes_effect(self):
-        # The state converts its constants once per learning rate, so a
-        # second rate on the same state must not reuse the first.
-        net = hand_network([([[1.0]], [0.0], "linear", 0.0)])
-        state = AdamState.for_network(net)
-        for lr in (0.1, 0.01):
-            adam_step(net, np.array([0.5, 0.0]), state, TrainConfig(learning_rate=lr))
-        # A constant gradient makes every bias-corrected step exactly lr
-        # in size, up to eps.
-        assert net.layers[0].weights[0, 0] == pytest.approx(1.0 - 0.1 - 0.01, rel=1e-7)
-
     def test_first_step_magnitude_is_learning_rate(self):
         net = hand_network([([[1.0]], [0.0], "linear", 0.0)])
-        state = AdamState.for_network(net)
-        cfg = TrainConfig(learning_rate=0.01)
-        adam_step(net, np.array([0.37, 0.0]), state, cfg)
+        state = AdamState.for_network(net, 0.01)
+        adam_step(net, np.array([0.37, 0.0]), state)
         step = 1.0 - net.layers[0].weights[0, 0]
         assert step == pytest.approx(0.01, rel=1e-6)
 
     def test_matches_scalar_reference(self):
         net = hand_network([([[1.0]], [0.5], "linear", 0.0)])
-        config = TrainConfig(learning_rate=0.05)
-        state = AdamState.for_network(net)
+        state = AdamState.for_network(net, 0.05)
         grad_seq = [0.4, -0.2, 0.7, 0.1, -0.5]
         for g in grad_seq:
-            adam_step(net, np.array([g, 2.0 * g]), state, config)
+            adam_step(net, np.array([g, 2.0 * g]), state)
         expect_w = self.scalar_reference(grad_seq, 0.05, 0.9, 0.999, 1e-8, 1.0)
         expect_b = self.scalar_reference(
             [2.0 * g for g in grad_seq], 0.05, 0.9, 0.999, 1e-8, 0.5
@@ -608,12 +595,11 @@ class TestAdam:
     def test_three_steps_on_quadratic_matches_trace(self):
         # f(w) = w^2 from w = 1, gradient 2w, lr 0.1.
         net = hand_network([([[1.0]], [0.0], "linear", 0.0)])
-        cfg = TrainConfig(learning_rate=0.1)
-        state = AdamState.for_network(net)
+        state = AdamState.for_network(net, 0.1)
         w_ref, m, v = 1.0, 0.0, 0.0
         for t in range(1, 4):
             g = 2.0 * net.layers[0].weights[0, 0]
-            adam_step(net, np.array([g, 0.0]), state, cfg)
+            adam_step(net, np.array([g, 0.0]), state)
             g_ref = 2.0 * w_ref
             m = 0.9 * m + 0.1 * g_ref
             v = 0.999 * v + 0.001 * g_ref * g_ref
@@ -628,18 +614,16 @@ class TestAdam:
         for lr in (0.1, 0.05, 0.01, 1e-3):
             for w0 in (1.0, -0.4, 0.25):
                 net = hand_network([([[w0]], [0.0], "linear", 0.0)])
-                state = AdamState.for_network(net)
+                state = AdamState.for_network(net, lr)
                 g = 2.0 * w0
-                adam_step(
-                    net, np.array([g, 0.0]), state, TrainConfig(learning_rate=lr)
-                )
+                adam_step(net, np.array([g, 0.0]), state)
                 w1 = net.layers[0].weights[0, 0]
                 assert w1**2 < w0**2
 
     def check_against_per_layer_reference(self, net, x, y, steps):
         # The per-layer update the flat one replaced, kept as the oracle:
         # every parameter must come out bit for bit the same.
-        def per_layer_step(params, grads, moments, t, cfg):
+        def per_layer_step(params, grads, moments, t, lr):
             b1, b2 = ADAM_BETA1, ADAM_BETA2
             for p, g, (m, v) in zip(params, grads, moments):
                 m *= b1
@@ -648,18 +632,17 @@ class TestAdam:
                 v += (1.0 - b2) * (g * g)
                 m_hat = m / (1.0 - b1**t)
                 v_hat = v / (1.0 - b2**t)
-                p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+                p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
         ref = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref]
-        config = TrainConfig(learning_rate=0.05)
-        state = AdamState.for_network(net)
+        state = AdamState.for_network(net, 0.05)
         for t in range(1, steps + 1):
             out, cache = forward(net, x)
             grads = backward(net, cache, mse_loss(out, y)[1])
             ref_grads = [a.copy() for pair in net.layer_views(grads) for a in pair]
-            adam_step(net, grads, state, config)
-            per_layer_step(ref, ref_grads, moments, t, config)
+            adam_step(net, grads, state)
+            per_layer_step(ref, ref_grads, moments, t, 0.05)
             got = [a for l in net.layers for a in (l.weights, l.bias)]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
         assert state.t == steps
@@ -680,7 +663,7 @@ class TestAdam:
         net = random_network([600, 220, 3], rng, dtype=dtype)
         assert net.params.size > 2 * ADAM_BLOCK
         assert net.params.size % ADAM_BLOCK != 0
-        state = AdamState.for_network(net)
+        state = AdamState.for_network(net, 0.05)
         assert state.scratch.size == ADAM_BLOCK
         assert state.m.dtype == state.v.dtype == state.scratch.dtype == dtype
         x = rng.standard_normal((6, 600)).astype(dtype)
@@ -696,15 +679,15 @@ class TestAdam:
     def test_gradient_layout_checked(self):
         net = tiny_network()
         with pytest.raises(ShapeError):
-            adam_step(net, np.zeros(3), AdamState.for_network(net), TrainConfig())
+            adam_step(net, np.zeros(3), AdamState.for_network(net, 1e-3))
 
     def test_dtype_mismatch_checked(self):
         net = hand_network([([[1.0]], [0.0], "linear", 0.0)], dtype=np.float32)
         with pytest.raises(ShapeError, match="dtype float64"):
-            adam_step(net, np.zeros(2), AdamState.for_network(net), TrainConfig())
+            adam_step(net, np.zeros(2), AdamState.for_network(net, 1e-3))
         with pytest.raises(ShapeError, match="moments"):
-            state = AdamState(m=np.zeros(2), v=np.zeros(2))
-            adam_step(net, np.zeros(2, np.float32), state, TrainConfig())
+            state = AdamState(np.zeros(2), np.zeros(2), 1e-3)
+            adam_step(net, np.zeros(2, np.float32), state)
 
     def test_moment_layout_checked(self):
         # A state built for a larger network must not be sliced silently.
@@ -715,20 +698,19 @@ class TestAdam:
             (np.zeros(size), np.zeros(size + 1)),
         ):
             with pytest.raises(ShapeError, match="moments"):
-                adam_step(net, np.zeros(size), AdamState(m=m, v=v), TrainConfig())
+                adam_step(net, np.zeros(size), AdamState(m, v, 1e-3))
 
     def test_full_loop_reduces_loss(self):
         rng = RngStream(40, 0)
         net = random_network([6, 4, 3], rng)
         x = rng.standard_normal((64, 6))
         y = x[:, :3] * 0.5
-        config = TrainConfig(learning_rate=5e-3)
-        state = AdamState.for_network(net)
+        state = AdamState.for_network(net, 5e-3)
         start, _ = mse_loss(forward(net, x)[0], y)
         for _ in range(300):
             out, cache = forward(net, x)
             loss, loss_grad = mse_loss(out, y)
             grads = backward(net, cache, loss_grad)
-            adam_step(net, grads, state, config)
+            adam_step(net, grads, state)
         final, _ = mse_loss(forward(net, x)[0], y)
         assert final < 0.2 * start
