@@ -86,6 +86,11 @@ _DROPOUT_RATES = (0.20, 0.10, 0.0, 0.0, 0.0, 0.10, 0.20, 0.0)
 
 _MAGIC = b"AIMB"
 _FORMAT_VERSION = 2
+# magic, version, p, q, d, seed, bottleneck index, layer count, epoch count
+_HEADER = struct.Struct("<4sI7Q")
+# Each layer's record, before its weights and bias: fan_out, fan_in,
+# activation code, dropout rate.
+_RECORD = struct.Struct("<QQBd")
 _ACTIVATION_CODES = {"linear": 0, "relu": 1}
 _ACTIVATION_NAMES = {code: name for name, code in _ACTIVATION_CODES.items()}
 
@@ -370,98 +375,64 @@ def save_model(model: AimeModel, path) -> None:
     is rounded).
     """
     network = model.network
-    header = [_MAGIC, struct.pack("<I", _FORMAT_VERSION)]
-    header.append(
-        struct.pack(
-            "<6Q",
-            network.input_size,
-            network.output_size,
-            model.embedding_size,
-            model.seed,
-            network.bottleneck_index,
-            len(network.layers),
-        )
-    )
     history = np.asarray(model.loss_history, dtype="<f8")
-    header.append(struct.pack("<Q", history.size))
-    header.append(history.tobytes())
+    header = [
+        _HEADER.pack(
+            _MAGIC, _FORMAT_VERSION, network.input_size, network.output_size,
+            model.embedding_size, model.seed, network.bottleneck_index,
+            len(network.layers), history.size,
+        ),
+        history.tobytes(),
+    ]
     for stats in (model.input_means, model.input_sds, model.output_means, model.output_sds):
         header.append(np.asarray(stats, dtype="<f8").tobytes())
     views = network.layer_views(network.params.astype("<f4", copy=False))
     with open(path, "wb") as fh:
         fh.write(b"".join(header))
         for layer, (weights, bias) in zip(network.layers, views):
-            fh.write(
-                struct.pack(
-                    "<QQBd",
-                    layer.fan_out,
-                    layer.fan_in,
-                    _ACTIVATION_CODES[layer.activation],
-                    layer.dropout_rate,
-                )
-            )
+            code = _ACTIVATION_CODES[layer.activation]
+            fh.write(_RECORD.pack(layer.fan_out, layer.fan_in, code, layer.dropout_rate))
             fh.write(weights)
             fh.write(bias)
 
 
-class _Reader:
-    """Reads a model file, checking every length against the file size
-    before it reads (or anything allocates) the bytes."""
-
-    def __init__(self, fh):
-        self.fh = fh
-        self.size = os.fstat(fh.fileno()).st_size
-        self.pos = 0
-
-    def skip(self, count: int) -> int:
-        """Offset of the next ``count`` bytes, which are then passed."""
-        if self.pos + count > self.size:
-            raise ParseError(
-                f"model file truncated: needed {count} bytes at offset {self.pos}"
-            )
-        self.pos += count
-        return self.pos - count
-
-    def take(self, count: int) -> bytes:
-        self.fh.seek(self.skip(count))
-        return self.fh.read(count)
-
-    def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
-
-    def floats(self, count: int) -> np.ndarray:
-        return np.frombuffer(self.take(8 * count), dtype="<f8").astype(np.float64)
-
-    def fill(self, start: int, out: np.ndarray) -> None:
-        """Read ``out.nbytes`` bytes at offset ``start`` into ``out``."""
-        self.fh.seek(start)
-        if self.fh.readinto(out) != out.nbytes:
-            raise ParseError(f"model file truncated at offset {start}")
+def _read_into(fh, out) -> None:
+    """Fill ``out`` from the file. The size was checked up front, so a short
+    read means the file shrank while it was being read."""
+    offset = fh.tell()
+    if fh.readinto(out) != memoryview(out).nbytes:
+        raise ParseError(f"model file truncated at offset {offset}")
 
 
-def _finite(values: np.ndarray, what: str) -> np.ndarray:
+def _check(values: np.ndarray, what: str, nonnegative: bool = False) -> None:
     # min and max propagate NaN and reach any infinity, without the
     # layer-sized mask np.isfinite would allocate.
-    if values.size and not (np.isfinite(values.min()) and np.isfinite(values.max())):
-        raise ParseError(f"model file: non-finite value in {what}")
-    return values
+    if values.size:
+        low, high = values.min(), values.max()
+        if not (np.isfinite(low) and np.isfinite(high)):
+            raise ParseError(f"model file: non-finite value in {what}")
+        if nonnegative and low < 0:
+            raise ParseError(f"model file: negative value in {what}")
 
 
 def load_model(path) -> AimeModel:
     """Read a model written by save_model; malformed files, including
-    non-finite values in any field, raise ParseError.
+    non-finite values in any field and negative sds or losses, raise
+    ParseError.
 
-    A first pass reads the header and the layer record headers, checks
-    each record against ``build_architecture(p, q, d)`` of the header's
-    sizes, and checks that the layers fill the file exactly; only then is
-    the network allocated, and each layer's parameters are read straight
-    into its views.
+    The header's p, q and d fix the layer plan ``build_architecture(p, q,
+    d)``, and with the epoch count the exact file size, which is checked
+    before anything is allocated. The file is then read once, front to
+    back: each layer record is checked against the plan, and the layer's
+    weights and bias are read straight into the network's views.
     """
     with open(path, "rb") as fh:
-        reader = _Reader(fh)
-        if reader.take(4) != _MAGIC:
+        head = fh.read(_HEADER.size)
+        if head[:4] != _MAGIC:
             raise ParseError("not a model file: bad magic bytes")
-        (version,) = reader.unpack("<I")
+        if len(head) < _HEADER.size:
+            raise ParseError(f"model file truncated: {len(head)}-byte header")
+        _, version, p, q, d, seed, bottleneck, n_layers, epochs = _HEADER.unpack(head)
         if version == 1:
             raise ParseError(
                 "model format version 1 (float64 parameters) is no longer read; "
@@ -469,7 +440,6 @@ def load_model(path) -> AimeModel:
             )
         if version != _FORMAT_VERSION:
             raise ParseError(f"unsupported model format version {version}")
-        p, q, d, seed, bottleneck, n_layers = reader.unpack("<6Q")
         try:
             plan = build_architecture(p, q, d)
         except DomainError as exc:
@@ -480,15 +450,24 @@ def load_model(path) -> AimeModel:
             )
         if n_layers != len(plan):
             raise ParseError(f"expected {len(plan)} layers, header says {n_layers}")
-        (history_len,) = reader.unpack("<Q")
-        history = _finite(reader.floats(history_len), "loss history").tolist()
-        input_means = _finite(reader.floats(p), "x means")
-        input_sds = _finite(reader.floats(p), "x sds")
-        output_means = _finite(reader.floats(q), "y means")
-        output_sds = _finite(reader.floats(q), "y sds")
-        starts = []
-        for index, spec in enumerate(plan):
-            fan_out, fan_in, act_code, rate = reader.unpack("<QQBd")
+        n_stats = epochs + 2 * (p + q)
+        expected = _HEADER.size + 8 * n_stats + sum(
+            _RECORD.size + PARAM_DTYPE.itemsize * fan_out * (fan_in + 1)
+            for fan_in, fan_out, _, _ in plan
+        )
+        size = os.fstat(fh.fileno()).st_size
+        if size < expected:
+            raise ParseError(
+                f"model file truncated: its header implies {expected} bytes, "
+                f"the file has {size}"
+            )
+        stats = np.empty(n_stats)
+        _read_into(fh, stats)
+        network = Network(plan, BOTTLENECK_INDEX, PARAM_DTYPE)
+        record = bytearray(_RECORD.size)
+        for index, (spec, layer) in enumerate(zip(plan, network.layers)):
+            _read_into(fh, record)
+            fan_out, fan_in, act_code, rate = _RECORD.unpack(record)
             activation = _ACTIVATION_NAMES.get(act_code, f"code {act_code}")
             if (fan_in, fan_out, activation, rate) != spec:
                 raise ParseError(
@@ -496,25 +475,27 @@ def load_model(path) -> AimeModel:
                     f"{(fan_in, fan_out, activation, rate)} in the file, but "
                     f"{spec} in AIME's plan for p={p}, q={q}, d={d}"
                 )
-            starts.append(reader.skip(PARAM_DTYPE.itemsize * fan_out * (fan_in + 1)))
-        if reader.pos != reader.size:
-            raise ParseError(f"{reader.size - reader.pos} unexpected trailing bytes")
-        network = Network(plan, BOTTLENECK_INDEX, PARAM_DTYPE)
-        for layer, start in zip(network.layers, starts):
-            reader.fill(start, layer.weights)
-            reader.fill(start + layer.weights.nbytes, layer.bias)
-    # The file is little-endian; ``params`` holds native float32s.
+            _read_into(fh, layer.weights)
+            _read_into(fh, layer.bias)
+        if size > expected:
+            raise ParseError(f"{size - expected} unexpected trailing bytes")
+    # The file is little-endian; numpy arrays hold native values.
     if sys.byteorder == "big":
+        stats.byteswap(inplace=True)
         network.params.byteswap(inplace=True)
+    names = ("loss history", "x means", "x sds", "y means", "y sds")
+    fields = dict(zip(names, np.split(stats, np.cumsum([epochs, p, p, q]))))
+    for what, values in fields.items():
+        _check(values, what, nonnegative=not what.endswith("means"))
     for index, layer in enumerate(network.layers):
-        _finite(layer.weights, f"layer {index} weights")
-        _finite(layer.bias, f"layer {index} bias")
+        _check(layer.weights, f"layer {index} weights")
+        _check(layer.bias, f"layer {index} bias")
     return AimeModel(
         network=network,
         seed=seed,
-        input_means=input_means,
-        input_sds=input_sds,
-        output_means=output_means,
-        output_sds=output_sds,
-        loss_history=history,
+        input_means=fields["x means"],
+        input_sds=fields["x sds"],
+        output_means=fields["y means"],
+        output_sds=fields["y sds"],
+        loss_history=fields["loss history"].tolist(),
     )

@@ -106,15 +106,20 @@ def _atomic_write(path: str, write: Callable[[str], None]) -> None:
     """Run ``write(tmp)`` on a temp file in the target's directory, then
     rename it over ``path``; on any failure the temp file is removed and
     ``path`` is left as it was. An error creating the temp file (say, a
-    missing directory) names ``path``."""
+    missing directory) names ``path``. The file gets the mode a plain
+    ``open(path, "w")`` gives a new file, 0o666 less the umask, not
+    mkstemp's 0o600."""
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp_")
     except OSError as exc:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     os.close(fd)
+    umask = os.umask(0)  # the umask can only be read by setting it
+    os.umask(umask)
     try:
         write(tmp)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -2,6 +2,7 @@
 model file round trip."""
 
 import hashlib
+import os
 import re
 import struct
 import tracemalloc
@@ -743,11 +744,14 @@ class TestModelFile:
             tracemalloc.stop()
         assert peak < 1_000_000
 
-    def test_header_size_overrun_rejected_before_allocating(self, tmp_path):
+    # p follows magic and version; the epoch count follows p, q, d, seed,
+    # the bottleneck index and the layer count.
+    @pytest.mark.parametrize("offset, value", [(8, 2**40), (56, 2**60)], ids=["p", "epochs"])
+    def test_header_size_overrun_rejected_before_allocating(self, tmp_path, offset, value):
         model, _, path = self.fitted(tmp_path)
         save_model(model, path)
         raw = bytearray(path.read_bytes())
-        raw[8:16] = struct.pack("<Q", 2**40)  # p, after magic and version
+        raw[offset : offset + 8] = struct.pack("<Q", value)
         path.write_bytes(bytes(raw))
         tracemalloc.start()
         try:
@@ -826,11 +830,50 @@ class TestModelFile:
         ):
             load_model(path)
 
-    def test_nan_mean_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("output_means", np.nan, "non-finite value in y means"),
+            ("input_sds", -1.0, "negative value in x sds"),
+            ("output_sds", -1.0, "negative value in y sds"),
+            ("loss_history", -1.0, "negative value in loss history"),
+        ],
+        ids=["y_means_nan", "x_sds_negative", "y_sds_negative", "loss_history_negative"],
+    )
+    def test_nan_mean_rejected(self, tmp_path, field, value, message):
+        # A negative sd would pass as a constant column to the scaling
+        # (anything under 1e-12 is), so the column would be ignored.
         model, _, path = self.fitted(tmp_path)
-        model.output_means[1] = np.nan
+        getattr(model, field)[1] = value
         save_model(model, path)
-        with pytest.raises(ParseError, match="non-finite value in y means"):
+        with pytest.raises(ParseError, match=f"^model file: {message}$"):
+            load_model(path)
+
+    def test_zero_sd_and_loss_accepted(self, tmp_path):
+        model, _, path = self.fitted(tmp_path)
+        model.input_sds[0] = -0.0
+        model.output_sds[0] = 0.0
+        model.loss_history[0] = 0.0
+        save_model(model, path)
+        assert load_model(path).input_sds[0] == 0.0
+
+    @pytest.mark.parametrize(
+        "in_layer0, cut",
+        [(False, 20), (False, 100), (True, 10), (True, 30)],
+        ids=["header", "statistics", "record", "weights"],
+    )
+    def test_file_shrinking_mid_read_is_a_parse_error(self, tmp_path, monkeypatch, in_layer0, cut):
+        # fstat reports the full size, as if the file were cut after the
+        # size check; the read that comes up short raises ParseError.
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        raw = path.read_bytes()
+        full = os.stat(path)
+        if in_layer0:
+            cut += self.layer0_record(model)
+        path.write_bytes(raw[:cut])
+        monkeypatch.setattr(aime_model.os, "fstat", lambda fd: full)
+        with pytest.raises(ParseError, match="truncated"):
             load_model(path)
 
     def test_inf_weight_rejected(self, tmp_path):

@@ -1,3 +1,5 @@
+import os
+import stat
 import struct
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -644,6 +646,21 @@ class TestEmbedImportanceCca:
         assert "Traceback" not in result.output
         assert not (trained / "imp.tsv").exists()
 
+    def test_model_with_negative_sd_exits_2(self, runner, trained):
+        raw = bytearray((trained / "m.bin").read_bytes())
+        # x sd 0 follows the header, 2 losses and 8 x means.
+        offset = 4 + 4 + 48 + 8 + 8 * 2 + 8 * 8
+        raw[offset : offset + 8] = struct.pack("<d", -1.0)
+        (trained / "bad.bin").write_bytes(bytes(raw))
+        result = invoke(
+            runner, "embed", trained / "bad.bin", trained / "d_x.tsv",
+            trained / "emb.tsv",
+        )
+        assert result.exit_code == 2
+        assert "error: model file: negative value in x sds" in result.stderr
+        assert "Traceback" not in result.output
+        assert not (trained / "emb.tsv").exists()
+
     def test_model_with_wrong_bottleneck_index_exits_2(self, runner, trained):
         raw = bytearray((trained / "m.bin").read_bytes())
         # The bottleneck index follows magic, version, p, q, d and seed.
@@ -898,6 +915,22 @@ class TestAtomicWrite:
         else:
             assert target.read_text() == existing
 
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_outputs_get_the_mode_open_gives(self, runner, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            with open(tmp_path / "plain.txt", "w"):
+                pass
+            result = invoke(runner, "synth", tmp_path / "d", "--n", 10, "--p", 4,
+                            "--q", 4, "--n-signal", 2)
+        finally:
+            os.umask(old)
+        assert result.exit_code == 0, result.output
+        expected = 0o666 & ~umask
+        assert stat.S_IMODE((tmp_path / "plain.txt").stat().st_mode) == expected
+        for name in ("d_x.tsv", "d_y.tsv", "d_labels.tsv"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == expected, name
 
     def test_missing_directory_names_the_given_path(self, runner, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
