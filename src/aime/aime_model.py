@@ -252,7 +252,10 @@ def fit(
 
     network = build_network(plan, seed, PARAM_DTYPE)
     state = AdamState.for_network(network, config.learning_rate)
-    grads = np.empty_like(network.params)
+
+    def update(span, grad):
+        adam_step(network, grad, state, span)
+
     history: list[float] = []
     for epoch in range(config.epochs):
         order = permuted(np.arange(n), RngStream(seed, stream_id(KIND_SHUFFLE, epoch)))
@@ -269,8 +272,8 @@ def fit(
             masks = [None if m is None else m[rows] for m in epoch_masks]
             out, cache = forward(network, xb, masks)
             loss, loss_grad = mse_loss(out, yb)
-            backward(network, cache, loss_grad, out=grads)
-            adam_step(network, grads, state)
+            # Adam updates each group of layers as backward completes it.
+            backward(network, cache, loss_grad, state, update)
             total += loss * len(xb)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):
@@ -279,8 +282,6 @@ def fit(
                 "lower the learning rate or check the data scale"
             )
         history.append(epoch_loss)
-    # backward keeps views of the last gradient buffer; the model need not.
-    network._grad_views = None
     if history:
         _canonical_bottleneck(network, xs)
 
@@ -446,10 +447,13 @@ def load_model(path) -> AimeModel:
             raise ParseError(f"model file: {exc}") from None
         if bottleneck != BOTTLENECK_INDEX:
             raise ParseError(
-                f"bottleneck index {bottleneck}, expected {BOTTLENECK_INDEX}"
+                f"model file: bottleneck index {bottleneck}, expected "
+                f"{BOTTLENECK_INDEX}"
             )
         if n_layers != len(plan):
-            raise ParseError(f"expected {len(plan)} layers, header says {n_layers}")
+            raise ParseError(
+                f"model file: expected {len(plan)} layers, header says {n_layers}"
+            )
         n_stats = epochs + 2 * (p + q)
         expected = _HEADER.size + 8 * n_stats + sum(
             _RECORD.size + PARAM_DTYPE.itemsize * fan_out * (fan_in + 1)
@@ -471,14 +475,15 @@ def load_model(path) -> AimeModel:
             activation = _ACTIVATION_NAMES.get(act_code, f"code {act_code}")
             if (fan_in, fan_out, activation, rate) != spec:
                 raise ParseError(
-                    f"layer {index}: (fan_in, fan_out, activation, dropout) is "
+                    f"model file: layer {index}: (fan_in, fan_out, activation, "
+                    "dropout) is "
                     f"{(fan_in, fan_out, activation, rate)} in the file, but "
                     f"{spec} in AIME's plan for p={p}, q={q}, d={d}"
                 )
             _read_into(fh, layer.weights)
             _read_into(fh, layer.bias)
         if size > expected:
-            raise ParseError(f"{size - expected} unexpected trailing bytes")
+            raise ParseError(f"model file: {size - expected} unexpected trailing bytes")
     # The file is little-endian; numpy arrays hold native values.
     if sys.byteorder == "big":
         stats.byteswap(inplace=True)

@@ -137,10 +137,6 @@ class Network:
             DenseLayer(w, b, activation, rate)
             for (w, b), (_, _, activation, rate) in zip(views, specs)
         ]
-        # The gradient buffer backward last wrote and its layer views, so
-        # a training loop that passes one buffer on every step splits it
-        # once.
-        self._grad_views: tuple[np.ndarray, list] | None = None
 
     def layer_views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(weights, bias) views of each layer into a vector laid out like
@@ -326,16 +322,32 @@ def backward(
     network: Network,
     cache: ForwardCache,
     loss_grad: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Gradient of the loss w.r.t. every parameter, laid out like
-    ``network.params`` (``network.layer_views`` splits it by layer).
-    It is written into ``out`` when given (and ``out`` is returned), so a
-    training loop can reuse one buffer for every step.
+    out: np.ndarray | AdamState | None = None,
+    on_group=None,
+) -> np.ndarray | None:
+    """Gradient of the loss w.r.t. every parameter, layer by layer from
+    the output back.
+
+    Given an array ``out`` (or none, and one is allocated), the gradient
+    is written into it laid out like ``network.params``
+    (``network.layer_views`` splits it by layer), and ``out`` is
+    returned; a training loop can reuse one buffer for every step.
+
+    Given an :class:`AdamState` from ``AdamState.for_network``, the
+    gradient goes into the state's buffer one update group at a time,
+    output side first, and ``on_group(span, grad)`` runs as soon as a
+    group is complete, with the group's slice of ``params`` and its
+    gradient; the next group then overwrites that gradient, and None is
+    returned. Each layer's downstream gradient is formed before
+    ``on_group`` runs, so the callback may update the group's parameters
+    in place (``fit`` runs :func:`adam_step` there), and training holds
+    one group's gradient, not the whole network's. With an array,
+    ``on_group`` runs once, for the whole vector.
 
     ``loss_grad`` is the gradient of the loss at the network output (for
     MSE, the second value of :func:`mse_loss`). The cache must come from
-    a forward pass of this same network; mismatches raise CacheError.
+    a forward pass of this same network; mismatches raise CacheError
+    before any gradient is written.
     """
     if len(cache.outputs) != len(network.layers):
         raise CacheError(
@@ -348,42 +360,73 @@ def backward(
             f"cached output {pred.shape} vs loss gradient {loss_grad.shape}"
         )
 
-    if out is None:
-        out = np.empty_like(network.params)
-    elif out.shape != network.params.shape or out.dtype != network.dtype:
-        raise ShapeError(
-            f"gradient buffer of shape {out.shape} and dtype {out.dtype} for "
-            f"{network.params.size} {network.dtype} parameters"
-        )
-
-    if network._grad_views is None or network._grad_views[0] is not out:
-        network._grad_views = (out, network.layer_views(out))
-    views = network._grad_views[1]
-
     n = pred.shape[0]
-    zero = network.dtype.type(0)
-    grad_a = loss_grad
-    for idx in range(len(network.layers) - 1, -1, -1):
-        layer = network.layers[idx]
-        z = cache.pre_activations[idx]
+    if cache.x.shape != (n, network.input_size):
+        raise CacheError(
+            f"cached input {cache.x.shape} does not match ({n}, {network.input_size})"
+        )
+    for idx, (layer, z) in enumerate(zip(network.layers, cache.pre_activations)):
         if z.shape != (n, layer.fan_out):
             raise CacheError(
                 f"cached pre-activation {z.shape} does not match layer {idx} "
                 f"({n}, {layer.fan_out})"
             )
-        mask = cache.masks[idx]
-        if mask is not None:
-            grad_a = grad_a * mask
-        # relu passes the gradient where z > 0; the bool operand
-        # multiplies as 0.0 or 1.0. A linear layer passes it unchanged.
-        grad_z = grad_a * (z > zero) if layer.activation == "relu" else grad_a
-        below = cache.x if idx == 0 else cache.outputs[idx - 1]
-        gw, gb = views[idx]
-        np.matmul(grad_z.T, below, out=gw)
-        np.add.reduce(grad_z, axis=0, out=gb)
-        if idx > 0:
-            grad_a = grad_z @ layer.weights
-    return out
+
+    if isinstance(out, AdamState):
+        if len(out.grad_views) != len(network.layers):
+            raise ShapeError(
+                f"Adam state has gradient views for {len(out.grad_views)} layers, "
+                f"network has {len(network.layers)}"
+            )
+        views, groups = out.grad_views, out.groups
+    else:
+        if out is None:
+            out = np.empty_like(network.params)
+        elif out.shape != network.params.shape or out.dtype != network.dtype:
+            raise ShapeError(
+                f"gradient buffer of shape {out.shape} and dtype {out.dtype} for "
+                f"{network.params.size} {network.dtype} parameters"
+            )
+        views = network.layer_views(out)
+        groups = [(range(len(views) - 1, -1, -1), slice(0, out.size), out)]
+
+    zero = network.dtype.type(0)
+    grad_a = loss_grad
+    for layers, span, grad in groups:
+        for idx in layers:
+            layer = network.layers[idx]
+            z = cache.pre_activations[idx]
+            mask = cache.masks[idx]
+            if mask is not None:
+                grad_a = grad_a * mask
+            # relu passes the gradient where z > 0; the bool operand
+            # multiplies as 0.0 or 1.0. A linear layer passes it unchanged.
+            grad_z = grad_a * (z > zero) if layer.activation == "relu" else grad_a
+            below = cache.x if idx == 0 else cache.outputs[idx - 1]
+            gw, gb = views[idx]
+            np.matmul(grad_z.T, below, out=gw)
+            np.add.reduce(grad_z, axis=0, out=gb)
+            if idx > 0:
+                grad_a = grad_z @ layer.weights
+        if on_group is not None:
+            on_group(span, grad)
+    return None if isinstance(out, AdamState) else out
+
+
+def _update_groups(sizes: list[int]) -> list[range]:
+    """The layers that Adam updates together, as ranges of layer indices
+    in order, for layers of ``sizes`` parameters: a layer of at least
+    ``ADAM_BLOCK`` parameters is a group of its own, and each run of
+    smaller layers forms one group. Small layers share an update because
+    each update is a run of numpy calls; a network of small layers is one
+    group and takes one update per step."""
+    groups: list[range] = []
+    for index, size in enumerate(sizes):
+        if groups and size < ADAM_BLOCK and sizes[index - 1] < ADAM_BLOCK:
+            groups[-1] = range(groups[-1].start, index + 1)
+        else:
+            groups.append(range(index, index + 1))
+    return groups
 
 
 @dataclass
@@ -397,12 +440,25 @@ class AdamState:
     operation: at desk scale a float32 operation on a Python float costs
     half a microsecond more than on the array's own scalar type, which is
     more than its arithmetic.
+
+    ``for_network`` also gives the state the gradient layout that
+    :func:`backward` fills when handed the state. The network is split
+    once, from its layer sizes, into update groups (see
+    ``_update_groups``); every group's gradient goes into one buffer the
+    size of the largest group. ``grad_views`` holds each layer's (weights,
+    bias) views into that buffer, and ``groups`` holds, output side first,
+    each group's layers in backward order, its slice of ``params`` and its
+    gradient, the head of the buffer. At paper width the groups are
+    layers {7}, {6}, {5-2}, {1} and {0}, and the buffer holds layer 7's
+    6,512,826 gradients; at desk scale the whole network is one group.
     """
 
     m: np.ndarray
     v: np.ndarray
     learning_rate: float
     t: int = 0
+    grad_views: list = field(default_factory=list, init=False, repr=False, compare=False)
+    groups: list = field(default_factory=list, init=False, repr=False, compare=False)
     scratch: np.ndarray = field(init=False, repr=False, compare=False)
     scalars: tuple = field(init=False, repr=False, compare=False)
 
@@ -419,42 +475,69 @@ class AdamState:
         # np.zeros, unlike np.zeros_like, leaves the zeroing of the pages
         # to the first write, so the moments cost nothing before step 1.
         size, dtype = network.params.size, network.dtype
-        return cls(np.zeros(size, dtype), np.zeros(size, dtype), learning_rate)
+        state = cls(np.zeros(size, dtype), np.zeros(size, dtype), learning_rate)
+        shapes = [layer.weights.shape for layer in network.layers]
+        sizes = [rows * (cols + 1) for rows, cols in shapes]
+        starts = np.cumsum([0, *sizes]).tolist()
+        groups = _update_groups(sizes)
+        buffer = np.empty(max(starts[g.stop] - starts[g.start] for g in groups), dtype)
+        for g in groups:
+            state.grad_views += _split(buffer, shapes[g.start : g.stop])
+        state.groups = [
+            (g[::-1], slice(starts[g.start], starts[g.stop]),
+             buffer[: starts[g.stop] - starts[g.start]])
+            for g in reversed(groups)
+        ]
+        return state
 
 
-def adam_step(network: Network, grads: np.ndarray, state: AdamState) -> None:
+def adam_step(
+    network: Network,
+    grads: np.ndarray,
+    state: AdamState,
+    span: slice | None = None,
+) -> None:
     """One Adam update of every parameter, in place, with bias-corrected
     moments (Kingma & Ba 2015, Algorithm 1), at the state's learning rate.
 
     ``grads`` is a flat gradient from :func:`backward`; it serves as
-    scratch space and comes back overwritten. The update is a fixed run
-    of in-place vector operations, applied slice by slice over
-    ``ADAM_BLOCK`` elements of ``network.params``, and each element goes
+    scratch space and comes back overwritten. With ``span``, a slice of
+    ``network.params``, only that span is updated and ``grads`` is its
+    gradient: ``fit`` updates each update group as soon as backward
+    completes it. A step's first span is the one that ends at the last
+    parameter, the output layer's group, which backward completes first;
+    only that call advances ``state.t``, so the spans of one step share
+    its count and together give the bytes of one whole-vector step.
+
+    The update is a fixed run of in-place vector operations, applied
+    slice by slice over ``ADAM_BLOCK`` elements, and each element goes
     through the same operations in the same order as the textbook
     per-parameter form, so the result is the same to the bit:
     ``m = b1 m + (1-b1) g``, ``v = b2 v + (g g)(1-b2)``, then
     ``p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)``.
     """
-    shape, dtype = network.params.shape, network.dtype
-    if grads.shape != shape or grads.dtype != dtype:
+    size, dtype = network.params.size, network.dtype
+    low, high = (0, size) if span is None else span.indices(size)[:2]
+    if grads.shape != (high - low,) or grads.dtype != dtype:
         raise ShapeError(
             f"gradient of shape {grads.shape} and dtype {grads.dtype} for "
-            f"{network.params.size} {dtype} parameters"
+            f"{high - low} {dtype} parameters"
         )
     moments = (state.m.shape, state.v.shape, state.m.dtype, state.v.dtype)
-    if moments != (shape, shape, dtype, dtype):
+    if moments != ((size,), (size,), dtype, dtype):
         raise ShapeError(
             f"Adam moments of shapes {state.m.shape} and {state.v.shape} for "
-            f"{network.params.size} {dtype} parameters"
+            f"{size} {dtype} parameters"
         )
-    state.t += 1
+    if high == size:
+        state.t += 1
     b1, b2, keep1, keep2, lr, eps = state.scalars
     debias1 = dtype.type(1.0 - ADAM_BETA1**state.t)
     debias2 = dtype.type(1.0 - ADAM_BETA2**state.t)
-    for start in range(0, network.params.size, ADAM_BLOCK):
-        block = slice(start, start + ADAM_BLOCK)
-        p, g = network.params[block], grads[block]
-        m, v = state.m[block], state.v[block]
+    for start in range(low, high, ADAM_BLOCK):
+        block = slice(start, min(start + ADAM_BLOCK, high))
+        p, m, v = network.params[block], state.m[block], state.v[block]
+        g = grads[start - low : start - low + ADAM_BLOCK]
         scratch = state.scratch[: g.size]
         m *= b1
         np.multiply(g, keep1, out=scratch)

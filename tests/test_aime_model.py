@@ -281,9 +281,10 @@ class TestFit:
             fit(np.zeros((1, 3)), np.zeros((1, 3)), 1, TrainConfig(seed=0))
 
     def test_training_peak_memory(self):
-        # Parameters, two Adam moments and one reused gradient buffer,
-        # plus the transient per-layer draws of build_network (p = q = 1600:
-        # about 1M parameters; two steps of one batch each).
+        # Parameters, two Adam moments and one reused gradient buffer the
+        # size of the largest update group (layer 0 or 7, about half the
+        # parameters), plus the transient per-layer draws of build_network
+        # (p = q = 1600: about 1M parameters; two steps of one batch each).
         x = RngStream(4, 0).standard_normal((8, 1600))
         y = RngStream(5, 0).standard_normal((8, 1600))
         tracemalloc.start()
@@ -293,7 +294,7 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert model.network.params.size > 1_000_000
-        assert peak < 5.5 * model.network.params.nbytes
+        assert peak < 4.0 * model.network.params.nbytes
 
     def test_narrow_side_warns(self):
         x, y = make_pair(20, 12, 40, seed=6)
@@ -378,23 +379,48 @@ def reference_fit(x, y, embedding_size, config):
 
 class TestFitOracle:
     """fit's params and loss history equal the plain reference loop's to
-    the bit, at the desk shape (p = q = 40, d = 4)."""
+    the bit, at the desk shape (p = q = 40, d = 4), where the network is
+    one update group, and at p = q = 600, where layers 0 and 7 hold 72K
+    parameters each and are groups of their own: 3 groups, each updated
+    as soon as backward completes it."""
 
     @pytest.mark.parametrize(
-        "n, batch_size",
-        [(600, 32), (50, 64)],
-        ids=["600 rows, short last batch of 24", "batch above n"],
+        "n, width, batch_size",
+        [(600, 40, 32), (50, 40, 64), (70, 600, 32)],
+        ids=[
+            "600 rows, short last batch of 24",
+            "batch above n",
+            "600 features, 3 update groups",
+        ],
     )
-    def test_params_and_history_bitwise(self, n, batch_size):
-        x, y = make_pair(n, 40, 40, seed=8)
+    def test_params_and_history_bitwise(self, n, width, batch_size):
+        x, y = make_pair(n, width, width, seed=8)
         config = TrainConfig(epochs=4, batch_size=batch_size, seed=2)
         model = fit(x, y, 4, config)
         params, history = reference_fit(x, y, 4, config)
         assert model.network.params.dtype == params.dtype
         assert model.network.params.tobytes() == params.tobytes()
         assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
-        # The model does not keep the training gradient buffer alive.
-        assert model.network._grad_views is None
+
+    @pytest.mark.parametrize(
+        "p, q, groups, largest",
+        [
+            (40, 40, [range(7, -1, -1)], 948),
+            (600, 600, [[7], range(6, 0, -1), [0]], 72_600),
+            (5459, 5703, [[7], [6], [5, 4, 3, 2], [1], [0]], 6_512_826),
+        ],
+        ids=["desk", "600 features", "paper width"],
+    )
+    def test_update_groups(self, p, q, groups, largest):
+        # Output side first, each group's layers in backward order; one
+        # gradient buffer the size of the largest group.
+        network = Network(build_architecture(p, q, 4), BOTTLENECK_INDEX, PARAM_DTYPE)
+        state = AdamState.for_network(network, TrainConfig.learning_rate)
+        assert [list(layers) for layers, _, _ in state.groups] == [list(g) for g in groups]
+        assert max(grad.size for _, _, grad in state.groups) == largest
+        spans = [span for _, span, _ in state.groups][::-1]
+        assert [s.start for s in spans[1:]] == [s.stop for s in spans[:-1]]
+        assert (spans[0].start, spans[-1].stop) == (0, network.params.size)
 
 
 class TestParameterDtype:
@@ -403,9 +429,9 @@ class TestParameterDtype:
     def test_fit_trains_in_float32(self, monkeypatch):
         seen = set()
 
-        def spy_step(network, grads, state):
+        def spy_step(network, grads, state, span=None):
             seen.add(("adam", network.params.dtype, grads.dtype, state.m.dtype, state.v.dtype))
-            step(network, grads, state)
+            step(network, grads, state, span)
 
         def spy_masks(*args, **kwargs):
             masks = draw(*args, **kwargs)
@@ -703,6 +729,35 @@ class TestModelFile:
         with pytest.raises(ParseError, match="trailing"):
             load_model(path)
 
+    @pytest.mark.parametrize(
+        "offset, value, message",
+        [
+            (40, struct.pack("<Q", 1), "bottleneck index 1, expected 3"),
+            (48, struct.pack("<Q", 9), "expected 8 layers, header says 9"),
+            (
+                "record",
+                struct.pack("<d", 0.5),
+                f"layer 0: {SPEC_TEXT} is (7, 2, 'relu', 0.5) in the file, "
+                "but (7, 2, 'relu', 0.2) in AIME's plan for p=7, q=6, d=2",
+            ),
+            ("end", b"xx", "2 unexpected trailing bytes"),
+        ],
+        ids=["bottleneck index", "layer count", "layer record", "trailing bytes"],
+    )
+    def test_structure_errors_name_the_model_file(self, tmp_path, offset, value, message):
+        # The header's bottleneck index and layer count follow magic,
+        # version, p, q, d and seed; layer 0's dropout rate is 17 bytes
+        # into its record.
+        model, _, path = self.fitted(tmp_path)
+        save_model(model, path)
+        raw = bytearray(path.read_bytes())
+        offset = {"record": self.layer0_record(model) + 17, "end": len(raw)}.get(offset, offset)
+        raw[offset : offset + len(value)] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ParseError) as caught:
+            load_model(path)
+        assert str(caught.value) == f"model file: {message}"
+
     def test_load_peak_memory_one_parameter_copy(self, tmp_path):
         # Each layer is read straight into the network's parameter buffer
         # (p = q = 1600: about 1M parameters).
@@ -737,7 +792,7 @@ class TestModelFile:
         path.write_bytes(bytes(raw))
         tracemalloc.start()
         try:
-            with pytest.raises(ParseError, match=rf"^layer 0: {SPEC} is \({2**40}, 2, "):
+            with pytest.raises(ParseError, match=rf"^model file: layer 0: {SPEC} is \({2**40}, 2, "):
                 load_model(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -792,7 +847,7 @@ class TestModelFile:
         with pytest.raises(ParseError) as caught:
             load_model(path)
         assert str(caught.value) == (
-            f"layer 0: {SPEC_TEXT} is (7, 2, 'relu', {rate!r}) in the file, "
+            f"model file: layer 0: {SPEC_TEXT} is (7, 2, 'relu', {rate!r}) in the file, "
             "but (7, 2, 'relu', 0.2) in AIME's plan for p=7, q=6, d=2"
         )
 
@@ -810,7 +865,7 @@ class TestModelFile:
         with pytest.raises(ParseError) as caught:
             load_model(path)
         assert str(caught.value).startswith(
-            f"layer {index}: {SPEC_TEXT} is ({fan_in}, {fan_out}, {found}, {rate!r}) "
+            f"model file: layer {index}: {SPEC_TEXT} is ({fan_in}, {fan_out}, {found}, {rate!r}) "
             f"in the file, but ({fan_in}, {fan_out}, {planned}, {rate!r}) in AIME's plan"
         )
 
@@ -825,7 +880,7 @@ class TestModelFile:
         save_model(model, path)
         with pytest.raises(
             ParseError,
-            match=rf"^layer 0: {SPEC} is \(7, 3, 'relu', 0.2\) in the file, "
+            match=rf"^model file: layer 0: {SPEC} is \(7, 3, 'relu', 0.2\) in the file, "
             r"but \(7, 2, 'relu', 0.2\) in AIME's plan",
         ):
             load_model(path)
@@ -894,7 +949,7 @@ class TestModelFile:
         assert struct.unpack_from("<QQ", raw, offset) == (2, 2)
         raw[offset : offset + 16] = struct.pack("<QQ", 1, 5)
         path.write_bytes(bytes(raw))
-        with pytest.raises(ParseError, match=rf"^layer 1: {SPEC} is \(5, 1, 'relu', 0.1\) "):
+        with pytest.raises(ParseError, match=rf"^model file: layer 1: {SPEC} is \(5, 1, 'relu', 0.1\) "):
             load_model(path)
 
     def test_bottleneck_out_of_range(self, tmp_path):

@@ -661,6 +661,18 @@ class TestEmbedImportanceCca:
         assert "Traceback" not in result.output
         assert not (trained / "emb.tsv").exists()
 
+    def test_model_with_trailing_bytes_exits_2(self, runner, trained):
+        raw = (trained / "m.bin").read_bytes()
+        (trained / "bad.bin").write_bytes(raw + b"xx")
+        result = invoke(
+            runner, "embed", trained / "bad.bin", trained / "d_x.tsv",
+            trained / "emb.tsv",
+        )
+        assert result.exit_code == 2
+        assert "error: model file: 2 unexpected trailing bytes" in result.stderr
+        assert "Traceback" not in result.output
+        assert not (trained / "emb.tsv").exists()
+
     def test_model_with_wrong_bottleneck_index_exits_2(self, runner, trained):
         raw = bytearray((trained / "m.bin").read_bytes())
         # The bottleneck index follows magic, version, p, q, d and seed.

@@ -322,8 +322,8 @@ class TestBackward:
             backward(net, cache, loss_grad, out=np.empty(net.params.size, np.float32))
 
     def test_switching_buffers_writes_the_new_one(self):
-        # backward keeps the layer views of the buffer it last wrote; a
-        # different buffer must get views of its own.
+        # Each buffer passed as out= gets the whole gradient, whichever
+        # buffer the call before wrote.
         net = random_network([4, 3, 2], RngStream(6, 0))
         x = RngStream(6, 1).standard_normal((5, 4))
         out, cache = forward(net, x)
@@ -336,11 +336,64 @@ class TestBackward:
         assert first.tobytes() == expected
         assert second.tobytes() == expected
 
+    def test_groups_give_the_whole_vector_gradient(self):
+        # Layer 0 (72,120 parameters) is an update group of its own and
+        # layers 1-2 form one more. Each group's gradient, as backward
+        # hands it over, is that span of the whole-vector gradient.
+        net = random_network([600, 120, 4, 3], RngStream(7, 0), [0.2, 0.1, 0.0])
+        x = RngStream(7, 1).standard_normal((5, 600))
+        out, cache = forward(net, x, draw_dropout_masks(net, 5, RngStream(7, 2)))
+        loss_grad = mse_loss(out, RngStream(7, 3).standard_normal((5, 3)))[1]
+        whole = backward(net, cache, loss_grad)
+        seen = []
+
+        def keep(span, grad):
+            seen.append((span, grad.copy()))
+
+        state = AdamState.for_network(net, 1e-3)
+        assert backward(net, cache, loss_grad, state, keep) is None
+        assert [(span.start, span.stop) for span, _ in seen] == [
+            (72_120, net.params.size), (0, 72_120)
+        ]
+        # Both gradients are the head of one 72,120-element buffer.
+        assert np.shares_memory(state.groups[0][2], state.groups[1][2])
+        for span, grad in seen:
+            assert grad.tobytes() == whole[span].tobytes()
+        # Given an array, backward hands over the whole vector once.
+        seen.clear()
+        buf = np.empty_like(whole)
+        backward(net, cache, loss_grad, buf, keep)
+        assert [(span.start, span.stop) for span, _ in seen] == [(0, whole.size)]
+        assert seen[0][1].tobytes() == whole.tobytes()
+
+    def test_state_without_gradient_layout_rejected(self):
+        net = tiny_network()
+        _, cache = forward(net, np.array([[1.0, 2.0]]))
+        size = net.params.size
+        state = AdamState(np.zeros(size), np.zeros(size), 1e-3)
+        with pytest.raises(ShapeError, match="gradient views for 0 layers"):
+            backward(net, cache, np.zeros((1, 1)), state, lambda span, grad: None)
+
     def test_cache_network_mismatch(self):
         net = tiny_network()
         _, cache = forward(net, np.array([[1.0, 2.0]]))
         with pytest.raises(CacheError):
             backward(Network([(2, 2, "relu", 0.0)]), cache, np.zeros((1, 2)))
+
+    def test_cache_checked_before_any_group_is_handed_over(self):
+        # Every layer but the first matches: the input width does not.
+        other = random_network([601, 120, 4, 3], RngStream(8, 0))
+        _, cache = forward(other, RngStream(8, 1).standard_normal((5, 601)))
+        net = random_network([600, 120, 4, 3], RngStream(8, 2))
+        before = net.params.tobytes()
+        handed = []
+        state = AdamState.for_network(net, 1e-3)
+        with pytest.raises(CacheError, match=r"cached input \(5, 601\)"):
+            backward(net, cache, np.zeros((5, 3)), state, lambda span, grad: handed.append(span))
+        with pytest.raises(CacheError, match=r"cached input \(5, 601\)"):
+            backward(net, cache, np.zeros((5, 3)))
+        assert handed == []
+        assert net.params.tobytes() == before
 
     def test_cache_loss_grad_mismatch(self):
         net = tiny_network()
@@ -676,10 +729,32 @@ class TestAdam:
     def test_float32_blocked_step_matches_per_layer_reference(self):
         self.check_blocked_step(np.float32)
 
+    def test_span_by_span_matches_whole_vector_step(self):
+        # Spans in the order backward hands them over (the one holding the
+        # last parameter first), with bounds inside ADAM_BLOCK slices:
+        # together they give the bytes of one whole-vector step, and t
+        # advances once per step.
+        rng = RngStream(44, 0)
+        nets = [random_network([600, 220, 3], RngStream(44, 1)) for _ in range(2)]
+        size = nets[0].params.size
+        bounds = [size, 2 * ADAM_BLOCK + 5, 1000, 0]
+        states = [AdamState.for_network(net, 0.05) for net in nets]
+        for step in range(1, 4):
+            grads = rng.standard_normal(size)
+            adam_step(nets[0], grads.copy(), states[0])
+            for high, low in zip(bounds, bounds[1:]):
+                adam_step(nets[1], grads[low:high].copy(), states[1], slice(low, high))
+            assert nets[1].params.tobytes() == nets[0].params.tobytes()
+            assert states[1].m.tobytes() == states[0].m.tobytes()
+            assert states[1].v.tobytes() == states[0].v.tobytes()
+            assert states[1].t == states[0].t == step
+
     def test_gradient_layout_checked(self):
         net = tiny_network()
         with pytest.raises(ShapeError):
             adam_step(net, np.zeros(3), AdamState.for_network(net, 1e-3))
+        with pytest.raises(ShapeError, match=r"\(3,\) .* for 2 float64"):
+            adam_step(net, np.zeros(3), AdamState.for_network(net, 1e-3), slice(3, 5))
 
     def test_dtype_mismatch_checked(self):
         net = hand_network([([[1.0]], [0.0], "linear", 0.0)], dtype=np.float32)
