@@ -251,7 +251,7 @@ def fit(
     ys = standardize_columns(y, output_means, output_sds).astype(PARAM_DTYPE)
 
     network = build_network(plan, seed, PARAM_DTYPE)
-    state = AdamState.for_network(network, config.learning_rate)
+    state = AdamState(network, config.learning_rate)
 
     def update(span, grad):
         adam_step(network, grad, state, span)

@@ -61,6 +61,8 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
 
     ridge is the regularization scale described in the module docstring;
     0 gives plain CCA and requires both covariance blocks to be nonsingular.
+    A block whose rows are all equal has no variance and raises
+    DefinitenessError at any ridge.
     Directions are sign-fixed per pair: the largest-magnitude coefficient
     across the x and y direction of a pair is made positive, which keeps
     the reported correlation nonnegative and the output deterministic.
@@ -85,14 +87,20 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
         raise DomainError(
             "ridge = 0 needs more samples than columns on both sides"
         )
+    for name, block in (("x", x), ("y", y)):
+        # No ridge helps here: its term, ridge * trace(S) / dim, is 0.
+        if (block == block[0]).all():
+            raise DefinitenessError(
+                f"{name} block has no variance: all {n} rows are equal"
+            )
 
     xc = x - x.mean(axis=0)
     yc = y - y.mean(axis=0)
 
     ux, sx, vx = svd_thin(xc)
     uy, sy, vy = svd_thin(yc)
-    gx = _whitening(sx, xc.shape, ridge)
-    gy = _whitening(sy, yc.shape, ridge)
+    gx = _whitening(sx, xc.shape, ridge, "x")
+    gy = _whitening(sy, yc.shape, ridge, "y")
     core = ((gx * sx)[:, None] * (ux.T @ uy) * (gy * sy)) / (n - 1)
     a, s, b = svd_thin(core)
 
@@ -114,9 +122,12 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
     )
 
 
-def _whitening(s: np.ndarray, shape: tuple[int, int], ridge: float) -> np.ndarray:
-    """Per-axis scale ``(s^2 / (n-1) + l)^(-1/2)`` that whitens one centred
-    block with singular values ``s``, where ``l = ridge * trace(S) / dim``.
+def _whitening(
+    s: np.ndarray, shape: tuple[int, int], ridge: float, name: str
+) -> np.ndarray:
+    """Per-axis scale ``(s^2 / (n-1) + l)^(-1/2)`` that whitens the centred
+    ``name`` block with singular values ``s``, where
+    ``l = ridge * trace(S) / dim``.
 
     Without a ridge term, a singular value at or under numpy's
     ``matrix_rank`` tolerance means the covariance block is singular.
@@ -133,7 +144,7 @@ def _whitening(s: np.ndarray, shape: tuple[int, int], ridge: float) -> np.ndarra
     tol = s[0] * max(shape) * np.finfo(np.float64).eps
     if lam == 0 and s[-1] <= tol:
         raise DefinitenessError(
-            f"covariance block is singular (rank {np.sum(s > tol)} of {dim} "
-            "columns); increase ridge"
+            f"{name} block covariance is singular (rank {np.sum(s > tol)} of "
+            f"{dim} columns); increase ridge"
         )
     return 1.0 / np.sqrt(variances + lam)

@@ -29,7 +29,6 @@ from .errors import DomainError
 from .matrix_core import (  # noqa: F401
     KIND_IMPORTANCE,
     RngStream,
-    as_matrix,
     permute_column,
     permuted,
     stream_id,
@@ -63,7 +62,6 @@ def permutation_importance(
     pre-activation (a zero weight column, a constant column, identity
     shuffles) scores exactly 0.0.
     """
-    x = as_matrix(x)
     if repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {repeats}")
     network = model.network
@@ -81,8 +79,8 @@ def permutation_importance(
     baseline = baseline.astype(np.float64)
     n = len(xs)
     block = max(1, STACK_ELEMENTS // max(1, n * first.fan_out))
-    scores = np.zeros(x.shape[1])
-    for j in range(x.shape[1]):
+    scores = np.zeros(xs.shape[1])
+    for j in range(xs.shape[1]):
         w = first.weights[:, j]
         if not w.any():
             continue

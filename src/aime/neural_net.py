@@ -18,7 +18,7 @@ framework is involved. Conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -322,32 +322,26 @@ def backward(
     network: Network,
     cache: ForwardCache,
     loss_grad: np.ndarray,
-    out: np.ndarray | AdamState | None = None,
-    on_group=None,
-) -> np.ndarray | None:
-    """Gradient of the loss w.r.t. every parameter, layer by layer from
-    the output back.
+    state: AdamState,
+    on_group,
+) -> None:
+    """Gradient of the loss w.r.t. every parameter, one update group at a
+    time from the output back, handed to ``on_group(span, grad)``.
 
-    Given an array ``out`` (or none, and one is allocated), the gradient
-    is written into it laid out like ``network.params``
-    (``network.layer_views`` splits it by layer), and ``out`` is
-    returned; a training loop can reuse one buffer for every step.
-
-    Given an :class:`AdamState` from ``AdamState.for_network``, the
-    gradient goes into the state's buffer one update group at a time,
-    output side first, and ``on_group(span, grad)`` runs as soon as a
-    group is complete, with the group's slice of ``params`` and its
-    gradient; the next group then overwrites that gradient, and None is
-    returned. Each layer's downstream gradient is formed before
-    ``on_group`` runs, so the callback may update the group's parameters
-    in place (``fit`` runs :func:`adam_step` there), and training holds
-    one group's gradient, not the whole network's. With an array,
-    ``on_group`` runs once, for the whole vector.
+    Each group's gradient goes into the state's buffer (see
+    :class:`AdamState`), and ``on_group`` runs as soon as the group is
+    complete, with the group's slice of ``params`` and its gradient; the
+    next group then overwrites that gradient. Each layer's downstream
+    gradient is formed before ``on_group`` runs, so the callback may
+    update the group's parameters in place (``fit`` runs
+    :func:`adam_step` there), and training holds one group's gradient,
+    not the whole network's. :func:`whole_gradient` copies the groups
+    into one vector.
 
     ``loss_grad`` is the gradient of the loss at the network output (for
-    MSE, the second value of :func:`mse_loss`). The cache must come from
-    a forward pass of this same network; mismatches raise CacheError
-    before any gradient is written.
+    MSE, the second value of :func:`mse_loss`). The state must be built
+    from this network, and the cache must come from a forward pass of it;
+    cache mismatches raise CacheError before any gradient is written.
     """
     if len(cache.outputs) != len(network.layers):
         raise CacheError(
@@ -372,27 +366,9 @@ def backward(
                 f"({n}, {layer.fan_out})"
             )
 
-    if isinstance(out, AdamState):
-        if len(out.grad_views) != len(network.layers):
-            raise ShapeError(
-                f"Adam state has gradient views for {len(out.grad_views)} layers, "
-                f"network has {len(network.layers)}"
-            )
-        views, groups = out.grad_views, out.groups
-    else:
-        if out is None:
-            out = np.empty_like(network.params)
-        elif out.shape != network.params.shape or out.dtype != network.dtype:
-            raise ShapeError(
-                f"gradient buffer of shape {out.shape} and dtype {out.dtype} for "
-                f"{network.params.size} {network.dtype} parameters"
-            )
-        views = network.layer_views(out)
-        groups = [(range(len(views) - 1, -1, -1), slice(0, out.size), out)]
-
     zero = network.dtype.type(0)
     grad_a = loss_grad
-    for layers, span, grad in groups:
+    for layers, span, grad in state.groups:
         for idx in layers:
             layer = network.layers[idx]
             z = cache.pre_activations[idx]
@@ -403,14 +379,27 @@ def backward(
             # multiplies as 0.0 or 1.0. A linear layer passes it unchanged.
             grad_z = grad_a * (z > zero) if layer.activation == "relu" else grad_a
             below = cache.x if idx == 0 else cache.outputs[idx - 1]
-            gw, gb = views[idx]
+            gw, gb = state.grad_views[idx]
             np.matmul(grad_z.T, below, out=gw)
             np.add.reduce(grad_z, axis=0, out=gb)
             if idx > 0:
                 grad_a = grad_z @ layer.weights
-        if on_group is not None:
-            on_group(span, grad)
-    return None if isinstance(out, AdamState) else out
+        on_group(span, grad)
+
+
+def whole_gradient(
+    network: Network, cache: ForwardCache, loss_grad: np.ndarray
+) -> np.ndarray:
+    """The gradient of :func:`backward`, laid out like ``network.params``
+    (``network.layer_views`` splits it by layer): each group it hands
+    over is copied into one new vector."""
+    whole = np.empty_like(network.params)
+
+    def collect(span, grad):
+        whole[span] = grad
+
+    backward(network, cache, loss_grad, AdamState(network, 1.0), collect)
+    return whole
 
 
 def _update_groups(sizes: list[int]) -> list[range]:
@@ -429,11 +418,11 @@ def _update_groups(sizes: list[int]) -> list[range]:
     return groups
 
 
-@dataclass
 class AdamState:
-    """Adam's step count and moment vectors, laid out like the network's
-    ``params`` and of its dtype, the learning rate, plus one scratch block
-    of up to ``ADAM_BLOCK`` elements for the update.
+    """Adam's step count ``t`` and moment vectors ``m`` and ``v`` for one
+    network, laid out like its ``params`` and of its dtype, plus one
+    scratch block of up to ``ADAM_BLOCK`` elements for the update and the
+    gradient layout that :func:`backward` fills.
 
     ``scalars`` holds b1, b2, 1-b1, 1-b2, the learning rate and eps in the
     moments' dtype, converted once, where numpy would convert them on every
@@ -441,73 +430,61 @@ class AdamState:
     half a microsecond more than on the array's own scalar type, which is
     more than its arithmetic.
 
-    ``for_network`` also gives the state the gradient layout that
-    :func:`backward` fills when handed the state. The network is split
-    once, from its layer sizes, into update groups (see
-    ``_update_groups``); every group's gradient goes into one buffer the
-    size of the largest group. ``grad_views`` holds each layer's (weights,
-    bias) views into that buffer, and ``groups`` holds, output side first,
-    each group's layers in backward order, its slice of ``params`` and its
-    gradient, the head of the buffer. At paper width the groups are
-    layers {7}, {6}, {5-2}, {1} and {0}, and the buffer holds layer 7's
-    6,512,826 gradients; at desk scale the whole network is one group.
+    The network is split once, from its layer sizes, into update groups
+    (see ``_update_groups``); every group's gradient goes into one buffer
+    the size of the largest group. ``grad_views`` holds each layer's
+    (weights, bias) views into that buffer, and ``groups`` holds, output
+    side first, each group's layers in backward order, its slice of
+    ``params`` and its gradient, the head of the buffer. At paper width
+    the groups are layers {7}, {6}, {5-2}, {1} and {0}, and the buffer
+    holds layer 7's 6,512,826 gradients; at desk scale the whole network
+    is one group.
     """
 
-    m: np.ndarray
-    v: np.ndarray
-    learning_rate: float
-    t: int = 0
-    grad_views: list = field(default_factory=list, init=False, repr=False, compare=False)
-    groups: list = field(default_factory=list, init=False, repr=False, compare=False)
-    scratch: np.ndarray = field(init=False, repr=False, compare=False)
-    scalars: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.scratch = np.empty(min(self.m.size, ADAM_BLOCK), dtype=self.m.dtype)
-        b1, b2 = ADAM_BETA1, ADAM_BETA2
-        self.scalars = tuple(map(
-            self.m.dtype.type,
-            (b1, b2, 1.0 - b1, 1.0 - b2, self.learning_rate, ADAM_EPSILON),
-        ))
-
-    @classmethod
-    def for_network(cls, network: Network, learning_rate: float) -> "AdamState":
+    def __init__(self, network: Network, learning_rate: float):
         # np.zeros, unlike np.zeros_like, leaves the zeroing of the pages
         # to the first write, so the moments cost nothing before step 1.
         size, dtype = network.params.size, network.dtype
-        state = cls(np.zeros(size, dtype), np.zeros(size, dtype), learning_rate)
+        self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
+        self.t = 0
+        self.scratch = np.empty(min(size, ADAM_BLOCK), dtype)
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
+        self.scalars = tuple(map(
+            dtype.type, (b1, b2, 1.0 - b1, 1.0 - b2, learning_rate, ADAM_EPSILON)
+        ))
         shapes = [layer.weights.shape for layer in network.layers]
         sizes = [rows * (cols + 1) for rows, cols in shapes]
         starts = np.cumsum([0, *sizes]).tolist()
         groups = _update_groups(sizes)
         buffer = np.empty(max(starts[g.stop] - starts[g.start] for g in groups), dtype)
-        for g in groups:
-            state.grad_views += _split(buffer, shapes[g.start : g.stop])
-        state.groups = [
+        self.grad_views = [
+            view for g in groups for view in _split(buffer, shapes[g.start : g.stop])
+        ]
+        self.groups = [
             (g[::-1], slice(starts[g.start], starts[g.stop]),
              buffer[: starts[g.stop] - starts[g.start]])
             for g in reversed(groups)
         ]
-        return state
 
 
 def adam_step(
     network: Network,
     grads: np.ndarray,
     state: AdamState,
-    span: slice | None = None,
+    span: slice,
 ) -> None:
-    """One Adam update of every parameter, in place, with bias-corrected
-    moments (Kingma & Ba 2015, Algorithm 1), at the state's learning rate.
+    """One Adam update, in place, of the span ``span`` of
+    ``network.params``, with bias-corrected moments (Kingma & Ba 2015,
+    Algorithm 1), at the state's learning rate.
 
-    ``grads`` is a flat gradient from :func:`backward`; it serves as
-    scratch space and comes back overwritten. With ``span``, a slice of
-    ``network.params``, only that span is updated and ``grads`` is its
-    gradient: ``fit`` updates each update group as soon as backward
-    completes it. A step's first span is the one that ends at the last
-    parameter, the output layer's group, which backward completes first;
-    only that call advances ``state.t``, so the spans of one step share
-    its count and together give the bytes of one whole-vector step.
+    ``grads`` is the span's gradient, as :func:`backward` hands it over;
+    it serves as scratch space and comes back overwritten. ``fit`` updates
+    each update group as soon as backward completes it. A step's first
+    span is the one that ends at the last parameter, the output layer's
+    group, which backward completes first; only that call advances
+    ``state.t``, so the spans of one step share its count. A network of
+    one group, such as the desk-scale one, takes one call per step, over
+    all of ``params``.
 
     The update is a fixed run of in-place vector operations, applied
     slice by slice over ``ADAM_BLOCK`` elements, and each element goes
@@ -517,7 +494,7 @@ def adam_step(
     ``p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)``.
     """
     size, dtype = network.params.size, network.dtype
-    low, high = (0, size) if span is None else span.indices(size)[:2]
+    low, high = span.indices(size)[:2]
     if grads.shape != (high - low,) or grads.dtype != dtype:
         raise ShapeError(
             f"gradient of shape {grads.shape} and dtype {grads.dtype} for "
@@ -618,6 +595,6 @@ def gradient_check(
         masks = draw_dropout_masks(network, np.asarray(x).shape[0], rng)
     out, cache = forward(network, x, masks)
     _, loss_grad = mse_loss(out, target)
-    analytic = backward(network, cache, loss_grad)
+    analytic = whole_gradient(network, cache, loss_grad)
     numeric = numerical_gradients(network, x, target, masks=masks, h=h)
     return max_relative_error(analytic, numeric)

@@ -13,6 +13,7 @@ target for scoring how well an embedding separates the hidden factors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,8 +66,8 @@ class SynthSpec:
             raise DomainError(
                 f"n_signal must lie in [0, p={self.p}], got {self.n_signal}"
             )
-        if not self.noise_sd > 0:
-            raise DomainError(f"noise_sd must be > 0, got {self.noise_sd}")
+        if not 0 < self.noise_sd < math.inf:
+            raise DomainError(f"noise_sd must be finite and > 0, got {self.noise_sd}")
         if self.design not in DESIGNS:
             raise DomainError(
                 f"design must be one of {DESIGNS}, got {self.design!r}"

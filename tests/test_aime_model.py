@@ -415,7 +415,7 @@ class TestFitOracle:
         # Output side first, each group's layers in backward order; one
         # gradient buffer the size of the largest group.
         network = Network(build_architecture(p, q, 4), BOTTLENECK_INDEX, PARAM_DTYPE)
-        state = AdamState.for_network(network, TrainConfig.learning_rate)
+        state = AdamState(network, TrainConfig.learning_rate)
         assert [list(layers) for layers, _, _ in state.groups] == [list(g) for g in groups]
         assert max(grad.size for _, _, grad in state.groups) == largest
         spans = [span for _, span, _ in state.groups][::-1]
@@ -429,7 +429,7 @@ class TestParameterDtype:
     def test_fit_trains_in_float32(self, monkeypatch):
         seen = set()
 
-        def spy_step(network, grads, state, span=None):
+        def spy_step(network, grads, state, span):
             seen.add(("adam", network.params.dtype, grads.dtype, state.m.dtype, state.v.dtype))
             step(network, grads, state, span)
 
@@ -456,9 +456,10 @@ class TestParameterDtype:
         net = model.network
         masks = draw_dropout_masks(net, len(x), RngStream(1, 0))
         out, cache = forward(net, x, masks)
-        grads = backward(net, cache, mse_loss(out, np.zeros_like(out))[1])
-        state = AdamState.for_network(net, TrainConfig.learning_rate)
-        dtypes = {net.params.dtype, grads.dtype, state.m.dtype, state.v.dtype}
+        state = AdamState(net, TrainConfig.learning_rate)
+        dtypes = {net.params.dtype, state.m.dtype, state.v.dtype}
+        loss_grad = mse_loss(out, np.zeros_like(out))[1]
+        backward(net, cache, loss_grad, state, lambda span, grad: dtypes.add(grad.dtype))
         dtypes |= {m.dtype for m in masks if m is not None}
         assert dtypes == {self.F32}
         assert np.asarray(model.loss_history).dtype == np.float64

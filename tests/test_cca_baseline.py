@@ -91,6 +91,28 @@ class TestFitErrors:
         with pytest.raises(DefinitenessError, match="increase ridge"):
             fit_cca(x, y, 1, ridge=0)
 
+    def test_singular_block_named(self):
+        x = rng(5).normal(size=(30, 2))
+        base = rng(6).normal(size=(30, 1))
+        with pytest.raises(
+            DefinitenessError,
+            match=r"^y block covariance is singular \(rank 1 of 2 columns\); increase ridge$",
+        ):
+            fit_cca(x, np.hstack([base, base]), 1, ridge=0)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1.0])
+    @pytest.mark.parametrize("value", [1.0, 0.1])
+    def test_constant_block_named_without_ridge_advice(self, ridge, value):
+        # The ridge term of a block with no variance is 0 at any ridge.
+        # Centring a constant 0.1 column leaves rounding, not zeros.
+        constant = np.full((20, 3), value)
+        other = rng(4).normal(size=(20, 2))
+        for x, y, name in ((constant, other, "x"), (other, constant, "y")):
+            with pytest.raises(
+                DefinitenessError, match=f"^{name} block has no variance: all 20 rows are equal$"
+            ):
+                fit_cca(x, y, 1, ridge=ridge)
+
     def test_rank_deficient_block_found_from_singular_values(self):
         # a column that is a combination of two others leaves a singular
         # value at rounding level, under numpy's matrix_rank tolerance

@@ -506,6 +506,14 @@ class TestSynthAndTrain:
         assert result.exit_code == 3
         assert "numerical failure" in result.output
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_noise_sd_exits_2(self, runner, tmp_path, value):
+        result = invoke(runner, "synth", tmp_path / "z", "--n-signal", 4,
+                        "--noise-sd", value)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: noise_sd must be finite and > 0, got {value}\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_of_range_synth_seed_exits_2(self, runner, tmp_path):
         result = invoke(runner, "synth", tmp_path / "z", "--n-signal", 4,
                         "--seed", 2**64)

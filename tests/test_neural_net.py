@@ -4,6 +4,7 @@ differences, Adam against a scalar reference, dropout statistics."""
 import numpy as np
 import pytest
 
+from aime.aime_model import PARAM_DTYPE, build_architecture, build_network
 from aime.errors import CacheError, DomainError, ShapeError
 from aime.matrix_core import RngStream
 from aime.neural_net import (
@@ -22,6 +23,7 @@ from aime.neural_net import (
     max_relative_error,
     mse_loss,
     numerical_gradients,
+    whole_gradient,
 )
 
 
@@ -54,6 +56,25 @@ def random_network(sizes, rng, dropout=None, dtype=np.float64):
         rate = dropout[i] if dropout else 0.0
         layers.append((w, b, act, rate))
     return hand_network(layers, dtype=dtype)
+
+
+def plain_backward(network, cache, loss_grad):
+    """The gradient of every parameter by the plain per-layer loop of
+    test_aime_model's reference_fit: an explicit float relu gradient,
+    one product and one sum per layer, and one concatenation."""
+    grad_a, grads = loss_grad, []
+    for k in range(len(network.layers) - 1, -1, -1):
+        layer, z, mask = network.layers[k], cache.pre_activations[k], cache.masks[k]
+        if mask is not None:
+            grad_a = grad_a * mask
+        if layer.activation == "relu":
+            grad_z = grad_a * (z > 0.0).astype(z.dtype)
+        else:
+            grad_z = grad_a * np.ones_like(z)
+        below = cache.x if k == 0 else cache.outputs[k - 1]
+        grads[:0] = [(grad_z.T @ below).ravel(), grad_z.sum(axis=0)]
+        grad_a = grad_z @ layer.weights
+    return np.concatenate(grads)
 
 
 def relu_margin(network, x, masks):
@@ -258,8 +279,9 @@ class TestFloat32Pass:
         target = RngStream(36, 2).standard_normal((6, 3)).astype(np.float32)
         out, cache = forward(net, x, draw_dropout_masks(net, 6, RngStream(36, 3)))
         _, loss_grad = mse_loss(out, target)
-        grads = backward(net, cache, loss_grad)
-        arrays = [out, loss_grad, grads, *cache.pre_activations, *cache.outputs]
+        handed = []
+        backward(net, cache, loss_grad, AdamState(net, 1e-3), lambda span, grad: handed.append(grad))
+        arrays = [out, loss_grad, *handed, *cache.pre_activations, *cache.outputs]
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
     def test_loss_accumulated_in_float64(self):
@@ -278,7 +300,7 @@ class TestBackward:
         y = np.array([[0.0]])
         out, cache = forward(net, x)
         _, loss_grad = mse_loss(out, y)
-        grads = net.layer_views(backward(net, cache, loss_grad))
+        grads = net.layer_views(whole_gradient(net, cache, loss_grad))
         # layer 2: dW = dz @ a1 = 4 * [0, 3]; db = 4
         np.testing.assert_allclose(grads[1][0], [[0.0, 12.0]])
         np.testing.assert_allclose(grads[1][1], [4.0])
@@ -290,7 +312,7 @@ class TestBackward:
         net = random_network([4, 3, 2], RngStream(4, 0))
         x = RngStream(4, 1).standard_normal((5, 4))
         _, cache = forward(net, x)
-        grads = backward(net, cache, np.zeros((5, 2)))
+        grads = whole_gradient(net, cache, np.zeros((5, 2)))
         for gw, gb in net.layer_views(grads):
             np.testing.assert_array_equal(gw, 0.0)
             np.testing.assert_array_equal(gb, 0.0)
@@ -303,82 +325,44 @@ class TestBackward:
         y = np.array([[0.0, 1.0], [1.0, 0.0]])
         out, cache = forward(net, x)
         _, loss_grad = mse_loss(out, y)
-        grads = net.layer_views(backward(net, cache, loss_grad))
+        grads = net.layer_views(whole_gradient(net, cache, loss_grad))
         diff = out - y
         np.testing.assert_allclose(grads[0][0], (2.0 / 4.0) * diff.T @ x, atol=1e-12)
         np.testing.assert_allclose(grads[0][1], (2.0 / 4.0) * diff.sum(axis=0), atol=1e-12)
 
-    def test_writes_into_given_buffer(self):
-        net = random_network([4, 3, 2], RngStream(5, 0))
-        x = RngStream(5, 1).standard_normal((5, 4))
-        out, cache = forward(net, x)
-        loss_grad = mse_loss(out, RngStream(5, 2).standard_normal((5, 2)))[1]
-        buf = np.full(net.params.size, np.nan)
-        assert backward(net, cache, loss_grad, out=buf) is buf
-        assert buf.tobytes() == backward(net, cache, loss_grad).tobytes()
-        with pytest.raises(ShapeError):
-            backward(net, cache, loss_grad, out=np.empty(net.params.size + 1))
-        with pytest.raises(ShapeError, match="dtype float32"):
-            backward(net, cache, loss_grad, out=np.empty(net.params.size, np.float32))
-
-    def test_switching_buffers_writes_the_new_one(self):
-        # Each buffer passed as out= gets the whole gradient, whichever
-        # buffer the call before wrote.
-        net = random_network([4, 3, 2], RngStream(6, 0))
-        x = RngStream(6, 1).standard_normal((5, 4))
-        out, cache = forward(net, x)
-        loss_grad = mse_loss(out, RngStream(6, 2).standard_normal((5, 2)))[1]
-        expected = backward(net, cache, loss_grad).tobytes()
-        first, second = np.zeros(net.params.size), np.zeros(net.params.size)
-        backward(net, cache, loss_grad, out=first)
-        backward(net, cache, 0.0 * loss_grad, out=second)
-        backward(net, cache, loss_grad, out=second)
-        assert first.tobytes() == expected
-        assert second.tobytes() == expected
-
     def test_groups_give_the_whole_vector_gradient(self):
-        # Layer 0 (72,120 parameters) is an update group of its own and
-        # layers 1-2 form one more. Each group's gradient, as backward
-        # hands it over, is that span of the whole-vector gradient.
-        net = random_network([600, 120, 4, 3], RngStream(7, 0), [0.2, 0.1, 0.0])
+        # The p = q = 600 network: layers 7 and 0 (72,600 and 72,120
+        # parameters) are update groups of their own, and layers 6-1 form
+        # one more. Each group's gradient, as backward hands it over, is
+        # that span of the plain per-layer gradient, to the bit.
+        net = build_network(build_architecture(600, 600, 4), 7, PARAM_DTYPE)
         x = RngStream(7, 1).standard_normal((5, 600))
         out, cache = forward(net, x, draw_dropout_masks(net, 5, RngStream(7, 2)))
-        loss_grad = mse_loss(out, RngStream(7, 3).standard_normal((5, 3)))[1]
-        whole = backward(net, cache, loss_grad)
+        target = RngStream(7, 3).standard_normal((5, 600)).astype(PARAM_DTYPE)
+        loss_grad = mse_loss(out, target)[1]
+        plain = plain_backward(net, cache, loss_grad)
         seen = []
 
         def keep(span, grad):
             seen.append((span, grad.copy()))
 
-        state = AdamState.for_network(net, 1e-3)
-        assert backward(net, cache, loss_grad, state, keep) is None
-        assert [(span.start, span.stop) for span, _ in seen] == [
-            (72_120, net.params.size), (0, 72_120)
-        ]
-        # Both gradients are the head of one 72,120-element buffer.
-        assert np.shares_memory(state.groups[0][2], state.groups[1][2])
-        for span, grad in seen:
-            assert grad.tobytes() == whole[span].tobytes()
-        # Given an array, backward hands over the whole vector once.
-        seen.clear()
-        buf = np.empty_like(whole)
-        backward(net, cache, loss_grad, buf, keep)
-        assert [(span.start, span.stop) for span, _ in seen] == [(0, whole.size)]
-        assert seen[0][1].tobytes() == whole.tobytes()
-
-    def test_state_without_gradient_layout_rejected(self):
-        net = tiny_network()
-        _, cache = forward(net, np.array([[1.0, 2.0]]))
+        state = AdamState(net, 1e-3)
+        backward(net, cache, loss_grad, state, keep)
         size = net.params.size
-        state = AdamState(np.zeros(size), np.zeros(size), 1e-3)
-        with pytest.raises(ShapeError, match="gradient views for 0 layers"):
-            backward(net, cache, np.zeros((1, 1)), state, lambda span, grad: None)
+        assert [(span.start, span.stop) for span, _ in seen] == [
+            (size - 72_600, size), (72_120, size - 72_600), (0, 72_120)
+        ]
+        # All three gradients are the head of one 72,600-element buffer.
+        assert np.shares_memory(state.groups[0][2], state.groups[2][2])
+        for span, grad in seen:
+            assert grad.tobytes() == plain[span].tobytes()
+        assert whole_gradient(net, cache, loss_grad).tobytes() == plain.tobytes()
 
     def test_cache_network_mismatch(self):
         net = tiny_network()
         _, cache = forward(net, np.array([[1.0, 2.0]]))
         with pytest.raises(CacheError):
-            backward(Network([(2, 2, "relu", 0.0)]), cache, np.zeros((1, 2)))
+            whole_gradient(Network([(2, 2, "relu", 0.0)]), cache, np.zeros((1, 2)))
 
     def test_cache_checked_before_any_group_is_handed_over(self):
         # Every layer but the first matches: the input width does not.
@@ -387,11 +371,9 @@ class TestBackward:
         net = random_network([600, 120, 4, 3], RngStream(8, 2))
         before = net.params.tobytes()
         handed = []
-        state = AdamState.for_network(net, 1e-3)
+        state = AdamState(net, 1e-3)
         with pytest.raises(CacheError, match=r"cached input \(5, 601\)"):
             backward(net, cache, np.zeros((5, 3)), state, lambda span, grad: handed.append(span))
-        with pytest.raises(CacheError, match=r"cached input \(5, 601\)"):
-            backward(net, cache, np.zeros((5, 3)))
         assert handed == []
         assert net.params.tobytes() == before
 
@@ -399,7 +381,7 @@ class TestBackward:
         net = tiny_network()
         _, cache = forward(net, np.array([[1.0, 2.0]]))
         with pytest.raises(CacheError):
-            backward(net, cache, np.zeros((2, 1)))
+            whole_gradient(net, cache, np.zeros((2, 1)))
 
 
 class TestGradientCheck:
@@ -439,7 +421,7 @@ class TestGradientCheck:
         y = RngStream(107, 0).standard_normal((4, 2))
         out, cache = forward(net, x)
         _, loss_grad = mse_loss(out, y)
-        grads = backward(net, cache, loss_grad)
+        grads = whole_gradient(net, cache, loss_grad)
         net.layer_views(grads)[0][0][0, 0] += 0.1
         numeric = numerical_gradients(net, x, y)
         assert max_relative_error(grads, numeric) > 1e-2
@@ -618,25 +600,25 @@ class TestAdam:
 
     def test_zero_gradient_leaves_parameters(self):
         net = hand_network([([[2.0]], [0.5], "linear", 0.0)])
-        state = AdamState.for_network(net, TrainConfig.learning_rate)
-        adam_step(net, np.zeros(2), state)
+        state = AdamState(net, TrainConfig.learning_rate)
+        adam_step(net, np.zeros(2), state, slice(0, 2))
         assert net.layers[0].weights[0, 0] == 2.0
         assert net.layers[0].bias[0] == 0.5
         assert state.t == 1
 
     def test_first_step_magnitude_is_learning_rate(self):
         net = hand_network([([[1.0]], [0.0], "linear", 0.0)])
-        state = AdamState.for_network(net, 0.01)
-        adam_step(net, np.array([0.37, 0.0]), state)
+        state = AdamState(net, 0.01)
+        adam_step(net, np.array([0.37, 0.0]), state, slice(0, 2))
         step = 1.0 - net.layers[0].weights[0, 0]
         assert step == pytest.approx(0.01, rel=1e-6)
 
     def test_matches_scalar_reference(self):
         net = hand_network([([[1.0]], [0.5], "linear", 0.0)])
-        state = AdamState.for_network(net, 0.05)
+        state = AdamState(net, 0.05)
         grad_seq = [0.4, -0.2, 0.7, 0.1, -0.5]
         for g in grad_seq:
-            adam_step(net, np.array([g, 2.0 * g]), state)
+            adam_step(net, np.array([g, 2.0 * g]), state, slice(0, 2))
         expect_w = self.scalar_reference(grad_seq, 0.05, 0.9, 0.999, 1e-8, 1.0)
         expect_b = self.scalar_reference(
             [2.0 * g for g in grad_seq], 0.05, 0.9, 0.999, 1e-8, 0.5
@@ -648,11 +630,11 @@ class TestAdam:
     def test_three_steps_on_quadratic_matches_trace(self):
         # f(w) = w^2 from w = 1, gradient 2w, lr 0.1.
         net = hand_network([([[1.0]], [0.0], "linear", 0.0)])
-        state = AdamState.for_network(net, 0.1)
+        state = AdamState(net, 0.1)
         w_ref, m, v = 1.0, 0.0, 0.0
         for t in range(1, 4):
             g = 2.0 * net.layers[0].weights[0, 0]
-            adam_step(net, np.array([g, 0.0]), state)
+            adam_step(net, np.array([g, 0.0]), state, slice(0, 2))
             g_ref = 2.0 * w_ref
             m = 0.9 * m + 0.1 * g_ref
             v = 0.999 * v + 0.001 * g_ref * g_ref
@@ -667,9 +649,9 @@ class TestAdam:
         for lr in (0.1, 0.05, 0.01, 1e-3):
             for w0 in (1.0, -0.4, 0.25):
                 net = hand_network([([[w0]], [0.0], "linear", 0.0)])
-                state = AdamState.for_network(net, lr)
+                state = AdamState(net, lr)
                 g = 2.0 * w0
-                adam_step(net, np.array([g, 0.0]), state)
+                adam_step(net, np.array([g, 0.0]), state, slice(0, 2))
                 w1 = net.layers[0].weights[0, 0]
                 assert w1**2 < w0**2
 
@@ -689,12 +671,17 @@ class TestAdam:
 
         ref = [a.copy() for l in net.layers for a in (l.weights, l.bias)]
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref]
-        state = AdamState.for_network(net, 0.05)
+        state = AdamState(net, 0.05)
+        grads = np.empty_like(net.params)
+
+        def update(span, grad):
+            grads[span] = grad
+            adam_step(net, grad, state, span)
+
         for t in range(1, steps + 1):
             out, cache = forward(net, x)
-            grads = backward(net, cache, mse_loss(out, y)[1])
-            ref_grads = [a.copy() for pair in net.layer_views(grads) for a in pair]
-            adam_step(net, grads, state)
+            backward(net, cache, mse_loss(out, y)[1], state, update)
+            ref_grads = [a for pair in net.layer_views(grads) for a in pair]
             per_layer_step(ref, ref_grads, moments, t, 0.05)
             got = [a for l in net.layers for a in (l.weights, l.bias)]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
@@ -716,7 +703,7 @@ class TestAdam:
         net = random_network([600, 220, 3], rng, dtype=dtype)
         assert net.params.size > 2 * ADAM_BLOCK
         assert net.params.size % ADAM_BLOCK != 0
-        state = AdamState.for_network(net, 0.05)
+        state = AdamState(net, 0.05)
         assert state.scratch.size == ADAM_BLOCK
         assert state.m.dtype == state.v.dtype == state.scratch.dtype == dtype
         x = rng.standard_normal((6, 600)).astype(dtype)
@@ -738,10 +725,10 @@ class TestAdam:
         nets = [random_network([600, 220, 3], RngStream(44, 1)) for _ in range(2)]
         size = nets[0].params.size
         bounds = [size, 2 * ADAM_BLOCK + 5, 1000, 0]
-        states = [AdamState.for_network(net, 0.05) for net in nets]
+        states = [AdamState(net, 0.05) for net in nets]
         for step in range(1, 4):
             grads = rng.standard_normal(size)
-            adam_step(nets[0], grads.copy(), states[0])
+            adam_step(nets[0], grads.copy(), states[0], slice(0, size))
             for high, low in zip(bounds, bounds[1:]):
                 adam_step(nets[1], grads[low:high].copy(), states[1], slice(low, high))
             assert nets[1].params.tobytes() == nets[0].params.tobytes()
@@ -752,40 +739,44 @@ class TestAdam:
     def test_gradient_layout_checked(self):
         net = tiny_network()
         with pytest.raises(ShapeError):
-            adam_step(net, np.zeros(3), AdamState.for_network(net, 1e-3))
+            adam_step(net, np.zeros(3), AdamState(net, 1e-3), slice(0, net.params.size))
         with pytest.raises(ShapeError, match=r"\(3,\) .* for 2 float64"):
-            adam_step(net, np.zeros(3), AdamState.for_network(net, 1e-3), slice(3, 5))
+            adam_step(net, np.zeros(3), AdamState(net, 1e-3), slice(3, 5))
 
     def test_dtype_mismatch_checked(self):
         net = hand_network([([[1.0]], [0.0], "linear", 0.0)], dtype=np.float32)
         with pytest.raises(ShapeError, match="dtype float64"):
-            adam_step(net, np.zeros(2), AdamState.for_network(net, 1e-3))
+            adam_step(net, np.zeros(2), AdamState(net, 1e-3), slice(0, 2))
+        # A state built for the float64 twin of the network.
+        other = hand_network([([[1.0]], [0.0], "linear", 0.0)])
         with pytest.raises(ShapeError, match="moments"):
-            state = AdamState(np.zeros(2), np.zeros(2), 1e-3)
-            adam_step(net, np.zeros(2, np.float32), state)
+            adam_step(net, np.zeros(2, np.float32), AdamState(other, 1e-3), slice(0, 2))
 
     def test_moment_layout_checked(self):
-        # A state built for a larger network must not be sliced silently.
+        # A state built for a larger or a smaller network must not be
+        # sliced silently.
         net = tiny_network()
         size = net.params.size
-        for m, v in (
-            (np.zeros(size + 1), np.zeros(size)),
-            (np.zeros(size), np.zeros(size + 1)),
-        ):
+        larger = random_network([2, 3, 1], RngStream(43, 0))
+        smaller = hand_network([([[1.0]], [0.0], "linear", 0.0)])
+        for other in (larger, smaller):
             with pytest.raises(ShapeError, match="moments"):
-                adam_step(net, np.zeros(size), AdamState(m, v, 1e-3))
+                adam_step(net, np.zeros(size), AdamState(other, 1e-3), slice(0, size))
 
     def test_full_loop_reduces_loss(self):
         rng = RngStream(40, 0)
         net = random_network([6, 4, 3], rng)
         x = rng.standard_normal((64, 6))
         y = x[:, :3] * 0.5
-        state = AdamState.for_network(net, 5e-3)
+        state = AdamState(net, 5e-3)
+
+        def update(span, grad):
+            adam_step(net, grad, state, span)
+
         start, _ = mse_loss(forward(net, x)[0], y)
         for _ in range(300):
             out, cache = forward(net, x)
             loss, loss_grad = mse_loss(out, y)
-            grads = backward(net, cache, loss_grad)
-            adam_step(net, grads, state)
+            backward(net, cache, loss_grad, state, update)
         final, _ = mse_loss(forward(net, x)[0], y)
         assert final < 0.2 * start

@@ -26,6 +26,11 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             spec(noise_sd=0.0)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_noise_finite(self, value):
+        with pytest.raises(DomainError, match=f"^noise_sd must be finite and > 0, got {value}$"):
+            spec(noise_sd=value)
+
     def test_design_names(self):
         with pytest.raises(DomainError, match="cubic"):
             spec(design="cubic")
