@@ -45,13 +45,12 @@ from .matrix_core import (
     KIND_DROPOUT,
     KIND_INIT,
     KIND_SHUFFLE,
-    RngStream,
     as_matrix,
     column_stats,
     destandardize_columns,
     permuted,
+    rng_stream,
     standardize_columns,
-    stream_id,
 )
 from .neural_net import (
     AdamState,
@@ -157,11 +156,11 @@ def build_network(plan: list[LayerSpec], seed: int, dtype=np.float64) -> Network
             limit = math.sqrt(6.0 / (layer.fan_in + layer.fan_out))
         # Block by block, the draws of rng.uniform(-limit, limit, shape):
         # each weight is -limit + (2 limit) u, to the bit.
-        rng = RngStream(seed, stream_id(KIND_INIT, index))
+        rng = rng_stream(seed, KIND_INIT, index)
         weights = layer.weights.reshape(-1)
         for start in range(0, weights.size, _INIT_BLOCK):
             block = scratch[: min(_INIT_BLOCK, weights.size - start)]
-            rng.fill_uniform(block)
+            rng.random(out=block)
             block *= 2.0 * limit
             block -= limit
             weights[start : start + block.size] = block
@@ -258,10 +257,12 @@ def fit(
 
     history: list[float] = []
     for epoch in range(config.epochs):
-        order = permuted(np.arange(n), RngStream(seed, stream_id(KIND_SHUFFLE, epoch)))
+        # permuted gives rng.permutation(n)'s bits; bench/run.py's tracer
+        # counts the shuffles through this name.
+        order = permuted(np.arange(n), rng_stream(seed, KIND_SHUFFLE, epoch))
         # The epoch's rows in shuffled order, so each batch is a slice.
         x_epoch, y_epoch = xs[order], ys[order]
-        mask_rng = RngStream(seed, stream_id(KIND_DROPOUT, epoch))
+        mask_rng = rng_stream(seed, KIND_DROPOUT, epoch)
         ramp = (epoch + 1) / config.epochs
         # The epoch's masks in one draw; each batch's are a row slice.
         epoch_masks = draw_dropout_masks(network, n, mask_rng, ramp, config.batch_size)

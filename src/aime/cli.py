@@ -35,7 +35,14 @@ from .data_io import (
     sd_filter,
     write_labeled,
 )
-from .errors import AimeError, DomainError, NumericalError, ParseError, ValidationError
+from .errors import (
+    AimeError,
+    DomainError,
+    InsufficientDataError,
+    NumericalError,
+    ParseError,
+    ValidationError,
+)
 from .importance import DEFAULT_REPEATS, permutation_importance, top_fraction
 from .neural_net import TrainConfig
 from .synth_bench import SynthSpec, generate
@@ -215,10 +222,13 @@ def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, or
         raise DomainError("pass exactly one of --cv or --sd")
     table = read_labeled_text(input_path, delimiter=delimiter, orientation=orientation)
     m = table.matrix
-    if use_cv:
-        kept = cv_filter(m, 0.05 if threshold is None else threshold)
-    else:
-        kept = sd_filter(m, 1.25 if threshold is None else threshold)
+    try:
+        if use_cv:
+            kept = cv_filter(m, 0.05 if threshold is None else threshold)
+        else:
+            kept = sd_filter(m, 1.25 if threshold is None else threshold)
+    except InsufficientDataError as exc:
+        raise InsufficientDataError(f"{input_path}: {exc}") from None
     # The kept cells are copied as the input spelled them, not re-printed.
     _atomic_write(output_path, lambda tmp: table.write_features(kept, tmp))
     click.echo(

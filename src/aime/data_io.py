@@ -172,7 +172,8 @@ def read_labeled_text(
     orientation: str = "samples_in_rows",
 ) -> LabeledText:
     """What ``read_labeled`` reads, with the lines it parsed, from one
-    read of the file."""
+    read of the file. Its ParseError and ValidationError messages start
+    with the path."""
     sep = delimiter_char(delimiter)
     if orientation not in ("samples_in_rows", "features_in_rows"):
         raise DomainError(f"unknown orientation {orientation!r}")
@@ -180,8 +181,18 @@ def read_labeled_text(
     lines = read_text(path).split("\n")
     if lines and lines[-1] == "":
         lines.pop()
+    try:
+        matrix = _parse_lines(lines, sep, orientation)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return LabeledText(lines, matrix, sep, orientation)
+
+
+def _parse_lines(lines: list[str], sep: str, orientation: str) -> LabeledMatrix:
+    """The labeled matrix of a file's lines; errors name the line and
+    column, not the file."""
     if len(lines) < 2:
-        raise ParseError(f"{path}: need a header row and at least one data row")
+        raise ParseError("need a header row and at least one data row")
 
     header = lines[0].split(sep)
     col_labels = [c.strip() for c in header[1:]]
@@ -217,15 +228,8 @@ def read_labeled_text(
         values[line_no - 2] = row
 
     if orientation == "features_in_rows":
-        values = values.T
-        sample_ids, feature_ids = col_labels, row_labels
-    else:
-        sample_ids, feature_ids = row_labels, col_labels
-    try:
-        matrix = LabeledMatrix(values, sample_ids, feature_ids)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-    return LabeledText(lines, matrix, sep, orientation)
+        return LabeledMatrix(values.T, col_labels, row_labels)
+    return LabeledMatrix(values, row_labels, col_labels)
 
 
 def write_labeled(m: LabeledMatrix, path, delimiter: str = "tab") -> None:

@@ -6,7 +6,7 @@ embedding of the shuffled data and the embedding of the original data
 (Breiman 2001). A column the embedding never looks at scores exactly zero.
 
 Column j's shuffles are the successive permutations drawn from its own
-stream, ``(seed, stream_id(KIND_IMPORTANCE, j))``, one repeat after
+stream, ``rng_stream(seed, KIND_IMPORTANCE, j)``, one repeat after
 another. So scores do not depend on the order in which columns are
 evaluated, a column's score can be recomputed alone, and ``repeats=R``
 uses the first R shuffles of ``repeats=R+1``.
@@ -28,10 +28,9 @@ from .aime_model import AimeModel, _standardized_input, embed  # noqa: F401
 from .errors import DomainError
 from .matrix_core import (  # noqa: F401
     KIND_IMPORTANCE,
-    RngStream,
     permute_column,
     permuted,
-    stream_id,
+    rng_stream,
 )
 from .neural_net import activate, forward
 
@@ -85,7 +84,7 @@ def permutation_importance(
         if not w.any():
             continue
         column = xs[:, j]
-        rng = RngStream(seed, stream_id(KIND_IMPORTANCE, j))
+        rng = rng_stream(seed, KIND_IMPORTANCE, j)
         total = 0.0
         for done in range(0, repeats, block):
             moves = np.stack(

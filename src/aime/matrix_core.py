@@ -1,16 +1,15 @@
 """Matrix helpers and deterministic random streams.
 
 Matrices are plain 2-D float64 numpy arrays stored row-major with samples
-in rows. No function here mutates its inputs, apart from
-:meth:`RngStream.fill_uniform`, which writes into ``out``; a
-:class:`RngStream` is the only stateful object (single-owner by design).
+in rows. No function here mutates its inputs.
 
 Stream-id registry
 ------------------
-Random streams are addressed by ``(base_seed, stream_id)``. To keep
-independent subsystems from colliding on stream ids derived from one seed,
-ids are namespaced as ``(kind << 48) + index`` via :func:`stream_id`, one
-``KIND_*`` constant per consumer.
+Random streams are numpy Generators made by :func:`rng_stream`, which keys
+Philox by ``[base_seed, (kind << 48) + index]``. One ``KIND_*`` constant
+per consumer keeps independent subsystems from colliding on stream ids
+derived from one seed; kind 0 is unassigned. A Generator is stateful, and
+each one has a single owner.
 """
 
 from __future__ import annotations
@@ -44,47 +43,21 @@ _SD_CONSTANT_FLOOR = 1e-12
 _U64 = 2**64
 
 
-def stream_id(kind: int, index: int = 0) -> int:
-    """Namespaced stream id for the given kind and index."""
-    return (kind << 48) + index
+def rng_stream(base_seed: int, kind: int, index: int = 0) -> np.random.Generator:
+    """The deterministic random stream of one consumer: numpy's Generator
+    on Philox keyed by ``[base_seed, (kind << 48) + index]``.
 
-
-class RngStream:
-    """Deterministic counter-based random stream.
-
-    The pair ``(base_seed, stream_id)`` fully determines the output
-    sequence, on every platform. Distinct stream ids under one base seed
-    give statistically independent streams (Philox keyed by both values),
-    so independently scheduled work stays reproducible.
+    The key fully determines the output sequence, on every platform.
+    Distinct keys under one base seed give statistically independent
+    streams, so independently scheduled work stays reproducible.
     """
-
-    def __init__(self, base_seed: int, stream_id: int = 0):
-        if not 0 <= base_seed < _U64:
-            raise DomainError(f"base_seed must fit in 64 bits, got {base_seed}")
-        if not 0 <= stream_id < _U64:
-            raise DomainError(f"stream_id must fit in 64 bits, got {stream_id}")
-        self.base_seed = base_seed
-        self.stream_id = stream_id
-        key = np.array([base_seed, stream_id], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def __repr__(self) -> str:
-        return f"RngStream(base_seed={self.base_seed}, stream_id={self.stream_id})"
-
-    def permutation(self, n: int) -> np.ndarray:
-        """A uniformly random ordering of ``0, ..., n-1``."""
-        return self._gen.permutation(n)
-
-    def uniform(self, low: float, high: float, size=None) -> np.ndarray:
-        return self._gen.uniform(low, high, size)
-
-    def fill_uniform(self, out: np.ndarray) -> None:
-        """Overwrite a C-contiguous float64 array with uniform draws in
-        [0, 1): the draws ``uniform(0, 1, out.shape)`` would return."""
-        self._gen.random(out=out)
-
-    def standard_normal(self, size=None) -> np.ndarray:
-        return self._gen.standard_normal(size)
+    if not 0 <= base_seed < _U64:
+        raise DomainError(f"base_seed must fit in 64 bits, got {base_seed}")
+    stream_id = (kind << 48) + index
+    if not 0 <= stream_id < _U64:
+        raise DomainError(f"stream_id must fit in 64 bits, got {stream_id}")
+    key = np.array([base_seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
@@ -97,7 +70,7 @@ def as_matrix(values, name: str = "matrix") -> np.ndarray:
     return arr
 
 
-def permuted(values: np.ndarray, rng: RngStream) -> np.ndarray:
+def permuted(values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Copy of a 1-D array in the order of ``rng``'s next permutation."""
     values = np.asarray(values)
     if values.ndim != 1:
@@ -105,7 +78,7 @@ def permuted(values: np.ndarray, rng: RngStream) -> np.ndarray:
     return values[rng.permutation(len(values))]
 
 
-def permute_column(m: np.ndarray, col: int, rng: RngStream) -> np.ndarray:
+def permute_column(m: np.ndarray, col: int, rng: np.random.Generator) -> np.ndarray:
     """Copy of ``m`` with column ``col`` uniformly permuted; ``m`` untouched."""
     if not 0 <= col < m.shape[1]:
         raise ColumnIndexError(f"column {col} out of range for {m.shape[1]} columns")

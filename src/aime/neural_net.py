@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CacheError, DomainError, ShapeError
-from .matrix_core import KIND_GRAD_CHECK, RngStream, stream_id
+from .matrix_core import KIND_GRAD_CHECK, rng_stream
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -201,7 +201,7 @@ def activate(name: str, z: np.ndarray) -> np.ndarray:
 def draw_dropout_masks(
     network: Network,
     n: int,
-    rng: RngStream,
+    rng: np.random.Generator,
     scale: float = 1.0,
     batch_size: int | None = None,
 ) -> list[np.ndarray | None]:
@@ -226,7 +226,7 @@ def draw_dropout_masks(
     rates = [layer.dropout_rate * scale for layer in network.layers]
     units = sum(layer.fan_out for layer, rate in zip(network.layers, rates) if rate > 0.0)
     u = np.empty(n * units)
-    rng.fill_uniform(u)
+    rng.random(out=u)
     batch = max(1, min(batch_size or n, n))
     # (draws, first row, rows per batch): one row of draws per batch, for
     # the full batches, then for the short last one.
@@ -340,8 +340,10 @@ def backward(
 
     ``loss_grad`` is the gradient of the loss at the network output (for
     MSE, the second value of :func:`mse_loss`). The state must be built
-    from this network, and the cache must come from a forward pass of it;
-    cache mismatches raise CacheError before any gradient is written.
+    from this network, and the cache must come from a forward pass of it.
+    Cache mismatches raise CacheError, and a state whose gradient layout
+    or dtype is not the network's raises ShapeError, before any group is
+    handed over.
     """
     if len(cache.outputs) != len(network.layers):
         raise CacheError(
@@ -365,6 +367,12 @@ def backward(
                 f"cached pre-activation {z.shape} does not match layer {idx} "
                 f"({n}, {layer.fan_out})"
             )
+    shapes = [layer.weights.shape for layer in network.layers]
+    if state.shapes != shapes or state.m.dtype != network.dtype:
+        raise ShapeError(
+            f"Adam state holds {state.m.dtype} gradients for layer weights "
+            f"{state.shapes}, not this network's {network.dtype} {shapes}"
+        )
 
     zero = network.dtype.type(0)
     grad_a = loss_grad
@@ -435,7 +443,8 @@ class AdamState:
     the size of the largest group. ``grad_views`` holds each layer's
     (weights, bias) views into that buffer, and ``groups`` holds, output
     side first, each group's layers in backward order, its slice of
-    ``params`` and its gradient, the head of the buffer. At paper width
+    ``params`` and its gradient, the head of the buffer. ``shapes`` holds
+    the network's weight shapes, which backward checks. At paper width
     the groups are layers {7}, {6}, {5-2}, {1} and {0}, and the buffer
     holds layer 7's 6,512,826 gradients; at desk scale the whole network
     is one group.
@@ -452,7 +461,7 @@ class AdamState:
         self.scalars = tuple(map(
             dtype.type, (b1, b2, 1.0 - b1, 1.0 - b2, learning_rate, ADAM_EPSILON)
         ))
-        shapes = [layer.weights.shape for layer in network.layers]
+        self.shapes = shapes = [layer.weights.shape for layer in network.layers]
         sizes = [rows * (cols + 1) for rows, cols in shapes]
         starts = np.cumsum([0, *sizes]).tolist()
         groups = _update_groups(sizes)
@@ -591,7 +600,7 @@ def gradient_check(
     for the analytic pass and every perturbed evaluation.
     """
     if masks is None:
-        rng = RngStream(seed, stream_id(KIND_GRAD_CHECK, 0))
+        rng = rng_stream(seed, KIND_GRAD_CHECK)
         masks = draw_dropout_masks(network, np.asarray(x).shape[0], rng)
     out, cache = forward(network, x, masks)
     _, loss_grad = mse_loss(out, target)

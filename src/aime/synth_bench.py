@@ -28,12 +28,11 @@ from .matrix_core import (
     KIND_SYNTH_NOISE_X,
     KIND_SYNTH_NOISE_Y,
     KIND_SYNTH_SIGNAL,
-    RngStream,
     as_matrix,
     column_stats,
     permuted,
+    rng_stream,
     standardize_columns,
-    stream_id,
 )
 
 LATENT_DIM = 2
@@ -85,7 +84,7 @@ class SynthData:
     signal_indices: list[int] = field(default_factory=list)
 
 
-def _unit_rows(rng: RngStream, count: int, width: int) -> np.ndarray:
+def _unit_rows(rng: np.random.Generator, count: int, width: int) -> np.ndarray:
     """Standard normal rows scaled to unit euclidean norm."""
     rows = rng.standard_normal((count, width))
     norms = np.sqrt((rows**2).sum(axis=1))
@@ -105,30 +104,20 @@ def generate(spec: SynthSpec) -> SynthData:
     changing p never perturbs the Y block and vice versa.
     """
     n, p, q = spec.n, spec.p, spec.q
-    z = RngStream(spec.seed, stream_id(KIND_SYNTH_LATENT, 0)).standard_normal(
-        (n, LATENT_DIM)
-    )
+    z = rng_stream(spec.seed, KIND_SYNTH_LATENT).standard_normal((n, LATENT_DIM))
 
-    placement = permuted(
-        np.arange(p), RngStream(spec.seed, stream_id(KIND_SYNTH_SIGNAL, 0))
-    )
+    placement = permuted(np.arange(p), rng_stream(spec.seed, KIND_SYNTH_SIGNAL))
     signal_indices = sorted(int(j) for j in placement[: spec.n_signal])
 
-    x = spec.noise_sd * RngStream(
-        spec.seed, stream_id(KIND_SYNTH_NOISE_X, 0)
-    ).standard_normal((n, p))
+    x = spec.noise_sd * rng_stream(spec.seed, KIND_SYNTH_NOISE_X).standard_normal((n, p))
     if spec.n_signal:
         coef_x = _unit_rows(
-            RngStream(spec.seed, stream_id(KIND_SYNTH_COEF_X, 0)),
-            spec.n_signal,
-            LATENT_DIM,
+            rng_stream(spec.seed, KIND_SYNTH_COEF_X), spec.n_signal, LATENT_DIM
         )
         x[:, signal_indices] += z @ coef_x.T
 
-    coef_rng = RngStream(spec.seed, stream_id(KIND_SYNTH_COEF_Y, 0))
-    y = spec.noise_sd * RngStream(
-        spec.seed, stream_id(KIND_SYNTH_NOISE_Y, 0)
-    ).standard_normal((n, q))
+    coef_rng = rng_stream(spec.seed, KIND_SYNTH_COEF_Y)
+    y = spec.noise_sd * rng_stream(spec.seed, KIND_SYNTH_NOISE_Y).standard_normal((n, q))
     if spec.design == "linear":
         coef_y = _unit_rows(coef_rng, q, LATENT_DIM)
         y += z @ coef_y.T
@@ -175,9 +164,7 @@ def evaluate_embedding(embedding, labels, seed: int = 0) -> float:
 
     emb = standardize_columns(emb, *column_stats(emb))
 
-    order = permuted(
-        np.arange(n), RngStream(seed, stream_id(KIND_FOLDS, 0))
-    )
+    order = permuted(np.arange(n), rng_stream(seed, KIND_FOLDS))
     correct = 0
     for fold in np.array_split(order, N_FOLDS):
         train = np.setdiff1d(order, fold)

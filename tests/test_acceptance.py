@@ -45,7 +45,7 @@ from aime.aime_model import (
 from aime.cca_baseline import fit_cca
 from aime.cli import main
 from aime.importance import permutation_importance, top_fraction
-from aime.matrix_core import RngStream, svd_thin
+from aime.matrix_core import rng_stream, svd_thin
 from aime.neural_net import TrainConfig, gradient_check
 from aime.synth_bench import SynthSpec, generate, evaluate_embedding
 
@@ -99,7 +99,7 @@ def test_criterion_1_gradient_correctness(scorecard):
         q = int(dims.integers(10, 61))
         d = int(dims.integers(1, 5))
         net = build_network(build_architecture(p, q, d), seed=i)
-        data = RngStream(i, 0)
+        data = rng_stream(i, 0, 0)
         x = data.standard_normal((8, p))
         target = data.standard_normal((8, q))
         worst = max(worst, gradient_check(net, x, target, h=1e-5, seed=i))
@@ -169,7 +169,7 @@ def test_criterion_4_claim_surrogate(scorecard, quadratic_runs):
     # keeps the sign of the latent (see the module docstring).
     runs, build_seconds = quadratic_runs
     start = time.perf_counter()
-    noise = RngStream(404, 0).standard_normal((SURROGATE_SIZES["n"], 4))
+    noise = rng_stream(404, 0, 0).standard_normal((SURROGATE_SIZES["n"], 4))
     margins, latent_margins, noise_margins, leading, ranks = [], [], [], [], []
     for data, model in runs:
         x, y = data.x.values, data.y.values
@@ -226,7 +226,7 @@ def test_criterion_5_linear_parity(scorecard, linear_runs):
 def test_criterion_6_importance_soundness(scorecard, quadratic_runs):
     # Clause 1: a constant input column and a zero-weight input column
     # both score exactly 0.
-    rng = RngStream(0, 0)
+    rng = rng_stream(0, 0, 0)
     x = rng.standard_normal((12, 5))
     x[:, 2] = 7.5
     y = rng.standard_normal((12, 4))
@@ -239,8 +239,8 @@ def test_criterion_6_importance_soundness(scorecard, quadratic_runs):
     # Clause 2: at n=3 the shuffle has only 6 possible orders, so the
     # exact expected score is a small average; the estimate must land
     # within 3 standard errors.
-    x3 = RngStream(1, 0).standard_normal((3, 4))
-    y3 = RngStream(2, 0).standard_normal((3, 3))
+    x3 = rng_stream(1, 0, 0).standard_normal((3, 4))
+    y3 = rng_stream(2, 0, 0).standard_normal((3, 3))
     tiny = fit(x3, y3, embedding_size=2, config=TrainConfig(epochs=0))
     base = embed(tiny, x3)
     repeats = 400
@@ -279,7 +279,7 @@ def test_criterion_6_importance_soundness(scorecard, quadratic_runs):
 
 def test_criterion_7_cca_oracles(scorecard):
     # Unregularized runs are the textbook objective the oracles describe.
-    rng = RngStream(3, 0)
+    rng = rng_stream(3, 0, 0)
     a = rng.standard_normal((50, 1))
     b = 0.6 * a + 0.8 * rng.standard_normal((50, 1))
     pearson = abs(float(np.corrcoef(a[:, 0], b[:, 0])[0, 1]))
@@ -292,7 +292,7 @@ def test_criterion_7_cca_oracles(scorecard):
 
     null_worst = 0.0
     for seed in range(1, 6):
-        s = RngStream(seed, 0)
+        s = rng_stream(seed, 0, 0)
         x = s.standard_normal((2000, 5))
         y = s.standard_normal((2000, 5))
         null_worst = max(
@@ -352,7 +352,7 @@ def test_criterion_9_linear_algebra_kernels(scorecard):
     for i in range(50):
         rows = int(dims.integers(2, 51))
         cols = int(dims.integers(2, 51))
-        m = RngStream(100 + i, 0).standard_normal((rows, cols))
+        m = rng_stream(100 + i, 0, 0).standard_normal((rows, cols))
         u, s, v = svd_thin(m)
         err = np.linalg.norm(u @ np.diag(s) @ v.T - m) / np.linalg.norm(m)
         worst_svd = max(worst_svd, float(err))
@@ -361,8 +361,8 @@ def test_criterion_9_linear_algebra_kernels(scorecard):
         # D^T (Sxx + lambda I) D = I
         size = int(dims.integers(2, 51))
         n = max(rows, 3)
-        x = RngStream(200 + i, 0).standard_normal((n, size))
-        y = RngStream(300 + i, 0).standard_normal((n, cols))
+        x = rng_stream(200 + i, 0, 0).standard_normal((n, size))
+        y = rng_stream(300 + i, 0, 0).standard_normal((n, cols))
         k = min(n - 1, size, cols)
         dirs = fit_cca(x, y, k, ridge=ridge).x_directions
         xc = x - x.mean(axis=0)

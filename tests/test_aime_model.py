@@ -39,10 +39,9 @@ from aime.errors import (
 from aime.matrix_core import (
     KIND_DROPOUT,
     KIND_SHUFFLE,
-    RngStream,
     column_stats,
+    rng_stream,
     standardize_columns,
-    stream_id,
 )
 from aime.neural_net import (
     ADAM_BETA1,
@@ -60,7 +59,7 @@ from aime.neural_net import (
 
 def make_pair(n, p, q, seed=0, latent_dim=2, noise=0.1):
     """Correlated X, Y pair driven by a shared low-dim latent."""
-    rng = RngStream(seed, 0)
+    rng = rng_stream(seed, 0, 0)
     z = rng.standard_normal((n, latent_dim))
     ax = rng.standard_normal((latent_dim, p))
     ay = rng.standard_normal((latent_dim, q))
@@ -207,7 +206,7 @@ class TestBuildNetwork:
         # plan (the embedding no wider than either matrix).
         assume(d <= min(p, q))
         net = build_network(build_architecture(p, q, d), seed=seed)
-        x = RngStream(seed, 1).standard_normal((3, p))
+        x = rng_stream(seed, 0, 1).standard_normal((3, p))
         out, cache = forward(net, x)
         assert out.shape == (3, q)
         assert cache.outputs[BOTTLENECK_INDEX].shape == (3, d)
@@ -285,8 +284,8 @@ class TestFit:
         # size of the largest update group (layer 0 or 7, about half the
         # parameters), plus the transient per-layer draws of build_network
         # (p = q = 1600: about 1M parameters; two steps of one batch each).
-        x = RngStream(4, 0).standard_normal((8, 1600))
-        y = RngStream(5, 0).standard_normal((8, 1600))
+        x = rng_stream(4, 0, 0).standard_normal((8, 1600))
+        y = rng_stream(5, 0, 0).standard_normal((8, 1600))
         tracemalloc.start()
         try:
             model = fit(x, y, 4, TrainConfig(epochs=2, seed=1))
@@ -333,8 +332,8 @@ def reference_fit(x, y, embedding_size, config):
     m, v, t = np.zeros_like(network.params), np.zeros_like(network.params), 0
     n, history = len(xs), []
     for epoch in range(config.epochs):
-        order = RngStream(config.seed, stream_id(KIND_SHUFFLE, epoch)).permutation(n)
-        mask_rng = RngStream(config.seed, stream_id(KIND_DROPOUT, epoch))
+        order = rng_stream(config.seed, KIND_SHUFFLE, epoch).permutation(n)
+        mask_rng = rng_stream(config.seed, KIND_DROPOUT, epoch)
         scale = (epoch + 1) / config.epochs
         total = 0.0
         for start in range(0, n, config.batch_size):
@@ -454,7 +453,7 @@ class TestParameterDtype:
         save_model(fit(x, y, 3, TrainConfig(epochs=2, seed=2)), tmp_path / "m.bin")
         model = load_model(tmp_path / "m.bin")
         net = model.network
-        masks = draw_dropout_masks(net, len(x), RngStream(1, 0))
+        masks = draw_dropout_masks(net, len(x), rng_stream(1, 0, 0))
         out, cache = forward(net, x, masks)
         state = AdamState(net, TrainConfig.learning_rate)
         dtypes = {net.params.dtype, state.m.dtype, state.v.dtype}
@@ -483,7 +482,7 @@ class TestCanonicalBottleneck:
 
     def test_network_function_unchanged(self):
         net = build_network(build_architecture(10, 8, 3), seed=2)
-        xs = RngStream(15, 0).standard_normal((40, 10))
+        xs = rng_stream(15, 0, 0).standard_normal((40, 10))
         before = forward(net, xs)[0]
         _canonical_bottleneck(net, xs)
         np.testing.assert_allclose(forward(net, xs)[0], before, atol=1e-10)
@@ -501,7 +500,7 @@ class TestCanonicalBottleneck:
         # instead of being scaled up from rounding noise.
         net = build_network(build_architecture(10, 8, 3), seed=3)
         net.layers[BOTTLENECK_INDEX].weights[2] = 0.0
-        xs = RngStream(16, 0).standard_normal((40, 10))
+        xs = rng_stream(16, 0, 0).standard_normal((40, 10))
         _canonical_bottleneck(net, xs)
         _, cache = forward(net, xs)
         sds = cache.outputs[BOTTLENECK_INDEX].std(axis=0, ddof=1)
@@ -527,7 +526,7 @@ class TestParameterBuffer:
 
     def test_after_canonical_bottleneck(self):
         net = build_network(build_architecture(10, 8, 3), seed=2)
-        _canonical_bottleneck(net, RngStream(15, 0).standard_normal((40, 10)))
+        _canonical_bottleneck(net, rng_stream(15, 0, 0).standard_normal((40, 10)))
         assert_layers_in_buffer(net)
 
     def test_after_load_model(self, tmp_path):
@@ -668,7 +667,7 @@ class TestModelFile:
                 chunks.append(layer.bias.astype("<f4").tobytes())
             return b"".join(chunks)
 
-        x = RngStream(3, 0).standard_normal((4, 1600))
+        x = rng_stream(3, 0, 0).standard_normal((4, 1600))
         model = fit(x, x, 4, TrainConfig(epochs=1, seed=2))
         path = tmp_path / "model.bin"
         tracemalloc.start()
@@ -762,7 +761,7 @@ class TestModelFile:
     def test_load_peak_memory_one_parameter_copy(self, tmp_path):
         # Each layer is read straight into the network's parameter buffer
         # (p = q = 1600: about 1M parameters).
-        x = RngStream(3, 0).standard_normal((4, 1600))
+        x = rng_stream(3, 0, 0).standard_normal((4, 1600))
         model = fit(x, x, 4, TrainConfig(epochs=0))
         path = tmp_path / "model.bin"
         save_model(model, path)

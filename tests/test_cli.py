@@ -28,7 +28,7 @@ from aime.data_io import (
     write_labeled,
 )
 from aime.errors import AimeError, ParseError, ValidationError
-from aime.matrix_core import RngStream, column_stats
+from aime.matrix_core import column_stats, rng_stream
 from aime.neural_net import TrainConfig
 from aime.synth_bench import SynthSpec, generate
 
@@ -218,6 +218,15 @@ class TestFilterCommand:
             assert result.stderr == "error: pass exactly one of --cv or --sd\n"
             assert not (tmp_path / "o.tsv").exists()
 
+    @pytest.mark.parametrize("mode", ["--cv", "--sd"])
+    def test_one_row_input_exits_2_naming_path(self, runner, tmp_path, mode):
+        source = tmp_path / "in.tsv"
+        write_toy_matrix(source, np.ones((1, 2)))
+        result = invoke(runner, "filter", source, tmp_path / "o.tsv", mode)
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {source}: standard deviation needs at least 2 rows, got 1\n"
+        assert not (tmp_path / "o.tsv").exists()
+
 
 # Malformed matrix files: the TestReadLabeled and TestRowParser cases of
 # tests/test_data_io.py.
@@ -357,8 +366,9 @@ class TestFilterCopiesCells:
         assert result.exit_code == 0
         assert "kept 0 of 2 features (dropped 2)" in result.stdout
         assert (tmp_path / "out.tsv").read_bytes() == b"id\ns0\ns1\ns2\n"
-        with pytest.raises(ParseError, match="^line 1: header has no column labels$"):
+        with pytest.raises(ParseError) as caught:
             read_labeled(tmp_path / "out.tsv")
+        assert str(caught.value) == f"{tmp_path / 'out.tsv'}: line 1: header has no column labels"
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_threshold_exits_2(self, runner, tmp_path, value):
@@ -411,6 +421,18 @@ class TestSynthAndTrain:
         history = (tmp_path / "m.bin.history").read_text().strip().split("\n")
         assert len(history) == 3
         assert all(np.isfinite(float(line.split("\t")[1])) for line in history)
+
+    def test_bad_cell_error_names_its_file(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        lines = y.read_text().split("\n")
+        fields = lines[4].split("\t")
+        fields[2] = "abc"
+        lines[4] = "\t".join(fields)
+        y.write_text("\n".join(lines))
+        result = invoke(runner, "train", x, y, "--epochs", 1, "--model-out", tmp_path / "m.bin")
+        assert result.exit_code == 2
+        assert result.stderr == f"error: {y}: line 5, column 3: non-numeric cell 'abc'\n"
+        assert not (tmp_path / "m.bin").exists()
 
     def test_comma_delimiter_applies_to_history(self, runner, tmp_path):
         x, y = self.synth(runner, tmp_path)
@@ -840,7 +862,7 @@ class TestPlot:
         [(600, 4, None), (7, 1, None), (7, 2, None), (7, 3, 1), (1, 3, None), (5, 4, 0)],
     )
     def test_bytes_equal_per_point_oracle(self, n, d, constant):
-        coords = RngStream(n, d).standard_normal((n, d)) * 3.0 + 1.0
+        coords = rng_stream(n, 0, d).standard_normal((n, d)) * 3.0 + 1.0
         if constant is not None:
             coords[:, constant] = -2.5
         labels = [f"c{row % 3}" for row in range(n)]

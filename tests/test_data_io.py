@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,25 @@ class TestReadLabeled:
         with pytest.raises(ParseError):
             read_labeled(path)
 
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"id\ta\n", ParseError),
+            (b"id\ta\ns1\t1\ns1\t2\n", ValidationError),
+            (b"id\ta\ns1\t\xff\n", ParseError),
+            (b"id\ta\ns1\tNA\n", ParseError),
+            (b"id\ta\ns1\t1\t2\n", ParseError),
+        ],
+        ids=["header only", "duplicate ids", "not UTF-8", "bad cell", "ragged"],
+    )
+    def test_error_names_the_file_once(self, tmp_path, content, error):
+        path = tmp_path / "bad.tsv"
+        path.write_bytes(content)
+        with pytest.raises(error) as caught:
+            read_labeled(path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+
     def test_unknown_delimiter(self, tmp_path):
         with pytest.raises(DomainError, match="semicolon"):
             read_labeled(tmp_path / "x", delimiter="semicolon")
@@ -211,13 +232,13 @@ class TestRowParser:
         path.write_text(f"id\ta\tb\ns1\t1\t2\ns2\t3\t{cell}\n")
         with pytest.raises(ParseError) as caught:
             read_labeled(path)
-        assert str(caught.value) == f"line 3, column 3: {kind} cell {cell!r}"
+        assert str(caught.value) == f"{path}: line 3, column 3: {kind} cell {cell!r}"
 
     @pytest.mark.parametrize("cell", ["NA", "inf", "1_0"])
     def test_bad_cell_reported_before_later_ragged_line(self, tmp_path, cell):
         path = tmp_path / "bad.tsv"
         path.write_text(f"id\ta\tb\ns1\t1\t{cell}\ns2\t3\n")
-        with pytest.raises(ParseError, match="^line 2, column 3: "):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: line 2, column 3: "):
             read_labeled(path)
 
     def test_first_of_two_bad_cells_reported(self, tmp_path):
@@ -225,14 +246,14 @@ class TestRowParser:
         path.write_text("id\ta\tb\tc\ns1\t1\tinf\tNA\n")
         with pytest.raises(ParseError) as caught:
             read_labeled(path)
-        assert str(caught.value) == "line 2, column 3: non-finite cell 'inf'"
+        assert str(caught.value) == f"{path}: line 2, column 3: non-finite cell 'inf'"
 
     def test_line_without_separator_has_one_field(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("id\ta\ns1\t1\nlonely\n")
         with pytest.raises(ParseError) as caught:
             read_labeled(path)
-        assert str(caught.value) == "line 3 has 1 fields, expected 2"
+        assert str(caught.value) == f"{path}: line 3 has 1 fields, expected 2"
 
     def test_per_cell_parser_only_for_rows_that_fail(self, tmp_path, monkeypatch):
         calls = []
@@ -330,8 +351,9 @@ class TestWriteFeatures:
         read_labeled_text(path).write_features([], copied)
         write_labeled(LabeledMatrix(m.values[:, []], m.sample_ids, []), printed)
         assert copied.read_bytes() == printed.read_bytes() == b"id\ns0\ns1\n"
-        with pytest.raises(ParseError, match="^line 1: header has no column labels$"):
+        with pytest.raises(ParseError) as caught:
             read_labeled(copied)
+        assert str(caught.value) == f"{copied}: line 1: header has no column labels"
 
 
 class TestAlignSamples:

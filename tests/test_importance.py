@@ -9,7 +9,7 @@ from aime import importance
 from aime.aime_model import AimeModel, embed, fit
 from aime.errors import DomainError, ShapeError
 from aime.importance import permutation_importance, top_fraction
-from aime.matrix_core import KIND_IMPORTANCE, RngStream, permute_column, stream_id
+from aime.matrix_core import KIND_IMPORTANCE, permute_column, rng_stream
 from aime.neural_net import Network, TrainConfig
 from aime.synth_bench import SynthSpec, generate
 
@@ -21,7 +21,7 @@ def naive_importance(model, x, repeats, seed):
     baseline = embed(model, x)
     scores = np.zeros(x.shape[1])
     for j in range(x.shape[1]):
-        rng = RngStream(seed, stream_id(KIND_IMPORTANCE, j))
+        rng = rng_stream(seed, KIND_IMPORTANCE, j)
         total = 0.0
         for _ in range(repeats):
             delta = embed(model, permute_column(x, j, rng)) - baseline
@@ -84,9 +84,9 @@ class TestExactZeros:
         assert scores[2] > 0.0
 
     def test_float32_model_zero_weight_and_constant_columns(self):
-        x = RngStream(8, 0).standard_normal((30, 8))
+        x = rng_stream(8, 0, 0).standard_normal((30, 8))
         x[:, 5] = 3.0
-        y = RngStream(8, 1).standard_normal((30, 6))
+        y = rng_stream(8, 0, 1).standard_normal((30, 6))
         model = fit(x, y, 2, TrainConfig(epochs=2, batch_size=10, seed=1))
         assert model.network.params.dtype == np.float32
         model.network.layers[0].weights[:, 2] = 0.0
@@ -141,7 +141,7 @@ class TestScheduleIndependence:
         # moves a score by far more than 1e-12 of the largest.
         tol = 1e-12 * scores.max()
         for j in range(3):
-            rng = RngStream(42, stream_id(KIND_IMPORTANCE, j))
+            rng = rng_stream(42, KIND_IMPORTANCE, j)
             total = 0.0
             for _ in range(6):
                 order = rng.permutation(15)
@@ -157,7 +157,7 @@ class TestScheduleIndependence:
         x = np.random.default_rng(4).normal(size=(9, 2))
         e0 = embed(model, x)
         for j in range(2):
-            rng = RngStream(3, stream_id(KIND_IMPORTANCE, j))
+            rng = rng_stream(3, KIND_IMPORTANCE, j)
             deltas = []
             for _ in range(3):
                 delta = embed(model, permute_column(x, j, rng)) - e0
@@ -257,9 +257,13 @@ class TestValidation:
     def test_column_streams_distinct_at_methylation_width(self):
         # about 450k probes: no column cap, and every column's stream
         # stays inside its own named kind
-        ids = [stream_id(KIND_IMPORTANCE, j) for j in (0, 65_536, 450_000)]
-        assert len(set(ids)) == 3
-        assert all(i >> 48 == KIND_IMPORTANCE for i in ids)
+        draws = []
+        for j in (0, 65_536, 450_000):
+            key = [3, (KIND_IMPORTANCE << 48) + j]
+            expected = np.random.Generator(np.random.Philox(key=key)).permutation(40)
+            draws.append(rng_stream(3, KIND_IMPORTANCE, j).permutation(40))
+            assert draws[-1].tobytes() == expected.tobytes()
+        assert len({d.tobytes() for d in draws}) == 3
 
 
 class TestRankOneOracle:
@@ -286,11 +290,11 @@ class TestRankOneOracle:
         # A shuffle of tied values leaves many rows in place: a column of
         # two values, and one constant but for a single row, whose
         # shuffles move either no row or two.
-        x = RngStream(11, 0).standard_normal((40, 6))
+        x = rng_stream(11, 0, 0).standard_normal((40, 6))
         x[:, 1] = np.where(x[:, 1] > 0, 1.0, -1.0)
         x[:, 4] = 2.0
         x[0, 4] = 3.0
-        y = RngStream(11, 1).standard_normal((40, 6))
+        y = rng_stream(11, 0, 1).standard_normal((40, 6))
         model = widened(fit(x, y, 2, TrainConfig(epochs=3, batch_size=8, seed=2)))
         got = permutation_importance(model, x, repeats=4, seed=9)
         want = naive_importance(model, x, 4, 9)
@@ -301,8 +305,8 @@ class TestMemory:
     def test_peak_does_not_grow_with_repeats(self, monkeypatch):
         # Two repeats per stacked pass, so repeats=200 runs 100 passes of
         # the shape that repeats=2 runs once.
-        x = RngStream(12, 0).standard_normal((200, 40))
-        y = RngStream(12, 1).standard_normal((200, 40))
+        x = rng_stream(12, 0, 0).standard_normal((200, 40))
+        y = rng_stream(12, 0, 1).standard_normal((200, 40))
         model = fit(x, y, 4, TrainConfig(epochs=0))
         width = model.network.layers[0].fan_out
         monkeypatch.setattr(importance, "STACK_ELEMENTS", 2 * len(x) * width)

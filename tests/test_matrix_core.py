@@ -7,23 +7,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aime import neural_net
+from aime.aime_model import build_architecture, build_network, fit
 from aime.errors import (
     ColumnIndexError,
     DataError,
+    DomainError,
     InsufficientDataError,
     ShapeError,
 )
+from aime.importance import permutation_importance
 from aime.matrix_core import (
-    RngStream,
+    KIND_IMPORTANCE,
     as_matrix,
     column_stats,
     destandardize_columns,
     permute_column,
     permuted,
+    rng_stream,
     standardize_columns,
-    stream_id,
     svd_thin,
 )
+from aime.neural_net import TrainConfig, gradient_check
+from aime.synth_bench import SynthSpec, evaluate_embedding, generate
 
 
 class TestAsMatrix:
@@ -51,25 +57,114 @@ class TestAsMatrix:
 
 class TestRngStream:
     def test_same_key_same_sequence(self):
-        a = RngStream(7, 3).standard_normal(16)
-        b = RngStream(7, 3).standard_normal(16)
+        a = rng_stream(7, 0, 3).standard_normal(16)
+        b = rng_stream(7, 0, 3).standard_normal(16)
         assert a.tobytes() == b.tobytes()
 
     def test_different_stream_differs(self):
-        a = RngStream(7, 3).standard_normal(16)
-        b = RngStream(7, 4).standard_normal(16)
+        a = rng_stream(7, 0, 3).standard_normal(16)
+        b = rng_stream(7, 0, 4).standard_normal(16)
         assert a.tobytes() != b.tobytes()
 
     def test_different_seed_differs(self):
-        a = RngStream(7, 3).standard_normal(16)
-        b = RngStream(8, 3).standard_normal(16)
+        a = rng_stream(7, 0, 3).standard_normal(16)
+        b = rng_stream(8, 0, 3).standard_normal(16)
         assert a.tobytes() != b.tobytes()
 
     def test_stream_id_namespacing(self):
-        assert stream_id(1, 0) == 1 << 48
-        assert stream_id(2, 5) == (2 << 48) + 5
-        ids = {stream_id(k, i) for k in range(1, 13) for i in range(100)}
-        assert len(ids) == 12 * 100
+        # Kind k, index i of seed s is Philox keyed [s, (k << 48) + i].
+        for seed, kind, index in [(7, 1, 0), (7, 2, 5), (3, KIND_IMPORTANCE, 450_000)]:
+            key = [seed, (kind << 48) + index]
+            expected = np.random.Generator(np.random.Philox(key=key)).random(8)
+            assert rng_stream(seed, kind, index).random(8).tobytes() == expected.tobytes()
+        firsts = {rng_stream(7, k, i).random() for k in range(1, 13) for i in range(100)}
+        assert len(firsts) == 12 * 100
+
+    @pytest.mark.parametrize(
+        "seed, kind, index, message",
+        [
+            (2**64, 1, 0, "base_seed must fit in 64 bits, got 18446744073709551616"),
+            (-1, 1, 0, "base_seed must fit in 64 bits, got -1"),
+            (0, 1 << 16, 0, "stream_id must fit in 64 bits, got 18446744073709551616"),
+            (0, 0, -1, "stream_id must fit in 64 bits, got -1"),
+        ],
+        ids=["seed 2^64", "negative seed", "kind 2^16", "negative id"],
+    )
+    def test_key_out_of_range(self, seed, kind, index, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            rng_stream(seed, kind, index)
+
+
+def _pin_data():
+    return generate(SynthSpec(n=30, p=20, q=20, n_signal=4, noise_sd=0.5,
+                              design="quadratic", seed=5))
+
+
+def _pin_model(data):
+    return fit(data.x.values, data.y.values, 2, TrainConfig(epochs=3, batch_size=8, seed=4))
+
+
+def _pin_synth(monkeypatch):
+    data = _pin_data()
+    return [data.x.values, data.y.values]
+
+
+def _pin_fit(monkeypatch):
+    model = _pin_model(_pin_data())
+    return [model.network.params, np.array(model.loss_history)]
+
+
+def _pin_importance(monkeypatch):
+    data = _pin_data()
+    return [permutation_importance(_pin_model(data), data.x.values, repeats=3, seed=6)]
+
+
+def _pin_folds(monkeypatch):
+    # Two noise columns score near chance, so the score moves with the folds.
+    data = _pin_data()
+    return [np.array([evaluate_embedding(data.x.values[:, :2], data.labels, seed)
+                      for seed in range(8)])]
+
+
+def _pin_gradient_check_masks(monkeypatch):
+    drawn = []
+    draw = neural_net.draw_dropout_masks
+
+    def spy(*args, **kwargs):
+        masks = draw(*args, **kwargs)
+        drawn.extend(m for m in masks if m is not None)
+        return masks
+
+    monkeypatch.setattr(neural_net, "draw_dropout_masks", spy)
+    data = _pin_data()
+    network = build_network(build_architecture(6, 5, 1), 2)
+    gradient_check(network, data.x.values[:, :6], data.y.values[:, :5], seed=3)
+    return drawn
+
+
+class TestStreamOutputsPinned:
+    """Every stream kind's seeded output, pinned by sha256 prefix: the six
+    synth kinds through ``generate``, init, shuffle and dropout through a
+    small ``fit``, the importance and fold streams through their scores,
+    and the gradient-check stream through the masks ``gradient_check``
+    draws. A stream keyed differently changes its hash."""
+
+    @pytest.mark.parametrize(
+        "outputs, prefix",
+        [
+            (_pin_synth, "e9d9e7088d593d63"),
+            (_pin_fit, "2100e3a3817f8617"),
+            (_pin_importance, "a89cfdec79a381a8"),
+            (_pin_folds, "d6321bb8d7c28567"),
+            (_pin_gradient_check_masks, "ddbf6f31e3a2ebff"),
+        ],
+        ids=["synth", "fit", "importance", "folds", "gradient_check"],
+    )
+    def test_output_pinned(self, monkeypatch, outputs, prefix):
+        digest = hashlib.sha256()
+        for array in outputs(monkeypatch):
+            digest.update(np.ascontiguousarray(array).tobytes())
+        assert digest.hexdigest()[:16] == prefix
 
 
 class TestPermutation:
@@ -82,27 +177,27 @@ class TestPermutation:
         # by hash too: a numpy release that changes its draws changes
         # every seeded output, and fails here first.
         expected = np.random.Generator(np.random.Philox(key=[12, 3])).permutation(n)
-        got = permuted(np.arange(n, dtype=np.int64), RngStream(12, 3))
+        got = permuted(np.arange(n, dtype=np.int64), rng_stream(12, 0, 3))
         assert got.tobytes() == expected.tobytes()
         assert hashlib.sha256(got.astype("<i8").tobytes()).hexdigest()[:16] == prefix
 
     def test_preserves_multiset(self):
         values = np.array([3.0, 3.0, 1.0, 2.0, 2.0, 9.0])
-        out = permuted(values, RngStream(0, 1))
+        out = permuted(values, rng_stream(0, 0, 1))
         assert sorted(out.tolist()) == sorted(values.tolist())
 
     def test_input_not_mutated(self):
         values = np.arange(10.0)
-        permuted(values, RngStream(1, 1))
+        permuted(values, rng_stream(1, 0, 1))
         assert values.tolist() == list(range(10))
 
     def test_rejects_2d(self):
         with pytest.raises(ShapeError):
-            permuted(np.zeros((2, 2)), RngStream(0, 0))
+            permuted(np.zeros((2, 2)), rng_stream(0, 0, 0))
 
     def test_permute_column_only_touches_target(self):
         m = np.arange(24.0).reshape(6, 4)
-        out = permute_column(m, 2, RngStream(5, 0))
+        out = permute_column(m, 2, rng_stream(5, 0, 0))
         others = [0, 1, 3]
         assert np.array_equal(out[:, others], m[:, others])
         assert sorted(out[:, 2].tolist()) == m[:, 2].tolist()
@@ -110,19 +205,19 @@ class TestPermutation:
 
     def test_permute_column_matches_permuted_on_same_stream(self):
         m = np.arange(15.0).reshape(5, 3)
-        out = permute_column(m, 1, RngStream(9, 7))
-        direct = permuted(m[:, 1], RngStream(9, 7))
+        out = permute_column(m, 1, rng_stream(9, 0, 7))
+        direct = permuted(m[:, 1], rng_stream(9, 0, 7))
         assert out[:, 1].tobytes() == direct.tobytes()
 
     def test_permute_column_bad_index(self):
         with pytest.raises(ColumnIndexError):
-            permute_column(np.zeros((3, 2)), 2, RngStream(0, 0))
+            permute_column(np.zeros((3, 2)), 2, rng_stream(0, 0, 0))
 
     @given(st.integers(min_value=0, max_value=2**32), st.integers(2, 40))
     @settings(max_examples=25, deadline=None)
     def test_multiset_preserved_property(self, seed, n):
         values = np.arange(float(n))
-        out = permuted(values, RngStream(seed, 1))
+        out = permuted(values, rng_stream(seed, 0, 1))
         assert sorted(out.tolist()) == values.tolist()
 
 
@@ -145,17 +240,17 @@ class TestSvdThin:
         self.assert_valid_svd(m, u, s, v)
 
     def test_random_tall(self):
-        m = RngStream(6, 0).standard_normal((9, 4))
+        m = rng_stream(6, 0, 0).standard_normal((9, 4))
         u, s, v = svd_thin(m)
         self.assert_valid_svd(m, u, s, v)
 
     def test_random_wide(self):
-        m = RngStream(6, 1).standard_normal((3, 8))
+        m = rng_stream(6, 0, 1).standard_normal((3, 8))
         u, s, v = svd_thin(m)
         self.assert_valid_svd(m, u, s, v)
 
     def test_square_and_rank_deficient(self):
-        a = RngStream(6, 2).standard_normal((5, 2))
+        a = rng_stream(6, 0, 2).standard_normal((5, 2))
         m = a @ a.T  # rank 2 in a 5x5 frame
         u, s, v = svd_thin(m)
         self.assert_valid_svd(m, u, s, v, atol=1e-8)
@@ -168,7 +263,7 @@ class TestSvdThin:
         np.testing.assert_allclose(s, 0.0)
 
     def test_singular_values_match_transpose(self):
-        m = RngStream(6, 3).standard_normal((7, 5))
+        m = rng_stream(6, 0, 3).standard_normal((7, 5))
         _, s, _ = svd_thin(m)
         _, st_, _ = svd_thin(m.T)
         np.testing.assert_allclose(s, st_, atol=1e-9)
@@ -176,7 +271,7 @@ class TestSvdThin:
     def test_agrees_with_gram_eigenvalues(self):
         # Independent route: squared singular values are eigenvalues of
         # the Gram matrix, which numpy computes by a different algorithm.
-        m = RngStream(6, 4).standard_normal((10, 6))
+        m = rng_stream(6, 0, 4).standard_normal((10, 6))
         _, s, _ = svd_thin(m)
         eig = np.sort(np.linalg.eigvalsh(m.T @ m))[::-1]
         np.testing.assert_allclose(s**2, eig, atol=1e-8)
@@ -184,14 +279,14 @@ class TestSvdThin:
     @given(st.integers(0, 2**32), st.integers(1, 7), st.integers(1, 7))
     @settings(max_examples=25, deadline=None)
     def test_reconstruction_property(self, seed, rows, cols):
-        m = RngStream(seed, 9).standard_normal((rows, cols))
+        m = rng_stream(seed, 0, 9).standard_normal((rows, cols))
         u, s, v = svd_thin(m)
         np.testing.assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-8)
 
 
 class TestColumnStats:
     def test_matches_two_pass_oracle(self):
-        m = RngStream(8, 0).standard_normal((40, 6)) * 3.0 + 1.5
+        m = rng_stream(8, 0, 0).standard_normal((40, 6)) * 3.0 + 1.5
         means, sds = column_stats(m)
         for j in range(6):
             col = m[:, j]
@@ -207,7 +302,7 @@ class TestColumnStats:
 
 class TestStandardize:
     def test_round_trip(self):
-        m = RngStream(8, 1).standard_normal((30, 5)) * 2.0 - 4.0
+        m = rng_stream(8, 0, 1).standard_normal((30, 5)) * 2.0 - 4.0
         means, sds = column_stats(m)
         z = standardize_columns(m, means, sds)
         back = destandardize_columns(z, means, sds)

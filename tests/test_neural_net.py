@@ -6,7 +6,7 @@ import pytest
 
 from aime.aime_model import PARAM_DTYPE, build_architecture, build_network
 from aime.errors import CacheError, DomainError, ShapeError
-from aime.matrix_core import RngStream
+from aime.matrix_core import rng_stream
 from aime.neural_net import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -96,7 +96,7 @@ def draw_input_away_from_kinks(network, n, masks, base_seed, min_margin=1e-3):
     only on pre-activations, never on gradient agreement.
     """
     for attempt in range(50):
-        x = RngStream(base_seed, attempt).standard_normal((n, network.input_size))
+        x = rng_stream(base_seed, 0, attempt).standard_normal((n, network.input_size))
         if relu_margin(network, x, masks) > min_margin:
             return x
     raise AssertionError("could not find an input clear of relu kinks")
@@ -113,13 +113,13 @@ class TestForward:
 
     def test_identity_layer_passes_input_through(self):
         net = hand_network([(np.eye(3), np.zeros(3), "linear", 0.0)])
-        x = RngStream(1, 0).standard_normal((4, 3))
+        x = rng_stream(1, 0, 0).standard_normal((4, 3))
         np.testing.assert_array_equal(forward(net, x)[0], x)
 
     def test_train_equals_eval_when_no_dropout(self):
         net = tiny_network()
         x = np.array([[1.0, 2.0], [0.3, -0.7]])
-        masks = draw_dropout_masks(net, 2, RngStream(1, 1))
+        masks = draw_dropout_masks(net, 2, rng_stream(1, 0, 1))
         assert masks == [None, None]
         train_out, _ = forward(net, x, masks)
         np.testing.assert_array_equal(train_out, forward(net, x)[0])
@@ -148,8 +148,8 @@ class TestForward:
             forward(tiny_network(), np.zeros((1, 2)), [None])
 
     def test_stop_runs_leading_layers_only(self):
-        net = random_network([4, 3, 3, 2], RngStream(5, 0))
-        x = RngStream(5, 1).standard_normal((6, 4))
+        net = random_network([4, 3, 3, 2], rng_stream(5, 0, 0))
+        x = rng_stream(5, 0, 1).standard_normal((6, 4))
         out, cache = forward(net, x, stop=2)
         assert len(cache.outputs) == 2
         assert out.tobytes() == forward(net, x)[1].outputs[1].tobytes()
@@ -157,10 +157,10 @@ class TestForward:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_start_resumes_a_stopped_pass(self, k, dtype):
-        net = random_network([4, 3, 5, 3, 2], RngStream(6, 0), dropout=[0.3, 0.2, 0.0, 0.0],
+        net = random_network([4, 3, 5, 3, 2], rng_stream(6, 0, 0), dropout=[0.3, 0.2, 0.0, 0.0],
                              dtype=dtype)
-        x = RngStream(6, 1).standard_normal((7, 4))
-        masks = draw_dropout_masks(net, 7, RngStream(6, 2))
+        x = rng_stream(6, 0, 1).standard_normal((7, 4))
+        masks = draw_dropout_masks(net, 7, rng_stream(6, 0, 2))
         for m in (None, masks):
             full, _ = forward(net, x, m)
             head, _ = forward(net, x, m, stop=k)
@@ -174,7 +174,7 @@ class TestForward:
         assert middle.tobytes() == forward(net, x, stop=3)[0].tobytes()
 
     def test_start_input_width_checked(self):
-        net = random_network([4, 3, 5, 2], RngStream(7, 0))
+        net = random_network([4, 3, 5, 2], rng_stream(7, 0, 0))
         with pytest.raises(ShapeError, match="input size 5 of layer 2"):
             forward(net, np.zeros((2, 3)), start=2)
         with pytest.raises(ShapeError, match="input size 4 of layer 0"):
@@ -182,7 +182,7 @@ class TestForward:
 
     @pytest.mark.parametrize("start", [-1, 3, 10])
     def test_start_out_of_range(self, start):
-        net = random_network([4, 3, 5, 2], RngStream(7, 0))
+        net = random_network([4, 3, 5, 2], rng_stream(7, 0, 0))
         with pytest.raises(ShapeError, match=f"start layer {start} out of range for 3 layers"):
             forward(net, np.zeros((2, 4)), start=start)
 
@@ -239,7 +239,7 @@ class TestParameterBuffer:
 
 class TestMseLoss:
     def test_equal_inputs_zero_loss_zero_grad(self):
-        pred = RngStream(3, 0).standard_normal((4, 3))
+        pred = rng_stream(3, 0, 0).standard_normal((4, 3))
         loss, grad = mse_loss(pred, pred.copy())
         assert loss == 0.0
         np.testing.assert_array_equal(grad, 0.0)
@@ -252,7 +252,7 @@ class TestMseLoss:
         np.testing.assert_allclose(grad, np.full((2, 3), 2.0 / 6.0))
 
     def test_matches_scalar_loop_oracle(self):
-        rng = RngStream(3, 1)
+        rng = rng_stream(3, 0, 1)
         pred = rng.standard_normal((5, 4))
         target = rng.standard_normal((5, 4))
         loss, grad = mse_loss(pred, target)
@@ -274,10 +274,10 @@ class TestMseLoss:
 class TestFloat32Pass:
     def test_every_array_stays_float32(self):
         # A float64 array anywhere in the pass would promote the rest.
-        net = random_network([5, 4, 3], RngStream(36, 0), [0.2, 0.0], np.float32)
-        x = RngStream(36, 1).standard_normal((6, 5))
-        target = RngStream(36, 2).standard_normal((6, 3)).astype(np.float32)
-        out, cache = forward(net, x, draw_dropout_masks(net, 6, RngStream(36, 3)))
+        net = random_network([5, 4, 3], rng_stream(36, 0, 0), [0.2, 0.0], np.float32)
+        x = rng_stream(36, 0, 1).standard_normal((6, 5))
+        target = rng_stream(36, 0, 2).standard_normal((6, 3)).astype(np.float32)
+        out, cache = forward(net, x, draw_dropout_masks(net, 6, rng_stream(36, 0, 3)))
         _, loss_grad = mse_loss(out, target)
         handed = []
         backward(net, cache, loss_grad, AdamState(net, 1e-3), lambda span, grad: handed.append(grad))
@@ -285,7 +285,7 @@ class TestFloat32Pass:
         assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
 
     def test_loss_accumulated_in_float64(self):
-        pred = RngStream(37, 0).standard_normal((50, 40)).astype(np.float32)
+        pred = rng_stream(37, 0, 0).standard_normal((50, 40)).astype(np.float32)
         target = np.zeros_like(pred)
         loss, _ = mse_loss(pred, target)
         squares = (pred * pred).astype(np.float64)
@@ -309,8 +309,8 @@ class TestBackward:
         np.testing.assert_allclose(grads[0][1], [0.0, 4.0])
 
     def test_zero_loss_grad_gives_zero_gradients(self):
-        net = random_network([4, 3, 2], RngStream(4, 0))
-        x = RngStream(4, 1).standard_normal((5, 4))
+        net = random_network([4, 3, 2], rng_stream(4, 0, 0))
+        x = rng_stream(4, 0, 1).standard_normal((5, 4))
         _, cache = forward(net, x)
         grads = whole_gradient(net, cache, np.zeros((5, 2)))
         for gw, gb in net.layer_views(grads):
@@ -336,9 +336,9 @@ class TestBackward:
         # one more. Each group's gradient, as backward hands it over, is
         # that span of the plain per-layer gradient, to the bit.
         net = build_network(build_architecture(600, 600, 4), 7, PARAM_DTYPE)
-        x = RngStream(7, 1).standard_normal((5, 600))
-        out, cache = forward(net, x, draw_dropout_masks(net, 5, RngStream(7, 2)))
-        target = RngStream(7, 3).standard_normal((5, 600)).astype(PARAM_DTYPE)
+        x = rng_stream(7, 0, 1).standard_normal((5, 600))
+        out, cache = forward(net, x, draw_dropout_masks(net, 5, rng_stream(7, 0, 2)))
+        target = rng_stream(7, 0, 3).standard_normal((5, 600)).astype(PARAM_DTYPE)
         loss_grad = mse_loss(out, target)[1]
         plain = plain_backward(net, cache, loss_grad)
         seen = []
@@ -366,9 +366,9 @@ class TestBackward:
 
     def test_cache_checked_before_any_group_is_handed_over(self):
         # Every layer but the first matches: the input width does not.
-        other = random_network([601, 120, 4, 3], RngStream(8, 0))
-        _, cache = forward(other, RngStream(8, 1).standard_normal((5, 601)))
-        net = random_network([600, 120, 4, 3], RngStream(8, 2))
+        other = random_network([601, 120, 4, 3], rng_stream(8, 0, 0))
+        _, cache = forward(other, rng_stream(8, 0, 1).standard_normal((5, 601)))
+        net = random_network([600, 120, 4, 3], rng_stream(8, 0, 2))
         before = net.params.tobytes()
         handed = []
         state = AdamState(net, 1e-3)
@@ -376,6 +376,24 @@ class TestBackward:
             backward(net, cache, np.zeros((5, 3)), state, lambda span, grad: handed.append(span))
         assert handed == []
         assert net.params.tobytes() == before
+
+    @pytest.mark.parametrize(
+        "state_sizes, state_dtype, message",
+        [
+            ([4, 2, 3], np.float64, r"float64 gradients for layer weights \[\(2, 4\), \(3, 2\)\]"),
+            ([4, 3, 2], np.float32, r"float32 gradients .* not this network's float64"),
+        ],
+        ids=["other layout", "other dtype"],
+    )
+    def test_state_checked_before_any_group_is_handed_over(self, state_sizes, state_dtype, message):
+        net = random_network([4, 3, 2], rng_stream(9, 0, 0))
+        other = random_network(state_sizes, rng_stream(9, 0, 1), dtype=state_dtype)
+        _, cache = forward(net, rng_stream(9, 0, 2).standard_normal((5, 4)))
+        handed = []
+        with pytest.raises(ShapeError, match=message):
+            backward(net, cache, np.zeros((5, 2)), AdamState(other, 1e-3),
+                     lambda span, grad: handed.append(span))
+        assert handed == []
 
     def test_cache_loss_grad_mismatch(self):
         net = tiny_network()
@@ -387,38 +405,38 @@ class TestBackward:
 class TestGradientCheck:
     def test_single_linear_layer_tight(self):
         net = hand_network([([[0.7, -0.2]], [0.1], "linear", 0.0)])
-        x = RngStream(20, 0).standard_normal((6, 2))
-        y = RngStream(20, 1).standard_normal((6, 1))
+        x = rng_stream(20, 0, 0).standard_normal((6, 2))
+        y = rng_stream(20, 0, 1).standard_normal((6, 1))
         assert gradient_check(net, x, y) < 1e-7
 
     def test_relu_net_away_from_kinks(self):
-        rng = RngStream(21, 0)
+        rng = rng_stream(21, 0, 0)
         net = random_network([4, 3, 2], rng)
         x = draw_input_away_from_kinks(net, 5, None, base_seed=100)
-        y = RngStream(101, 0).standard_normal((5, 2))
+        y = rng_stream(101, 0, 0).standard_normal((5, 2))
         assert gradient_check(net, x, y) < 1e-4
 
     def test_with_frozen_dropout_masks(self):
-        rng = RngStream(22, 0)
+        rng = rng_stream(22, 0, 0)
         net = random_network([5, 4, 3, 2], rng, dropout=[0.3, 0.2, 0.0])
-        masks = draw_dropout_masks(net, 6, RngStream(22, 1))
+        masks = draw_dropout_masks(net, 6, rng_stream(22, 0, 1))
         x = draw_input_away_from_kinks(net, 6, masks, base_seed=102)
-        y = RngStream(103, 0).standard_normal((6, 2))
+        y = rng_stream(103, 0, 0).standard_normal((6, 2))
         assert gradient_check(net, x, y, masks=masks) < 1e-4
 
     def test_deep_narrow_chain(self):
         # Same shape family as the embedding models: a 1-unit waist.
-        rng = RngStream(23, 0)
+        rng = rng_stream(23, 0, 0)
         net = random_network([6, 3, 1, 2, 4], rng)
         x = draw_input_away_from_kinks(net, 4, None, base_seed=104)
-        y = RngStream(105, 0).standard_normal((4, 4))
+        y = rng_stream(105, 0, 0).standard_normal((4, 4))
         assert gradient_check(net, x, y) < 1e-4
 
     def test_detects_corrupted_gradient(self):
-        rng = RngStream(24, 0)
+        rng = rng_stream(24, 0, 0)
         net = random_network([3, 2, 2], rng)
         x = draw_input_away_from_kinks(net, 4, None, base_seed=106)
-        y = RngStream(107, 0).standard_normal((4, 2))
+        y = rng_stream(107, 0, 0).standard_normal((4, 2))
         out, cache = forward(net, x)
         _, loss_grad = mse_loss(out, y)
         grads = whole_gradient(net, cache, loss_grad)
@@ -443,24 +461,24 @@ class TestGradientCheck:
 
 class TestDropout:
     def test_masks_only_on_positive_rate_layers(self):
-        net = random_network([4, 3, 3, 2], RngStream(30, 0), dropout=[0.5, 0.0, 0.0])
-        masks = draw_dropout_masks(net, 10, RngStream(30, 1))
+        net = random_network([4, 3, 3, 2], rng_stream(30, 0, 0), dropout=[0.5, 0.0, 0.0])
+        masks = draw_dropout_masks(net, 10, rng_stream(30, 0, 1))
         assert masks[0] is not None
         assert masks[1] is None and masks[2] is None
 
     def test_mask_values_are_zero_or_scaled(self):
-        net = random_network([4, 3, 2], RngStream(31, 0), dropout=[0.25, 0.0])
-        masks = draw_dropout_masks(net, 50, RngStream(31, 1))
+        net = random_network([4, 3, 2], rng_stream(31, 0, 0), dropout=[0.25, 0.0])
+        masks = draw_dropout_masks(net, 50, rng_stream(31, 0, 1))
         values = set(np.round(masks[0], 12).ravel().tolist())
         assert values <= {0.0, round(1.0 / 0.75, 12)}
 
     def test_scale_multiplies_every_rate(self):
-        net = random_network([4, 3, 3, 2], RngStream(34, 0), dropout=[0.4, 0.2, 0.0])
-        half = draw_dropout_masks(net, 50, RngStream(34, 1), scale=0.5)
+        net = random_network([4, 3, 3, 2], rng_stream(34, 0, 0), dropout=[0.4, 0.2, 0.0])
+        half = draw_dropout_masks(net, 50, rng_stream(34, 0, 1), scale=0.5)
         assert set(np.round(half[0], 12).ravel().tolist()) <= {0.0, round(1 / 0.8, 12)}
         assert set(np.round(half[1], 12).ravel().tolist()) <= {0.0, round(1 / 0.9, 12)}
         assert half[2] is None
-        assert draw_dropout_masks(net, 50, RngStream(34, 1), scale=0.0) == [None] * 3
+        assert draw_dropout_masks(net, 50, rng_stream(34, 0, 1), scale=0.0) == [None] * 3
 
     def test_masked_average_approaches_eval_output(self):
         # Inverted dropout keeps the expectation: averaging many masked
@@ -473,7 +491,7 @@ class TestDropout:
             ]
         )
         x = np.array([[1.2, -0.7]])
-        rng = RngStream(32, 0)
+        rng = rng_stream(32, 0, 0)
         draws = 2500
         outs = np.empty(draws)
         for i in range(draws):
@@ -487,10 +505,10 @@ class TestDropout:
         # The same draws in either dtype: float32 masks are the float64
         # ones rounded once.
         sizes, rates = [4, 3, 3, 2], [0.3, 0.0, 0.0]
-        wide = random_network(sizes, RngStream(35, 0), dropout=rates)
-        narrow = random_network(sizes, RngStream(35, 0), dropout=rates, dtype=np.float32)
-        m64 = draw_dropout_masks(wide, 20, RngStream(35, 1), scale=0.5)
-        m32 = draw_dropout_masks(narrow, 20, RngStream(35, 1), scale=0.5)
+        wide = random_network(sizes, rng_stream(35, 0, 0), dropout=rates)
+        narrow = random_network(sizes, rng_stream(35, 0, 0), dropout=rates, dtype=np.float32)
+        m64 = draw_dropout_masks(wide, 20, rng_stream(35, 0, 1), scale=0.5)
+        m32 = draw_dropout_masks(narrow, 20, rng_stream(35, 0, 1), scale=0.5)
         assert m32[0].dtype == np.float32
         assert m32[0].tobytes() == m64[0].astype(np.float32).tobytes()
         assert m32[1:] == [None, None]
@@ -501,8 +519,8 @@ class TestDropout:
         # the masks of one uniform(0, 1) call per positive-rate layer,
         # and leave the stream where those calls would.
         sizes, rates = [5, 4, 3, 6, 2], [0.4, 0.0, 0.25, 0.0]
-        net = random_network(sizes, RngStream(37, 0), dropout=rates, dtype=dtype)
-        rng, ref_rng = RngStream(37, 1), RngStream(37, 1)
+        net = random_network(sizes, rng_stream(37, 0, 0), dropout=rates, dtype=dtype)
+        rng, ref_rng = rng_stream(37, 0, 1), rng_stream(37, 0, 1)
         for n, scale in ((7, 0.3), (1, 0.9), (4, 1.0)):
             masks = draw_dropout_masks(net, n, rng, scale)
             for layer, mask in zip(net.layers, masks):
@@ -527,8 +545,8 @@ class TestDropout:
         # concatenated, and the stream ends where the per-batch calls
         # leave it.
         sizes, rates = [5, 8, 3, 6, 2], [0.2, 0.0, 0.25, 0.1]
-        net = random_network(sizes, RngStream(39, 0), dropout=rates, dtype=dtype)
-        rng, ref_rng = RngStream(39, 1), RngStream(39, 1)
+        net = random_network(sizes, rng_stream(39, 0, 0), dropout=rates, dtype=dtype)
+        rng, ref_rng = rng_stream(39, 0, 1), rng_stream(39, 0, 1)
         masks = draw_dropout_masks(net, n, rng, 0.7, batch_size=batch_size)
         batches = [
             draw_dropout_masks(net, len(range(start, min(start + batch_size, n))), ref_rng, 0.7)
@@ -545,19 +563,19 @@ class TestDropout:
         assert rng.uniform(0.0, 1.0, 3).tobytes() == ref_rng.uniform(0.0, 1.0, 3).tobytes()
 
     def test_batch_size_must_be_positive(self):
-        net = random_network([4, 3, 2], RngStream(40, 0), dropout=[0.5, 0.0])
+        net = random_network([4, 3, 2], rng_stream(40, 0, 0), dropout=[0.5, 0.0])
         with pytest.raises(DomainError, match="batch_size"):
-            draw_dropout_masks(net, 5, RngStream(40, 1), batch_size=0)
+            draw_dropout_masks(net, 5, rng_stream(40, 0, 1), batch_size=0)
 
     def test_no_dropout_consumes_no_draws(self):
-        net = random_network([4, 3, 2], RngStream(38, 0))
-        rng = RngStream(38, 1)
+        net = random_network([4, 3, 2], rng_stream(38, 0, 0))
+        rng = rng_stream(38, 0, 1)
         assert draw_dropout_masks(net, 5, rng) == [None, None]
-        assert rng.uniform(0.0, 1.0, 2).tobytes() == RngStream(38, 1).uniform(0.0, 1.0, 2).tobytes()
+        assert rng.uniform(0.0, 1.0, 2).tobytes() == rng_stream(38, 0, 1).uniform(0.0, 1.0, 2).tobytes()
 
     def test_eval_pass_deterministic(self):
-        net = random_network([4, 3, 2], RngStream(33, 0), dropout=[0.9, 0.0])
-        x = RngStream(33, 1).standard_normal((5, 4))
+        net = random_network([4, 3, 2], rng_stream(33, 0, 0), dropout=[0.9, 0.0])
+        x = rng_stream(33, 0, 1).standard_normal((5, 4))
         np.testing.assert_array_equal(forward(net, x)[0], forward(net, x)[0])
 
 
@@ -688,7 +706,7 @@ class TestAdam:
         assert state.t == steps
 
     def test_flat_step_matches_per_layer_reference(self):
-        rng = RngStream(41, 0)
+        rng = rng_stream(41, 0, 0)
         net = random_network([5, 4, 3, 2], rng)
         assert [l.activation for l in net.layers] == ["relu", "relu", "linear"]
         assert all(np.all(l.bias != 0.0) for l in net.layers)
@@ -699,7 +717,7 @@ class TestAdam:
     def check_blocked_step(self, dtype):
         # Over two full blocks and a partial third one, with block
         # boundaries falling inside the first layer's weights.
-        rng = RngStream(42, 0)
+        rng = rng_stream(42, 0, 0)
         net = random_network([600, 220, 3], rng, dtype=dtype)
         assert net.params.size > 2 * ADAM_BLOCK
         assert net.params.size % ADAM_BLOCK != 0
@@ -721,8 +739,8 @@ class TestAdam:
         # last parameter first), with bounds inside ADAM_BLOCK slices:
         # together they give the bytes of one whole-vector step, and t
         # advances once per step.
-        rng = RngStream(44, 0)
-        nets = [random_network([600, 220, 3], RngStream(44, 1)) for _ in range(2)]
+        rng = rng_stream(44, 0, 0)
+        nets = [random_network([600, 220, 3], rng_stream(44, 0, 1)) for _ in range(2)]
         size = nets[0].params.size
         bounds = [size, 2 * ADAM_BLOCK + 5, 1000, 0]
         states = [AdamState(net, 0.05) for net in nets]
@@ -757,14 +775,14 @@ class TestAdam:
         # sliced silently.
         net = tiny_network()
         size = net.params.size
-        larger = random_network([2, 3, 1], RngStream(43, 0))
+        larger = random_network([2, 3, 1], rng_stream(43, 0, 0))
         smaller = hand_network([([[1.0]], [0.0], "linear", 0.0)])
         for other in (larger, smaller):
             with pytest.raises(ShapeError, match="moments"):
                 adam_step(net, np.zeros(size), AdamState(other, 1e-3), slice(0, size))
 
     def test_full_loop_reduces_loss(self):
-        rng = RngStream(40, 0)
+        rng = rng_stream(40, 0, 0)
         net = random_network([6, 4, 3], rng)
         x = rng.standard_normal((64, 6))
         y = x[:, :3] * 0.5

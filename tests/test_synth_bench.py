@@ -174,7 +174,7 @@ class TestEvaluateEmbedding:
 
     def test_matches_loop_reference(self):
         # independent scalar-loop rendition of the same documented procedure
-        from aime.matrix_core import KIND_FOLDS, RngStream, permuted, stream_id
+        from aime.matrix_core import KIND_FOLDS, permuted, rng_stream
 
         rng = np.random.default_rng(3)
         labels = rng.integers(0, 3, size=47)
@@ -182,7 +182,7 @@ class TestEvaluateEmbedding:
         got = evaluate_embedding(emb, labels, seed=9)
 
         std = (emb - emb.mean(0)) / emb.std(0, ddof=1)
-        order = permuted(np.arange(47), RngStream(9, stream_id(KIND_FOLDS, 0)))
+        order = permuted(np.arange(47), rng_stream(9, KIND_FOLDS, 0))
         hits = 0
         for fold in np.array_split(order, 5):
             train = np.setdiff1d(order, fold)
