@@ -253,7 +253,7 @@ def fit(
     state = AdamState(network, config.learning_rate)
 
     def update(span, grad):
-        adam_step(network, grad, state, span)
+        adam_step(state, grad, span)
 
     history: list[float] = []
     for epoch in range(config.epochs):
@@ -274,7 +274,7 @@ def fit(
             out, cache = forward(network, xb, masks)
             loss, loss_grad = mse_loss(out, yb)
             # Adam updates each group of layers as backward completes it.
-            backward(network, cache, loss_grad, state, update)
+            backward(cache, loss_grad, state, update)
             total += loss * len(xb)
         epoch_loss = total / n
         if not np.isfinite(epoch_loss):

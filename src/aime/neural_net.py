@@ -184,8 +184,10 @@ class TrainConfig:
 
 @dataclass
 class ForwardCache:
-    """Intermediate values from one forward pass, consumed by backward."""
+    """Intermediate values from one forward pass of ``network``, consumed
+    by backward."""
 
+    network: Network
     x: np.ndarray
     pre_activations: list[np.ndarray]
     outputs: list[np.ndarray]
@@ -302,7 +304,7 @@ def forward(
             a = z * mask if a is z else np.multiply(a, mask, out=a)
         pre.append(z)
         outs.append(a)
-    cache = ForwardCache(x=x, pre_activations=pre, outputs=outs, masks=list(masks))
+    cache = ForwardCache(network, x, pre, outs, list(masks))
     return a, cache
 
 
@@ -318,15 +320,10 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, grad
 
 
-def backward(
-    network: Network,
-    cache: ForwardCache,
-    loss_grad: np.ndarray,
-    state: AdamState,
-    on_group,
-) -> None:
-    """Gradient of the loss w.r.t. every parameter, one update group at a
-    time from the output back, handed to ``on_group(span, grad)``.
+def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_group) -> None:
+    """Gradient of the loss w.r.t. every parameter of ``state.network``,
+    one update group at a time from the output back, handed to
+    ``on_group(span, grad)``.
 
     Each group's gradient goes into the state's buffer (see
     :class:`AdamState`), and ``on_group`` runs as soon as the group is
@@ -339,12 +336,16 @@ def backward(
     into one vector.
 
     ``loss_grad`` is the gradient of the loss at the network output (for
-    MSE, the second value of :func:`mse_loss`). The state must be built
-    from this network, and the cache must come from a forward pass of it.
-    Cache mismatches raise CacheError, and a state whose gradient layout
-    or dtype is not the network's raises ShapeError, before any group is
-    handed over.
+    MSE, the second value of :func:`mse_loss`). The cache and the state
+    each carry the network they were made from, so one identity check
+    stands for every shape and dtype check: a cache of another network
+    object (even a twin of the same plan), a partial pass (``stop`` or
+    ``start``) or a loss gradient that is not the cached output's shape
+    raises CacheError before any group is handed over.
     """
+    network = state.network
+    if cache.network is not network:
+        raise CacheError("the forward cache comes from another network than the Adam state")
     if len(cache.outputs) != len(network.layers):
         raise CacheError(
             f"cache holds {len(cache.outputs)} layers, network has "
@@ -354,24 +355,6 @@ def backward(
     if pred.shape != loss_grad.shape:
         raise CacheError(
             f"cached output {pred.shape} vs loss gradient {loss_grad.shape}"
-        )
-
-    n = pred.shape[0]
-    if cache.x.shape != (n, network.input_size):
-        raise CacheError(
-            f"cached input {cache.x.shape} does not match ({n}, {network.input_size})"
-        )
-    for idx, (layer, z) in enumerate(zip(network.layers, cache.pre_activations)):
-        if z.shape != (n, layer.fan_out):
-            raise CacheError(
-                f"cached pre-activation {z.shape} does not match layer {idx} "
-                f"({n}, {layer.fan_out})"
-            )
-    shapes = [layer.weights.shape for layer in network.layers]
-    if state.shapes != shapes or state.m.dtype != network.dtype:
-        raise ShapeError(
-            f"Adam state holds {state.m.dtype} gradients for layer weights "
-            f"{state.shapes}, not this network's {network.dtype} {shapes}"
         )
 
     zero = network.dtype.type(0)
@@ -395,18 +378,16 @@ def backward(
         on_group(span, grad)
 
 
-def whole_gradient(
-    network: Network, cache: ForwardCache, loss_grad: np.ndarray
-) -> np.ndarray:
-    """The gradient of :func:`backward`, laid out like ``network.params``
-    (``network.layer_views`` splits it by layer): each group it hands
-    over is copied into one new vector."""
-    whole = np.empty_like(network.params)
+def whole_gradient(cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
+    """The gradient of :func:`backward`, laid out like the cached
+    network's ``params`` (``network.layer_views`` splits it by layer):
+    each group it hands over is copied into one new vector."""
+    whole = np.empty_like(cache.network.params)
 
     def collect(span, grad):
         whole[span] = grad
 
-    backward(network, cache, loss_grad, AdamState(network, 1.0), collect)
+    backward(cache, loss_grad, AdamState(cache.network, 1.0), collect)
     return whole
 
 
@@ -427,10 +408,12 @@ def _update_groups(sizes: list[int]) -> list[range]:
 
 
 class AdamState:
-    """Adam's step count ``t`` and moment vectors ``m`` and ``v`` for one
-    network, laid out like its ``params`` and of its dtype, plus one
+    """Adam's step count ``t`` and moment vectors ``m`` and ``v`` for
+    ``network``, laid out like its ``params`` and of its dtype, plus one
     scratch block of up to ``ADAM_BLOCK`` elements for the update and the
-    gradient layout that :func:`backward` fills.
+    gradient layout that :func:`backward` fills. The state keeps the
+    network it was made for, so :func:`backward` and :func:`adam_step`
+    take it from here rather than as an argument that could disagree.
 
     ``scalars`` holds b1, b2, 1-b1, 1-b2, the learning rate and eps in the
     moments' dtype, converted once, where numpy would convert them on every
@@ -443,8 +426,7 @@ class AdamState:
     the size of the largest group. ``grad_views`` holds each layer's
     (weights, bias) views into that buffer, and ``groups`` holds, output
     side first, each group's layers in backward order, its slice of
-    ``params`` and its gradient, the head of the buffer. ``shapes`` holds
-    the network's weight shapes, which backward checks. At paper width
+    ``params`` and its gradient, the head of the buffer. At paper width
     the groups are layers {7}, {6}, {5-2}, {1} and {0}, and the buffer
     holds layer 7's 6,512,826 gradients; at desk scale the whole network
     is one group.
@@ -453,6 +435,7 @@ class AdamState:
     def __init__(self, network: Network, learning_rate: float):
         # np.zeros, unlike np.zeros_like, leaves the zeroing of the pages
         # to the first write, so the moments cost nothing before step 1.
+        self.network = network
         size, dtype = network.params.size, network.dtype
         self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
         self.t = 0
@@ -461,7 +444,7 @@ class AdamState:
         self.scalars = tuple(map(
             dtype.type, (b1, b2, 1.0 - b1, 1.0 - b2, learning_rate, ADAM_EPSILON)
         ))
-        self.shapes = shapes = [layer.weights.shape for layer in network.layers]
+        shapes = [layer.weights.shape for layer in network.layers]
         sizes = [rows * (cols + 1) for rows, cols in shapes]
         starts = np.cumsum([0, *sizes]).tolist()
         groups = _update_groups(sizes)
@@ -476,15 +459,10 @@ class AdamState:
         ]
 
 
-def adam_step(
-    network: Network,
-    grads: np.ndarray,
-    state: AdamState,
-    span: slice,
-) -> None:
+def adam_step(state: AdamState, grads: np.ndarray, span: slice) -> None:
     """One Adam update, in place, of the span ``span`` of
-    ``network.params``, with bias-corrected moments (Kingma & Ba 2015,
-    Algorithm 1), at the state's learning rate.
+    ``state.network.params``, with bias-corrected moments (Kingma & Ba
+    2015, Algorithm 1), at the state's learning rate.
 
     ``grads`` is the span's gradient, as :func:`backward` hands it over;
     it serves as scratch space and comes back overwritten. ``fit`` updates
@@ -502,18 +480,13 @@ def adam_step(
     ``m = b1 m + (1-b1) g``, ``v = b2 v + (g g)(1-b2)``, then
     ``p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)``.
     """
-    size, dtype = network.params.size, network.dtype
+    params = state.network.params
+    size, dtype = params.size, params.dtype
     low, high = span.indices(size)[:2]
     if grads.shape != (high - low,) or grads.dtype != dtype:
         raise ShapeError(
             f"gradient of shape {grads.shape} and dtype {grads.dtype} for "
             f"{high - low} {dtype} parameters"
-        )
-    moments = (state.m.shape, state.v.shape, state.m.dtype, state.v.dtype)
-    if moments != ((size,), (size,), dtype, dtype):
-        raise ShapeError(
-            f"Adam moments of shapes {state.m.shape} and {state.v.shape} for "
-            f"{size} {dtype} parameters"
         )
     if high == size:
         state.t += 1
@@ -522,7 +495,7 @@ def adam_step(
     debias2 = dtype.type(1.0 - ADAM_BETA2**state.t)
     for start in range(low, high, ADAM_BLOCK):
         block = slice(start, min(start + ADAM_BLOCK, high))
-        p, m, v = network.params[block], state.m[block], state.v[block]
+        p, m, v = params[block], state.m[block], state.v[block]
         g = grads[start - low : start - low + ADAM_BLOCK]
         scratch = state.scratch[: g.size]
         m *= b1
@@ -604,6 +577,6 @@ def gradient_check(
         masks = draw_dropout_masks(network, np.asarray(x).shape[0], rng)
     out, cache = forward(network, x, masks)
     _, loss_grad = mse_loss(out, target)
-    analytic = whole_gradient(network, cache, loss_grad)
+    analytic = whole_gradient(cache, loss_grad)
     numeric = numerical_gradients(network, x, target, masks=masks, h=h)
     return max_relative_error(analytic, numeric)

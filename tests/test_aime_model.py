@@ -428,9 +428,9 @@ class TestParameterDtype:
     def test_fit_trains_in_float32(self, monkeypatch):
         seen = set()
 
-        def spy_step(network, grads, state, span):
-            seen.add(("adam", network.params.dtype, grads.dtype, state.m.dtype, state.v.dtype))
-            step(network, grads, state, span)
+        def spy_step(state, grads, span):
+            seen.add(("adam", state.network.params.dtype, grads.dtype, state.m.dtype, state.v.dtype))
+            step(state, grads, span)
 
         def spy_masks(*args, **kwargs):
             masks = draw(*args, **kwargs)
@@ -458,7 +458,7 @@ class TestParameterDtype:
         state = AdamState(net, TrainConfig.learning_rate)
         dtypes = {net.params.dtype, state.m.dtype, state.v.dtype}
         loss_grad = mse_loss(out, np.zeros_like(out))[1]
-        backward(net, cache, loss_grad, state, lambda span, grad: dtypes.add(grad.dtype))
+        backward(cache, loss_grad, state, lambda span, grad: dtypes.add(grad.dtype))
         dtypes |= {m.dtype for m in masks if m is not None}
         assert dtypes == {self.F32}
         assert np.asarray(model.loss_history).dtype == np.float64
