@@ -215,8 +215,10 @@ def fit(
 
     Warns (UserWarning) when a side is under 5d features wide: its hidden
     layers then have ceil(w/5) < d units, so the funnel there is narrower
-    than the embedding. Raises NumericalError if the loss goes non-finite
-    (diverged run).
+    than the embedding; and when the trained embedding of the training
+    rows has numerical rank below d, as a collapsed run's has. Raises
+    NumericalError when the run diverged: the loss, the embedding of the
+    training rows or, after the fold, the parameters are not finite.
     """
     if config is None:
         config = TrainConfig()
@@ -284,7 +286,14 @@ def fit(
             )
         history.append(epoch_loss)
     if history:
-        _canonical_bottleneck(network, xs)
+        rank = _canonical_bottleneck(network, xs)
+        if rank < embedding_size:
+            warnings.warn(
+                f"the embedding of the {n} training rows has numerical rank "
+                f"{rank}, below d={embedding_size}: {embedding_size - rank} of "
+                "its axes are constant",
+                stacklevel=2,
+            )
 
     return AimeModel(
         network=network,
@@ -297,8 +306,9 @@ def fit(
     )
 
 
-def _canonical_bottleneck(network: Network, xs: np.ndarray) -> None:
-    """Rotate and scale the bottleneck, in place, to its principal axes.
+def _canonical_bottleneck(network: Network, xs: np.ndarray) -> int:
+    """Rotate and scale the bottleneck, in place, to its principal axes,
+    and return the embedding's numerical rank.
 
     The bottleneck is linear and feeds an affine layer, so any invertible
     affine change of its coordinates, undone in the next layer's weights,
@@ -310,11 +320,21 @@ def _canonical_bottleneck(network: Network, xs: np.ndarray) -> None:
     keeps its numerical rank. No variance means an sd below sqrt(eps) of
     the largest, eps of the network's dtype (3.5e-4 for float32): a
     float32 pass leaves an axis that is constant in exact arithmetic with
-    an sd of about 1e-7 of the largest, from rounding alone. The
-    transform is computed in float64 and rounded once into the weights.
+    an sd of about 1e-7 of the largest, from rounding alone. The rank is
+    the number of axes with variance. The transform is computed in
+    float64 and rounded once into the weights.
+
+    A diverged run raises NumericalError: one whose embedding is not
+    finite, which the SVD cannot take, and one whose folded weights
+    overflow the network's dtype.
     """
     b = network.bottleneck_index
     emb = forward(network, xs, stop=b + 1)[0].astype(np.float64)
+    if not _finite(emb):
+        raise NumericalError(
+            "the embedding of the training rows is not finite; training "
+            "diverged, so lower the learning rate or check the data scale"
+        )
     mean = emb.mean(axis=0)
     centered = emb - mean
     # Zero rows pad n < d up to a full set of d right singular vectors.
@@ -324,7 +344,8 @@ def _canonical_bottleneck(network: Network, xs: np.ndarray) -> None:
     pivots = np.argmax(np.abs(axes), axis=0)
     axes = axes * np.sign(axes[pivots, np.arange(axes.shape[1])])
     sds = singular / np.sqrt(len(xs) - 1)
-    scale = np.where(sds > np.sqrt(np.finfo(network.dtype).eps) * sds[0], sds, 1.0)
+    live = sds > np.sqrt(np.finfo(network.dtype).eps) * sds[0]
+    scale = np.where(live, sds, 1.0)
     # new = T (old - mean) with T = diag(1/scale) axes^T; T^-1 = axes diag(scale)
     encode, nxt = network.layers[b], network.layers[b + 1]
     transform = axes.T / scale[:, None]
@@ -333,6 +354,12 @@ def _canonical_bottleneck(network: Network, xs: np.ndarray) -> None:
     encode.bias[...] = transform @ (encode.bias - mean)
     nxt.bias += nxt.weights @ mean
     nxt.weights[...] = nxt.weights @ (axes * scale)
+    if not _finite(network.params):
+        raise NumericalError(
+            "the weights overflowed when the embedding's axes were folded in; "
+            "training diverged, so lower the learning rate"
+        )
+    return int(np.count_nonzero(live))
 
 
 def _standardized_input(model: AimeModel, x) -> np.ndarray:
@@ -406,15 +433,17 @@ def _read_into(fh, out) -> None:
         raise ParseError(f"model file truncated at offset {offset}")
 
 
-def _check(values: np.ndarray, what: str, nonnegative: bool = False) -> None:
+def _finite(values: np.ndarray) -> bool:
     # min and max propagate NaN and reach any infinity, without the
-    # layer-sized mask np.isfinite would allocate.
-    if values.size:
-        low, high = values.min(), values.max()
-        if not (np.isfinite(low) and np.isfinite(high)):
-            raise ParseError(f"model file: non-finite value in {what}")
-        if nonnegative and low < 0:
-            raise ParseError(f"model file: negative value in {what}")
+    # array-sized mask np.isfinite would allocate.
+    return not values.size or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
+def _check(values: np.ndarray, what: str, nonnegative: bool = False) -> None:
+    if not _finite(values):
+        raise ParseError(f"model file: non-finite value in {what}")
+    if nonnegative and values.size and values.min() < 0:
+        raise ParseError(f"model file: negative value in {what}")
 
 
 def load_model(path) -> AimeModel:

@@ -20,6 +20,8 @@ bottleneck, on just the rows that its shuffles move.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 
 # embed and permute_column stay importable here: bench/run.py's tracer
@@ -59,7 +61,9 @@ def permutation_importance(
     per shuffle. The scores equal those of the per-shuffle computation
     up to rounding. A column whose shuffles move no layer-0
     pre-activation (a zero weight column, a constant column, identity
-    shuffles) scores exactly 0.0.
+    shuffles) scores exactly 0.0. Warns (UserWarning) when every score is
+    0.0, as for a collapsed model's constant embedding: the scores then
+    rank nothing.
     """
     if repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {repeats}")
@@ -101,6 +105,12 @@ def permutation_importance(
             delta = encode(z).astype(np.float64) - baseline[rows]
             total += float((delta * delta).sum())
         scores[j] = total / repeats
+    if not scores.any():
+        warnings.warn(
+            "every importance score is 0: shuffling no column moves the "
+            "embedding, so the ranking is in column order",
+            stacklevel=2,
+        )
     return scores
 
 

@@ -28,6 +28,7 @@ from aime.aime_model import (
     reconstruct,
     save_model,
 )
+from aime.importance import permutation_importance
 from aime.errors import (
     AlignmentError,
     DomainError,
@@ -55,6 +56,7 @@ from aime.neural_net import (
     forward,
     mse_loss,
 )
+from aime.synth_bench import SynthSpec, generate
 
 
 def make_pair(n, p, q, seed=0, latent_dim=2, noise=0.1):
@@ -317,6 +319,32 @@ class TestFit:
             with pytest.raises(NumericalError, match="epoch"):
                 fit(x, y, embedding_size=2, config=config)
 
+    @pytest.mark.parametrize(
+        "rate, message",
+        [(1e30, "embedding of the training rows is not finite"), (1e8, "weights overflowed")],
+        ids=["embedding", "fold"],
+    )
+    def test_diverged_last_step_raises_numerical_error(self, rate, message):
+        # One step, whose loss is taken before the update and is finite.
+        # At 1e30 the updated embedding is not finite, which the SVD would
+        # not take; at 1e8 it is, but folding its axes into the next
+        # layer overflows float32. The data are `aime synth`'s defaults.
+        data = generate(SynthSpec(n=20, p=10, q=10, n_signal=10, noise_sd=0.1,
+                                  design="linear", seed=1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=message):
+                fit(data.x.values, data.y.values, 4,
+                    TrainConfig(learning_rate=rate, epochs=1))
+
+    def test_healthy_desk_fit_does_not_warn(self):
+        # The desk surrogate trains to a full-rank embedding.
+        spec = SynthSpec(n=600, p=40, q=40, n_signal=10, noise_sd=0.3,
+                         design="quadratic", seed=3)
+        data = generate(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit(data.x.values, data.y.values, 4, TrainConfig(epochs=40, seed=1))
+
 
 def reference_fit(x, y, embedding_size, config):
     """fit's training loop written out the plain way, kept as a bitwise
@@ -490,7 +518,9 @@ class TestCanonicalBottleneck:
     def test_fewer_rows_than_dimensions(self):
         # Three rows span at most two axes of a 4-d embedding.
         x, y = make_pair(3, 40, 8, seed=17)
-        e = embed(fit(x, y, 4, TrainConfig(epochs=1, seed=0)), x)
+        with pytest.warns(UserWarning, match=r"3 training rows has numerical rank [0-2], below d=4"):
+            model = fit(x, y, 4, TrainConfig(epochs=1, seed=0))
+        e = embed(model, x)
         assert e.shape == (3, 4)
         assert np.all(np.isfinite(e))
         np.testing.assert_allclose(e.mean(axis=0), 0.0, atol=1e-5)
@@ -501,11 +531,23 @@ class TestCanonicalBottleneck:
         net = build_network(build_architecture(10, 8, 3), seed=3)
         net.layers[BOTTLENECK_INDEX].weights[2] = 0.0
         xs = rng_stream(16, 0, 0).standard_normal((40, 10))
-        _canonical_bottleneck(net, xs)
+        assert _canonical_bottleneck(net, xs) == 2
         _, cache = forward(net, xs)
         sds = cache.outputs[BOTTLENECK_INDEX].std(axis=0, ddof=1)
         np.testing.assert_allclose(sds[:2], 1.0, atol=1e-10)
         assert sds[2] < 1e-12
+
+    def test_constant_input_has_rank_zero(self):
+        # Standardization maps a constant x to zeros, so every row takes
+        # the same pass: the embedding is one point, of rank 0, and no
+        # shuffle of a column moves it.
+        x = np.full((30, 40), 2.5)
+        _, y = make_pair(30, 40, 40, seed=18)
+        with pytest.warns(UserWarning, match=r"30 training rows has numerical rank 0, below d=4"):
+            model = fit(x, y, 4, TrainConfig(epochs=2, batch_size=10, seed=0))
+        with pytest.warns(UserWarning, match="every importance score is 0"):
+            scores = permutation_importance(model, x, repeats=2)
+        assert not scores.any()
 
 
 def assert_layers_in_buffer(network):

@@ -528,6 +528,43 @@ class TestSynthAndTrain:
         assert result.exit_code == 3
         assert "numerical failure" in result.output
 
+    @pytest.mark.parametrize(
+        "rate, message",
+        [("1e30", "embedding of the training rows is not finite"), ("1e8", "weights overflowed")],
+        ids=["embedding", "fold"],
+    )
+    def test_diverged_last_step_exits_3(self, runner, tmp_path, rate, message):
+        # One step: its loss is finite, what it leaves behind is not. The
+        # run must fail rather than write a model that load_model refuses.
+        x, y = self.synth(runner, tmp_path, n=20, p=10, q=10, n_signal=10, seed=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = invoke(
+                runner, "train", x, y, "--epochs", 1, "--learning-rate", rate,
+                "--model-out", tmp_path / "m.bin",
+            )
+        assert result.exit_code == 3
+        assert f"numerical failure: the {message}" in result.stderr
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "m.bin").exists()
+
+    def test_collapsed_model_warns_and_writes(self, runner, tmp_path):
+        # A constant x embeds every row at one point: train and importance
+        # say so on stderr, exit 0 and write their files.
+        x, y = tmp_path / "x.tsv", tmp_path / "y.tsv"
+        write_toy_matrix(x, np.full((40, 20), 1.5), prefix="x")
+        write_toy_matrix(y, rng_stream(19, 0, 0).standard_normal((40, 20)), prefix="y")
+        result = invoke(runner, "train", x, y, "--epochs", 2, "--model-out", tmp_path / "m.bin")
+        assert result.exit_code == 0, result.output
+        assert result.stderr == (
+            "warning: the embedding of the 40 training rows has numerical rank 0, "
+            "below d=4: 4 of its axes are constant\n"
+        )
+        result = invoke(runner, "importance", tmp_path / "m.bin", x, tmp_path / "imp.tsv",
+                        "--repeats", 2)
+        assert result.exit_code == 0, result.output
+        assert result.stderr.startswith("warning: every importance score is 0")
+        assert (tmp_path / "imp.tsv").read_text().startswith("variable_id\tscore\trank\nx0\t0.0\t1\n")
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     def test_non_finite_noise_sd_exits_2(self, runner, tmp_path, value):
         result = invoke(runner, "synth", tmp_path / "z", "--n-signal", 4,

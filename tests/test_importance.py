@@ -98,7 +98,8 @@ class TestExactZeros:
     def test_all_zero_weights_rank_by_index(self):
         model = hand_model(np.zeros((2, 4)))
         x = np.random.default_rng(1).normal(size=(10, 4))
-        scores = permutation_importance(model, x, repeats=3)
+        with pytest.warns(UserWarning, match="every importance score is 0"):
+            scores = permutation_importance(model, x, repeats=3)
         assert scores.tolist() == [0.0, 0.0, 0.0, 0.0]
         assert top_fraction(scores, 1.0) == [0, 1, 2, 3]
 
