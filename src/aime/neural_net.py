@@ -433,9 +433,9 @@ class AdamState:
     """
 
     def __init__(self, network: Network, learning_rate: float):
+        self.network = network
         # np.zeros, unlike np.zeros_like, leaves the zeroing of the pages
         # to the first write, so the moments cost nothing before step 1.
-        self.network = network
         size, dtype = network.params.size, network.dtype
         self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
         self.t = 0

@@ -28,7 +28,6 @@ from aime.aime_model import (
     reconstruct,
     save_model,
 )
-from aime.importance import permutation_importance
 from aime.errors import (
     AlignmentError,
     DomainError,
@@ -37,6 +36,7 @@ from aime.errors import (
     ParseError,
     ShapeError,
 )
+from aime.importance import permutation_importance
 from aime.matrix_core import (
     KIND_DROPOUT,
     KIND_SHUFFLE,

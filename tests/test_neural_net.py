@@ -401,9 +401,9 @@ class TestBackward:
         assert other.params.tobytes() == before
 
     def test_twin_network_state_rejected(self):
-        # A twin (same plan, same draws, another object) has the layout
-        # and dtype that the shape checks once compared, and was accepted
-        # by them; a state now belongs to the one network it was made for.
+        # A twin (same plan, same draws, another object) matches the
+        # network in every shape and dtype, yet a state belongs to the one
+        # network it was made for.
         net, twin = (random_network([4, 3, 2], rng_stream(9, 0, 0)) for _ in range(2))
         assert net.params.tobytes() == twin.params.tobytes()
         _, cache = forward(net, rng_stream(9, 0, 2).standard_normal((5, 4)))
