@@ -215,8 +215,9 @@ def fit(
 
     Warns (UserWarning) when a side is under 5d features wide: its hidden
     layers then have ceil(w/5) < d units, so the funnel there is narrower
-    than the embedding; and when the trained embedding of the training
-    rows has numerical rank below d, as a collapsed run's has. Raises
+    than the embedding; when the trained embedding of the training rows
+    has numerical rank below d, as a collapsed run's has; and when a relu
+    layer is dead, with no unit that fires on any training row. Raises
     NumericalError when the run diverged: the loss, the embedding of the
     training rows or, after the fold, the parameters are not finite.
     """
@@ -258,42 +259,58 @@ def fit(
         adam_step(state, grad, span)
 
     history: list[float] = []
-    for epoch in range(config.epochs):
-        # permuted gives rng.permutation(n)'s bits; bench/run.py's tracer
-        # counts the shuffles through this name.
-        order = permuted(np.arange(n), rng_stream(seed, KIND_SHUFFLE, epoch))
-        # The epoch's rows in shuffled order, so each batch is a slice.
-        x_epoch, y_epoch = xs[order], ys[order]
-        mask_rng = rng_stream(seed, KIND_DROPOUT, epoch)
-        ramp = (epoch + 1) / config.epochs
-        # The epoch's masks in one draw; each batch's are a row slice.
-        epoch_masks = draw_dropout_masks(network, n, mask_rng, ramp, config.batch_size)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            rows = slice(start, start + config.batch_size)
-            xb, yb = x_epoch[rows], y_epoch[rows]
-            masks = [None if m is None else m[rows] for m in epoch_masks]
-            out, cache = forward(network, xb, masks)
-            loss, loss_grad = mse_loss(out, yb)
-            # Adam updates each group of layers as backward completes it.
-            backward(cache, loss_grad, state, update)
-            total += loss * len(xb)
-        epoch_loss = total / n
-        if not np.isfinite(epoch_loss):
-            raise NumericalError(
-                f"training loss became non-finite at epoch {epoch + 1}; "
-                "lower the learning rate or check the data scale"
-            )
-        history.append(epoch_loss)
-    if history:
-        rank = _canonical_bottleneck(network, xs)
-        if rank < embedding_size:
-            warnings.warn(
-                f"the embedding of the {n} training rows has numerical rank "
-                f"{rank}, below d={embedding_size}: {embedding_size - rank} of "
-                "its axes are constant",
-                stacklevel=2,
-            )
+    # A diverging run overflows on its way to the NumericalError that
+    # reports it; numpy's own warnings would only repeat it, unplaced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            # permuted gives rng.permutation(n)'s bits; bench/run.py's tracer
+            # counts the shuffles through this name.
+            order = permuted(np.arange(n), rng_stream(seed, KIND_SHUFFLE, epoch))
+            # The epoch's rows in shuffled order, so each batch is a slice.
+            x_epoch, y_epoch = xs[order], ys[order]
+            mask_rng = rng_stream(seed, KIND_DROPOUT, epoch)
+            ramp = (epoch + 1) / config.epochs
+            # The epoch's masks in one draw; each batch's are a row slice.
+            epoch_masks = draw_dropout_masks(network, n, mask_rng, ramp, config.batch_size)
+            total = 0.0
+            for start in range(0, n, config.batch_size):
+                rows = slice(start, start + config.batch_size)
+                xb, yb = x_epoch[rows], y_epoch[rows]
+                masks = [None if m is None else m[rows] for m in epoch_masks]
+                out, cache = forward(network, xb, masks)
+                loss, loss_grad = mse_loss(out, yb)
+                # Adam updates each group of layers as backward completes it.
+                backward(cache, loss_grad, state, update)
+                total += loss * len(xb)
+            epoch_loss = total / n
+            if not np.isfinite(epoch_loss):
+                raise NumericalError(
+                    f"training loss became non-finite at epoch {epoch + 1}; "
+                    "lower the learning rate or check the data scale"
+                )
+            history.append(epoch_loss)
+        if history:
+            rank, outputs = _canonical_bottleneck(network, xs)
+            # The fold left the encoder's layers as they were. The pass from
+            # the last of them runs the bottleneck and the decoder's hidden
+            # layers, but not the output layer, the widest on that side.
+            outputs += forward(
+                network, outputs[-1], start=len(outputs), stop=len(network.layers) - 1
+            )[1].outputs
+            if rank < embedding_size:
+                warnings.warn(
+                    f"the embedding of the {n} training rows has numerical rank "
+                    f"{rank}, below d={embedding_size}: {embedding_size - rank} of "
+                    "its axes are constant",
+                    stacklevel=2,
+                )
+            for index, (layer, out) in enumerate(zip(network.layers, outputs)):
+                if layer.activation == "relu" and not out.any():
+                    warnings.warn(
+                        f"relu layer {index} (width {layer.fan_out}) is dead: none "
+                        f"of its units fires on any of the {n} training rows",
+                        stacklevel=2,
+                    )
 
     return AimeModel(
         network=network,
@@ -306,9 +323,12 @@ def fit(
     )
 
 
-def _canonical_bottleneck(network: Network, xs: np.ndarray) -> int:
-    """Rotate and scale the bottleneck, in place, to its principal axes,
-    and return the embedding's numerical rank.
+def _canonical_bottleneck(
+    network: Network, xs: np.ndarray
+) -> tuple[int, list[np.ndarray]]:
+    """Rotate and scale the bottleneck, in place, to its principal axes;
+    return the embedding's numerical rank and the outputs, on ``xs``, of
+    the layers before the bottleneck, which the fold leaves unchanged.
 
     The bottleneck is linear and feeds an affine layer, so any invertible
     affine change of its coordinates, undone in the next layer's weights,
@@ -329,7 +349,8 @@ def _canonical_bottleneck(network: Network, xs: np.ndarray) -> int:
     overflow the network's dtype.
     """
     b = network.bottleneck_index
-    emb = forward(network, xs, stop=b + 1)[0].astype(np.float64)
+    encoded, cache = forward(network, xs, stop=b + 1)
+    emb = encoded.astype(np.float64)
     if not _finite(emb):
         raise NumericalError(
             "the embedding of the training rows is not finite; training "
@@ -359,7 +380,7 @@ def _canonical_bottleneck(network: Network, xs: np.ndarray) -> int:
             "the weights overflowed when the embedding's axes were folded in; "
             "training diverged, so lower the learning rate"
         )
-    return int(np.count_nonzero(live))
+    return int(np.count_nonzero(live)), cache.outputs[:b]
 
 
 def _standardized_input(model: AimeModel, x) -> np.ndarray:

@@ -5,8 +5,17 @@ names in the first column (or the transpose, when ``orientation`` says the
 features run down the rows). A cell is any number Python's ``float()``
 accepts, without underscores, and must be finite; whitespace around it is
 allowed. A cell outside that set raises ParseError naming its line and
-column. ``write_labeled`` prints values in shortest round-trippable decimal
-form, while ``LabeledText.write_features`` (what ``aime filter`` writes)
+column.
+
+A file is parsed in one of two ways, with the same result. numpy's C
+reader (``np.loadtxt``) takes most in one call: it strips the whitespace
+that ``str.strip`` strips and converts each cell with the function
+``float()`` uses. A file that it refuses, or that has a ragged line or a
+non-finite value, is read again cell by cell, in line order, with
+``float()``; that pass names the first bad line or cell.
+
+``write_labeled`` prints values in shortest round-trippable decimal form,
+while ``LabeledText.write_features`` (what ``aime filter`` writes)
 copies each kept cell as the input spelled it, minus surrounding whitespace.
 Either way, reading the output back reproduces the floats bit for bit, and
 for a file that ``write_labeled`` wrote the two outputs are the same bytes.
@@ -190,7 +199,13 @@ def read_labeled_text(
 
 def _parse_lines(lines: list[str], sep: str, orientation: str) -> LabeledMatrix:
     """The labeled matrix of a file's lines; errors name the line and
-    column, not the file."""
+    column, not the file.
+
+    The data cells are read by ``_c_reader`` when it takes the file, and
+    otherwise by ``_cell_reader``, which gives the same floats for any
+    file the first one takes and raises the ParseError for the first bad
+    line or cell of one that it does not.
+    """
     if len(lines) < 2:
         raise ParseError("need a header row and at least one data row")
 
@@ -200,36 +215,55 @@ def _parse_lines(lines: list[str], sep: str, orientation: str) -> LabeledMatrix:
         raise ParseError("line 1: header has no column labels")
     width = len(header)
 
-    values = np.empty((len(lines) - 1, width - 1))
-    row_labels: list[str] = []
-    for line_no, line in enumerate(lines[1:], start=2):
+    rows = lines[1:]
+    values = _c_reader(rows, sep, width)
+    if values is None:
+        values = _cell_reader(rows, sep, width)
+    row_labels = [line.split(sep, 1)[0].strip() for line in rows]
+
+    if orientation == "features_in_rows":
+        return LabeledMatrix(values.T, col_labels, row_labels)
+    return LabeledMatrix(values, row_labels, col_labels)
+
+
+def _c_reader(rows: list[str], sep: str, width: int) -> np.ndarray | None:
+    """The data cells of ``rows`` from one ``np.loadtxt`` call, or None
+    where ``_cell_reader`` might read them otherwise: a line without
+    exactly ``width`` fields (the call would drop extra ones), a cell the
+    reader refuses (unlike ``float()``, it refuses underscores, non-ASCII
+    digits and a carriage return before a line's end), or a value that is
+    not finite."""
+    if any(line.count(sep) != width - 1 for line in rows):
+        return None
+    try:
+        values = np.loadtxt(
+            rows,
+            dtype=np.float64,
+            delimiter=sep,
+            comments=None,
+            usecols=range(1, width),
+            ndmin=2,
+        )
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
+
+
+def _cell_reader(rows: list[str], sep: str, width: int) -> np.ndarray:
+    """The data cells of ``rows``, one ``_parse_cell`` call each, in line
+    order; the first ragged line or bad cell raises ParseError."""
+    values = np.empty((len(rows), width - 1))
+    for line_no, line in enumerate(rows, start=2):
         fields = line.split(sep)
         if len(fields) != width:
             raise ParseError(
                 f"line {line_no} has {len(fields)} fields, expected {width}"
             )
-        row_labels.append(fields[0].strip())
-        # One C-level float() call per cell. A row that fails, holds an
-        # underscore or a non-finite value (or overflows the sum) is re-read
-        # cell by cell, so _parse_cell accepts it or names its first bad cell.
-        try:
-            row = list(map(float, fields[1:]))
-        except ValueError:
-            row = None
-        if (
-            row is None
-            or line.find("_", len(fields[0])) >= 0
-            or not math.isfinite(sum(row))
-        ):
-            row = [
-                _parse_cell(text, line_no, col_no)
-                for col_no, text in enumerate(fields[1:], start=2)
-            ]
-        values[line_no - 2] = row
-
-    if orientation == "features_in_rows":
-        return LabeledMatrix(values.T, col_labels, row_labels)
-    return LabeledMatrix(values, row_labels, col_labels)
+        values[line_no - 2] = [
+            _parse_cell(text, line_no, col_no)
+            for col_no, text in enumerate(fields[1:], start=2)
+        ]
+    return values
 
 
 def write_labeled(m: LabeledMatrix, path, delimiter: str = "tab") -> None:

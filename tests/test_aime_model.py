@@ -314,8 +314,10 @@ class TestFit:
         x, y = make_pair(30, 6, 6, seed=5)
         config = TrainConfig(learning_rate=1e30, epochs=3, batch_size=8, seed=0)
         # The absurd learning rate overflows float32 on the way to the
-        # non-finite loss we are checking for; silence numpy's warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # non-finite loss we are checking for; the error reports it, and
+        # numpy's warnings stay silent.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match="epoch"):
                 fit(x, y, embedding_size=2, config=config)
 
@@ -331,7 +333,8 @@ class TestFit:
         # layer overflows float32. The data are `aime synth`'s defaults.
         data = generate(SynthSpec(n=20, p=10, q=10, n_signal=10, noise_sd=0.1,
                                   design="linear", seed=1))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(NumericalError, match=message):
                 fit(data.x.values, data.y.values, 4,
                     TrainConfig(learning_rate=rate, epochs=1))
@@ -344,6 +347,27 @@ class TestFit:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fit(data.x.values, data.y.values, 4, TrainConfig(epochs=40, seed=1))
+
+    @pytest.mark.parametrize("index", [1, 5], ids=["encoder", "decoder"])
+    def test_dead_relu_layer_warns(self, monkeypatch, index):
+        # A bias far below anything the weights can reach keeps every unit
+        # of the layer off on every row, and gives it no gradient to
+        # recover by.
+        def with_dead_layer(plan, seed, dtype):
+            network = build_network(plan, seed, dtype)
+            network.layers[index].bias[...] = -1e4
+            return network
+
+        monkeypatch.setattr(aime_model, "build_network", with_dead_layer)
+        x, y = make_pair(30, 40, 40, seed=6)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit(x, y, 4, TrainConfig(epochs=2, batch_size=10, seed=0))
+        dead = [str(w.message) for w in caught if "is dead" in str(w.message)]
+        assert dead[0] == (
+            f"relu layer {index} (width 8) is dead: none of its units "
+            "fires on any of the 30 training rows"
+        )
 
 
 def reference_fit(x, y, embedding_size, config):
@@ -531,7 +555,7 @@ class TestCanonicalBottleneck:
         net = build_network(build_architecture(10, 8, 3), seed=3)
         net.layers[BOTTLENECK_INDEX].weights[2] = 0.0
         xs = rng_stream(16, 0, 0).standard_normal((40, 10))
-        assert _canonical_bottleneck(net, xs) == 2
+        assert _canonical_bottleneck(net, xs)[0] == 2
         _, cache = forward(net, xs)
         sds = cache.outputs[BOTTLENECK_INDEX].std(axis=0, ddof=1)
         np.testing.assert_allclose(sds[:2], 1.0, atol=1e-10)

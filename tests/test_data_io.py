@@ -196,8 +196,9 @@ def bits(values):
 
 
 class TestRowParser:
-    """read_labeled converts each row in one call and hands any row that
-    fails that check to _parse_cell, the per-cell oracle used here."""
+    """read_labeled converts a file in one numpy C-reader call and hands a
+    file that the reader refuses to _parse_cell, cell by cell; _parse_cell
+    is the oracle used here."""
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_odd_valid_cells_match_oracle_bitwise(self, tmp_path, newline):
@@ -259,17 +260,106 @@ class TestRowParser:
         calls = []
 
         def counting(text, line_no, col_no):
-            calls.append(line_no)
+            calls.append((line_no, col_no))
             return _parse_cell(text, line_no, col_no)
 
         monkeypatch.setattr(data_io, "_parse_cell", counting)
+        # Underscores in labels are fine.
+        header = "id\tg_1\tg_2\n"
         path = tmp_path / "m.tsv"
-        # Underscores in labels are fine; only the data part is checked.
-        path.write_text("id\tg_1\tg_2\ns_1\t1\t2\ns_2\t1e308\t1e308\n")
+        path.write_text(header + "s_1\t1\t2\ns_2\t1e308\t1e308\n")
         m = read_labeled(path)
-        # Row 3 overflows the finiteness sum, so it is re-read, and stands.
-        assert calls == [3, 3]
+        # The C reader takes the whole file, near-maximal row included.
+        assert calls == []
         assert m.values.tolist() == [[1.0, 2.0], [1e308, 1e308]]
+        assert m.sample_ids == ["s_1", "s_2"]
+
+        # One cell it refuses sends every cell through the per-cell pass,
+        # in line order.
+        path.write_text(header + "s_1\t1\t2\ns_2\t\u0661\t1e308\n")
+        m = read_labeled(path)
+        assert calls == [(2, 2), (2, 3), (3, 2), (3, 3)]
+        assert m.values.tolist() == [[1.0, 2.0], [1.0, 1e308]]
+
+
+def cell_by_cell(text, sep, orientation):
+    """What read_labeled returns for a file holding ``text``, from one
+    _parse_cell call per cell; the oracle for its C-reader path."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    header = lines[0].split(sep)
+    values, labels = [], []
+    for line_no, line in enumerate(lines[1:], start=2):
+        fields = line.split(sep)
+        if len(fields) != len(header):
+            raise ParseError(
+                f"line {line_no} has {len(fields)} fields, expected {len(header)}"
+            )
+        labels.append(fields[0].strip())
+        values.append(
+            [_parse_cell(t, line_no, col) for col, t in enumerate(fields[1:], start=2)]
+        )
+    features = [c.strip() for c in header[1:]]
+    if orientation == "features_in_rows":
+        return LabeledMatrix(np.array(values).T, features, labels)
+    return LabeledMatrix(np.array(values), labels, features)
+
+
+# Shortest reprs of doubles, with the extremes spelled out.
+SHORTEST_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(
+        ["-0.0", "5e-324", "2.2250738585072014e-308", "1.7976931348623157e+308",
+         "-1.7976931348623157e+308"]
+    ),
+)
+ODD_CELLS = [" 1.5 ", "+.5", "1E5", "\u0661\u0662", "\xa01.5\xa0", "1.5\r"]
+BAD_CELLS = ["1_0", "", "NA", "nan", "inf", "1e400", "0x10", "1.5\x00"]
+
+
+@st.composite
+def matrix_files(draw):
+    """(text, delimiter, orientation): a grid of shortest reprs with up
+    to two odd or bad cells, perhaps one blank, whitespace-only or ragged
+    line, and unix or CRLF newlines."""
+    n, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    grid = [[draw(SHORTEST_CELLS) for _ in range(p)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        cell = draw(st.sampled_from(ODD_CELLS + BAD_CELLS))
+        grid[draw(st.integers(0, n - 1))][draw(st.integers(0, p - 1))] = cell
+    delimiter = draw(st.sampled_from(["tab", "comma"]))
+    sep = data_io.delimiter_char(delimiter)
+    lines = [sep.join(["id", *[f"f{j}" for j in range(p)]])]
+    lines += [sep.join([f"s_{i}", *row]) for i, row in enumerate(grid)]
+    ragged = [sep.join(["r", *["1"] * k]) for k in (p - 1, p + 1)]
+    odd_lines = ["", "  \t ", *ragged]
+    for line in draw(st.lists(st.sampled_from(odd_lines), max_size=1)):
+        lines.insert(draw(st.integers(1, len(lines))), line)
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    orientation = draw(st.sampled_from(["samples_in_rows", "features_in_rows"]))
+    return text, delimiter, orientation
+
+
+class TestReaderEquivalence:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_files())
+    def test_read_labeled_matches_cell_by_cell_oracle(self, tmp_path_factory, case):
+        text, delimiter, orientation = case
+        path = tmp_path_factory.mktemp("eq") / "m.txt"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = cell_by_cell(text, data_io.delimiter_char(delimiter), orientation)
+        except (ParseError, ValidationError) as exc:
+            with pytest.raises(type(exc)) as caught:
+                read_labeled(path, delimiter, orientation)
+            assert str(caught.value) == f"{path}: {exc}"
+            return
+        m = read_labeled(path, delimiter, orientation)
+        assert np.array_equal(bits(m.values), bits(expected.values))
+        assert m.sample_ids == expected.sample_ids
+        assert m.feature_ids == expected.feature_ids
 
 
 class TestPaperWidth:
@@ -280,8 +370,8 @@ class TestPaperWidth:
         subnormal, zero, huge = rng.random((3, n, p)) < 0.005
         values[subnormal] = np.ldexp(rng.uniform(-1, 1, subnormal.sum()), -1060)
         values[zero] = -0.0
-        # Near-maximal values overflow a row's sum; only the first half holds
-        # them, so both the one-call rows and the re-read rows are covered.
+        # Near-maximal values are finite and must be read as such; only the
+        # first half of the rows holds them.
         huge[n // 2 :] = False
         values[huge] = np.ldexp(
             rng.choice([-1.0, 1.0], huge.sum()) * rng.uniform(0.99, 1, huge.sum()),
