@@ -420,13 +420,16 @@ def cmd_synth(out_prefix, n, p, q, n_signal, noise_sd, design, seed, delimiter):
 
 def read_labels(path: str, delimiter: str = "tab") -> dict[str, str]:
     """Read the two-column id/label sidecar written by the synth command.
-    Whitespace around an id or label is stripped, as matrix ids are, and
-    blank lines are skipped; errors name the file and its 1-based line."""
+    Lines end at ``\\n`` alone, as matrix lines do, so an id holding
+    another line break that ``str.splitlines`` knows (U+0085, U+2028)
+    matches the matrix's; a line's trailing ``\\r`` is dropped. Whitespace
+    around an id or label is stripped, as matrix ids are, and blank lines
+    are skipped; errors name the file and its 1-based line."""
     sep = delimiter_char(delimiter)
     lines = [
-        (line_no, line)
-        for line_no, line in enumerate(read_text(path).splitlines(), start=1)
-        if line
+        (line_no, line.removesuffix("\r"))
+        for line_no, line in enumerate(read_text(path).split("\n"), start=1)
+        if line not in ("", "\r")
     ]
     out: dict[str, str] = {}
     for line_no, line in lines[1:]:

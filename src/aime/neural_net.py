@@ -184,8 +184,11 @@ class TrainConfig:
 
 @dataclass
 class ForwardCache:
-    """Intermediate values from one forward pass of ``network``, consumed
-    by backward."""
+    """Intermediate values from one forward pass of ``network``.
+
+    :func:`backward` reads ``x``, ``outputs`` and ``masks``; permutation
+    importance reads the first layer's pre-activation,
+    ``pre_activations[0]``."""
 
     network: Network
     x: np.ndarray
@@ -296,7 +299,7 @@ def forward(
     a = x
     pre, outs = [], []
     for layer, mask in zip(layers[start:stop], masks[start:stop]):
-        z = a @ layer.weights.T
+        z = np.dot(a, layer.weights.T)
         z += layer.bias
         a = activate(layer.activation, z)
         if mask is not None:
@@ -357,24 +360,28 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
             f"cached output {pred.shape} vs loss gradient {loss_grad.shape}"
         )
 
-    zero = network.dtype.type(0)
     grad_a = loss_grad
     for layers, span, grad in state.groups:
         for idx in layers:
             layer = network.layers[idx]
-            z = cache.pre_activations[idx]
             mask = cache.masks[idx]
             if mask is not None:
                 grad_a = grad_a * mask
-            # relu passes the gradient where z > 0; the bool operand
-            # multiplies as 0.0 or 1.0. A linear layer passes it unchanged.
-            grad_z = grad_a * (z > zero) if layer.activation == "relu" else grad_a
+            # relu passes the gradient where z > 0. Its output's sign is 1
+            # there (where the unit was kept) and 0 elsewhere: a gate in the
+            # gradient's dtype, cheaper than the bool z > 0, and bitwise the
+            # same, since a dropped unit's grad_a is already +-0. A linear
+            # layer passes the gradient unchanged.
+            if layer.activation == "relu":
+                grad_z = grad_a * np.sign(cache.outputs[idx])
+            else:
+                grad_z = grad_a
             below = cache.x if idx == 0 else cache.outputs[idx - 1]
             gw, gb = state.grad_views[idx]
-            np.matmul(grad_z.T, below, out=gw)
+            np.dot(grad_z.T, below, out=gw)
             np.add.reduce(grad_z, axis=0, out=gb)
             if idx > 0:
-                grad_a = grad_z @ layer.weights
+                grad_a = np.dot(grad_z, layer.weights)
         on_group(span, grad)
 
 

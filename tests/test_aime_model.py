@@ -372,10 +372,12 @@ class TestFit:
 
 def reference_fit(x, y, embedding_size, config):
     """fit's training loop written out the plain way, kept as a bitwise
-    oracle for the optimized one: per-layer uniform mask draws, an
-    explicit float relu gradient, the textbook mean loss, per-batch row
-    gathers, and Adam's scalars converted on every step. Returns the
-    params after the principal-axes pass and the loss history."""
+    oracle for the optimized one: per-layer uniform mask draws, its own
+    forward pass (``a @ W.T + b``, relu as ``np.maximum``, then the mask),
+    an explicit float relu gradient from ``z > 0``, the textbook mean
+    loss, per-batch row gathers, and Adam's scalars converted on every
+    step. Returns the params after the principal-axes pass and the loss
+    history."""
     f32 = PARAM_DTYPE.type
     xs = standardize_columns(x, *column_stats(x)).astype(PARAM_DTYPE)
     ys = standardize_columns(y, *column_stats(y)).astype(PARAM_DTYPE)
@@ -398,21 +400,26 @@ def reference_fit(x, y, embedding_size, config):
                     masks.append((u >= rate) * f32(1.0 / (1.0 - rate)))
                 else:
                     masks.append(None)
-            out, cache = forward(network, xs[idx], masks)
-            diff = out - ys[idx]
+            a, inputs, pre = xs[idx], [], []
+            for layer, mask in zip(network.layers, masks):
+                inputs.append(a)
+                pre.append(a @ layer.weights.T + layer.bias)
+                a = np.maximum(pre[-1], 0.0) if layer.activation == "relu" else pre[-1]
+                if mask is not None:
+                    a = a * mask
+            diff = a - ys[idx]
             total += float(np.mean(diff * diff, dtype=np.float64)) * len(idx)
             grad_a = (2.0 / diff.size) * diff
             grads = []
             for k in range(len(network.layers) - 1, -1, -1):
-                layer, z = network.layers[k], cache.pre_activations[k]
+                layer, z = network.layers[k], pre[k]
                 if masks[k] is not None:
                     grad_a = grad_a * masks[k]
                 if layer.activation == "relu":
                     grad_z = grad_a * (z > 0.0).astype(z.dtype)
                 else:
                     grad_z = grad_a * np.ones_like(z)
-                below = cache.x if k == 0 else cache.outputs[k - 1]
-                grads[:0] = [(grad_z.T @ below).ravel(), grad_z.sum(axis=0)]
+                grads[:0] = [(grad_z.T @ inputs[k]).ravel(), grad_z.sum(axis=0)]
                 grad_a = grad_z @ layer.weights
             g = np.concatenate(grads)
             t += 1

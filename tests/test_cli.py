@@ -877,6 +877,26 @@ class TestPlot:
         path = tmp_path / "labels.tsv"
         path.write_bytes(b"\r\nid\tlabel\r\ns0\t0\r\n\r\ns1\t1\r\n")
         assert read_labels(path) == {"s0": "0", "s1": "1"}
+        path.write_bytes(b"id\tlabel\r\n\r\ns0\t0\textra\r\n")
+        with pytest.raises(ParseError, match=r"labels\.tsv: line 3: expected 2 fields, got 3"):
+            read_labels(path)
+
+    @pytest.mark.parametrize(
+        "brk", ["\x85", "\u2028", "\u2029", "\x0c", "\x1c", "\x1d", "\x1e"]
+    )
+    def test_id_holding_a_splitlines_break_matches_the_matrix(self, runner, tmp_path, brk):
+        # Both readers end a line at "\n" alone, so "a<brk>b" is one id in
+        # the embedding and in the labels, not two lines of the labels.
+        sample = f"a{brk}b"
+        (tmp_path / "emb.tsv").write_text(
+            f"id\td0\td1\n{sample}\t1.0\t2.0\nc\t3.0\t4.0\n", encoding="utf-8"
+        )
+        (tmp_path / "lab.tsv").write_text(f"id\tlabel\n{sample}\tA\nc\tB\n", encoding="utf-8")
+        assert read_labels(tmp_path / "lab.tsv") == {sample: "A", "c": "B"}
+        result = invoke(
+            runner, "plot", tmp_path / "emb.tsv", tmp_path / "lab.tsv", tmp_path / "out.svg"
+        )
+        assert result.exit_code == 0, result.output
 
     def test_whitespace_around_label_fields_stripped(self, runner, tmp_path):
         write_toy_matrix(tmp_path / "emb.tsv", np.arange(6.0).reshape(3, 2), prefix="e")

@@ -13,6 +13,7 @@ from aime.neural_net import (
     ADAM_BLOCK,
     ADAM_EPSILON,
     AdamState,
+    ForwardCache,
     Network,
     TrainConfig,
     adam_step,
@@ -56,6 +57,23 @@ def random_network(sizes, rng, dropout=None, dtype=np.float64):
         rate = dropout[i] if dropout else 0.0
         layers.append((w, b, act, rate))
     return hand_network(layers, dtype=dtype)
+
+
+def plain_forward(network, x, masks=None, start=0, stop=None):
+    """forward written the plain way, the oracle for its products and
+    gate: ``a @ W.T + b`` per layer, relu as ``np.maximum``, then the
+    mask. Returns the output and a cache of the layers that ran."""
+    masks = masks or [None] * len(network.layers)
+    a = x = np.asarray(x, dtype=network.dtype)
+    pre, outs = [], []
+    for layer, mask in zip(network.layers[start:stop], masks[start:stop]):
+        z = a @ layer.weights.T + layer.bias
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        if mask is not None:
+            a = a * mask
+        pre.append(z)
+        outs.append(a)
+    return a, ForwardCache(network, x, pre, outs, list(masks))
 
 
 def plain_backward(network, cache, loss_grad):
@@ -429,6 +447,75 @@ class TestBackward:
         _, cache = forward(net, np.array([[1.0, 2.0]]))
         with pytest.raises(CacheError):
             whole_gradient(cache, np.zeros((2, 1)))
+
+
+class TestPlainOracle:
+    """forward and the gradient of backward equal the plain ``@`` and
+    ``z > 0`` loops to the bit, on the shapes where a BLAS call or the
+    relu gate could take another path: one row, 1-unit layers, a waist
+    narrower than d, float64, dropped units, partial passes and a
+    paper-width layer."""
+
+    @staticmethod
+    def assert_pass_bitwise(net, x, masks, start=0, stop=None):
+        out, cache = forward(net, x, masks, stop=stop, start=start)
+        plain_out, plain = plain_forward(net, x, masks, start=start, stop=stop)
+        assert out.dtype == plain_out.dtype == net.dtype
+        assert out.tobytes() == plain_out.tobytes()
+        assert len(cache.outputs) == len(plain.outputs)
+        for got, want in zip(cache.pre_activations + cache.outputs,
+                             plain.pre_activations + plain.outputs):
+            assert got.tobytes() == want.tobytes()
+        return cache, plain
+
+    def assert_step_bitwise(self, net, x, masks, seed):
+        cache, plain = self.assert_pass_bitwise(net, x, masks)
+        target = rng_stream(seed, 0, 3).standard_normal(cache.outputs[-1].shape)
+        loss_grad = mse_loss(cache.outputs[-1], target.astype(net.dtype))[1]
+        gradient = whole_gradient(cache, loss_grad)
+        assert gradient.tobytes() == plain_backward(net, plain, loss_grad).tobytes()
+
+    @pytest.mark.parametrize(
+        "p, q, d, n, dtype, masked",
+        [
+            (40, 40, 4, 1, PARAM_DTYPE, True),
+            (40, 40, 1, 24, PARAM_DTYPE, True),
+            (12, 15, 4, 24, PARAM_DTYPE, True),
+            (40, 40, 4, 32, np.float64, True),
+            (40, 40, 4, 32, PARAM_DTYPE, False),
+        ],
+        ids=["1-row batch", "d=1, 1-unit waist", "12 features, 3-unit waist",
+             "float64", "no masks"],
+    )
+    def test_step_bitwise(self, p, q, d, n, dtype, masked):
+        net = build_network(build_architecture(p, q, d), 9, dtype)
+        x = rng_stream(9, 0, 1).standard_normal((n, p))
+        masks = draw_dropout_masks(net, n, rng_stream(9, 0, 2)) if masked else None
+        if masked:
+            assert any((mask == 0).any() for mask in masks if mask is not None)
+        self.assert_step_bitwise(net, x, masks, 9)
+
+    @pytest.mark.parametrize("start, stop", [(0, 3), (3, None), (1, 6), (7, None), (2, 3)])
+    def test_partial_pass_bitwise(self, start, stop):
+        net = build_network(build_architecture(40, 40, 4), 10, PARAM_DTYPE)
+        x = rng_stream(10, 0, 1).standard_normal((32, 40))
+        masks = draw_dropout_masks(net, 32, rng_stream(10, 0, 2))
+        below = plain_forward(net, x, masks, stop=start)[0] if start else x
+        self.assert_pass_bitwise(net, below, masks, start=start, stop=stop)
+
+    def test_paper_width_layer_bitwise(self):
+        # A 16-row batch through the first encoder layer's shape at paper
+        # width, 5459 -> 1092, behind a 3-unit layer so that backward
+        # also forms the 16 x 5459 gradient into its input.
+        net = Network(
+            [(3, 5459, "relu", 0.0), (5459, 1092, "relu", 0.2), (1092, 2, "linear", 0.0)],
+            dtype=PARAM_DTYPE,
+        )
+        net.params[:] = rng_stream(11, 0, 0).standard_normal(net.params.size, PARAM_DTYPE)
+        net.params *= PARAM_DTYPE.type(0.02)
+        x = rng_stream(11, 0, 1).standard_normal((16, 3))
+        masks = draw_dropout_masks(net, 16, rng_stream(11, 0, 2))
+        self.assert_step_bitwise(net, x, masks, 11)
 
 
 class TestGradientCheck:
