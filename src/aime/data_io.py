@@ -10,9 +10,12 @@ column.
 A file is parsed in one of two ways, with the same result. numpy's C
 reader (``np.loadtxt``) takes most in one call: it strips the whitespace
 that ``str.strip`` strips and converts each cell with the function
-``float()`` uses. A file that it refuses, or that has a ragged line or a
-non-finite value, is read again cell by cell, in line order, with
-``float()``; that pass names the first bad line or cell.
+``float()`` uses. A file that it refuses, or that has a ragged line, a
+non-finite value or a non-ASCII character after a row's label, is read
+row by row instead, in line order, with one ``map(float)`` call per
+row; only a row that this fails on, or that holds an underscore or a
+non-finite value, is read cell by cell, and that pass names the first
+bad line or cell.
 
 ``write_labeled`` prints values in shortest round-trippable decimal form,
 while ``LabeledText.write_features`` (what ``aime filter`` writes)
@@ -232,8 +235,13 @@ def _c_reader(rows: list[str], sep: str, width: int) -> np.ndarray | None:
     exactly ``width`` fields (the call would drop extra ones), a cell the
     reader refuses (unlike ``float()``, it refuses underscores, non-ASCII
     digits and a carriage return before a line's end), or a value that is
-    not finite."""
+    not finite. A file with a non-ASCII character after a row's label is
+    not handed to the reader at all: it would refuse a non-ASCII digit
+    only after converting every row before it, and a wide file's rows
+    are long."""
     if any(line.count(sep) != width - 1 for line in rows):
+        return None
+    if not all(line.isascii() or line[line.find(sep) :].isascii() for line in rows):
         return None
     try:
         values = np.loadtxt(
@@ -250,8 +258,18 @@ def _c_reader(rows: list[str], sep: str, width: int) -> np.ndarray | None:
 
 
 def _cell_reader(rows: list[str], sep: str, width: int) -> np.ndarray:
-    """The data cells of ``rows``, one ``_parse_cell`` call each, in line
-    order; the first ragged line or bad cell raises ParseError."""
+    """The data cells of ``rows``, in line order; the first ragged line or
+    bad cell raises ParseError.
+
+    Each row's cells are converted by one ``map(float)`` call, which
+    strips and converts a cell as ``_parse_cell`` does. A row where that
+    raises, whose data part holds an underscore (which ``float()`` takes
+    and a data file may not), or whose sum is not finite (a nan or inf
+    cell, or a sum that overflows near 1.8e308) is read again with one
+    ``_parse_cell`` call per cell, whose values or ParseError stand. So a
+    file that the C reader refuses for one non-ASCII digit costs one row
+    of ``_parse_cell`` calls at most, not one per cell of the file.
+    """
     values = np.empty((len(rows), width - 1))
     for line_no, line in enumerate(rows, start=2):
         fields = line.split(sep)
@@ -259,10 +277,20 @@ def _cell_reader(rows: list[str], sep: str, width: int) -> np.ndarray:
             raise ParseError(
                 f"line {line_no} has {len(fields)} fields, expected {width}"
             )
-        values[line_no - 2] = [
-            _parse_cell(text, line_no, col_no)
-            for col_no, text in enumerate(fields[1:], start=2)
-        ]
+        try:
+            row = list(map(float, fields[1:]))
+        except ValueError:
+            row = None
+        if (
+            row is None
+            or line.find("_", len(fields[0])) >= 0
+            or not math.isfinite(sum(row))
+        ):
+            row = [
+                _parse_cell(text, line_no, col_no)
+                for col_no, text in enumerate(fields[1:], start=2)
+            ]
+        values[line_no - 2] = row
     return values
 
 

@@ -30,6 +30,7 @@ from .aime_model import AimeModel, _standardized_input, embed  # noqa: F401
 from .errors import DomainError
 from .matrix_core import (  # noqa: F401
     KIND_IMPORTANCE,
+    check_seed,
     permute_column,
     permuted,
     rng_stream,
@@ -67,6 +68,7 @@ def permutation_importance(
     """
     if repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {repeats}")
+    check_seed(seed)
     network = model.network
     last = network.bottleneck_index
     first = network.layers[0]

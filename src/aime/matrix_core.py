@@ -60,6 +60,13 @@ def rng_stream(base_seed: int, kind: int, index: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def check_seed(seed: int) -> None:
+    """Raise DomainError naming ``seed`` unless it fits a stream's 64-bit
+    base seed; commands check their ``--seed`` with this before any work."""
+    if not 0 <= seed < _U64:
+        raise DomainError(f"seed must fit in 64 bits, got {seed}")
+
+
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a fresh 2-D float64 array, rejecting NaN/Inf."""
     arr = np.array(values, dtype=np.float64, order="C")

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CacheError, DomainError, ShapeError
-from .matrix_core import KIND_GRAD_CHECK, rng_stream
+from .matrix_core import KIND_GRAD_CHECK, check_seed, rng_stream
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -117,6 +117,15 @@ class Network:
     can update the whole network, and initialization or loading writes
     straight into them. An invalid plan raises ShapeError or DomainError
     naming the layer.
+
+    ``forward_plan`` holds, per layer, what :func:`forward` reads on every
+    pass: the ``weights.T`` view, the ``bias`` view and whether the layer
+    is relu, made once here rather than looked up per layer and step.
+    They are views into ``params`` too, so whatever changes the
+    parameters must write into them in place (``params[...] = ...``,
+    ``weights[...] = ...``, ``readinto``, an in-place byteswap); a layer
+    whose ``weights`` were rebound to a new array would leave its plan
+    entry on the old values.
     """
 
     def __init__(
@@ -137,6 +146,13 @@ class Network:
             DenseLayer(w, b, activation, rate)
             for (w, b), (_, _, activation, rate) in zip(views, specs)
         ]
+        self.forward_plan = [
+            (layer.weights.T, layer.bias, layer.activation == "relu")
+            for layer in self.layers
+        ]
+        # relu's floor as a 0-d array: numpy converts a scalar operand to
+        # one on every call.
+        self.relu_floor = np.zeros((), dtype)
 
     def layer_views(self, flat: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """(weights, bias) views of each layer into a vector laid out like
@@ -178,8 +194,7 @@ class TrainConfig:
             raise DomainError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise DomainError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0 <= self.seed < 2**64:
-            raise DomainError(f"seed must fit in 64 bits, got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass
@@ -281,6 +296,9 @@ def forward(
     ``forward(start=k)`` on ``forward(stop=k)``'s output gives the full
     pass's output bit for bit. The cache holds the layers that ran. The
     input is cast to the network's dtype.
+
+    The layers run from ``network.forward_plan``, each layer's
+    ``(weights.T, bias, relu)`` made once when the network was built.
     """
     layers = network.layers
     if not 0 <= start < len(layers):
@@ -296,15 +314,21 @@ def forward(
     elif len(masks) != len(layers):
         raise ShapeError(f"{len(masks)} masks for {len(layers)} layers")
 
+    floor = network.relu_floor
     a = x
     pre, outs = [], []
-    for layer, mask in zip(layers[start:stop], masks[start:stop]):
-        z = np.dot(a, layer.weights.T)
-        z += layer.bias
-        a = activate(layer.activation, z)
-        if mask is not None:
+    for (weights_t, bias, relu), mask in zip(
+        network.forward_plan[start:stop], masks[start:stop]
+    ):
+        z = np.dot(a, weights_t)
+        z += bias
+        if relu:
+            a = np.maximum(z, floor)
+            if mask is not None:
+                a *= mask
+        else:
             # a linear layer's output is z itself, which the cache keeps
-            a = z * mask if a is z else np.multiply(a, mask, out=a)
+            a = z if mask is None else z * mask
         pre.append(z)
         outs.append(a)
     cache = ForwardCache(network, x, pre, outs, list(masks))
@@ -319,8 +343,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     diff = pred - target
     # np.mean's own arithmetic, without its Python wrapper.
     loss = float(np.add.reduce(diff * diff, axis=None, dtype=np.float64) / diff.size)
-    grad = (2.0 / diff.size) * diff
-    return loss, grad
+    # The gradient scales diff in place; diff is this call's own array.
+    diff *= 2.0 / diff.size
+    return loss, diff
 
 
 def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_group) -> None:
@@ -345,6 +370,9 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
     object (even a twin of the same plan), a partial pass (``stop`` or
     ``start``) or a loss gradient that is not the cached output's shape
     raises CacheError before any group is handed over.
+
+    The layers run from ``state.group_layers``, each layer's index,
+    weights, relu flag and gradient views, which the state made once.
     """
     network = state.network
     if cache.network is not network:
@@ -360,11 +388,11 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
             f"cached output {pred.shape} vs loss gradient {loss_grad.shape}"
         )
 
+    x, outputs, masks = cache.x, cache.outputs, cache.masks
     grad_a = loss_grad
-    for layers, span, grad in state.groups:
-        for idx in layers:
-            layer = network.layers[idx]
-            mask = cache.masks[idx]
+    for (_, span, grad), layers in zip(state.groups, state.group_layers):
+        for idx, weights, relu, gw, gb in layers:
+            mask = masks[idx]
             if mask is not None:
                 grad_a = grad_a * mask
             # relu passes the gradient where z > 0. Its output's sign is 1
@@ -372,16 +400,11 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
             # gradient's dtype, cheaper than the bool z > 0, and bitwise the
             # same, since a dropped unit's grad_a is already +-0. A linear
             # layer passes the gradient unchanged.
-            if layer.activation == "relu":
-                grad_z = grad_a * np.sign(cache.outputs[idx])
-            else:
-                grad_z = grad_a
-            below = cache.x if idx == 0 else cache.outputs[idx - 1]
-            gw, gb = state.grad_views[idx]
-            np.dot(grad_z.T, below, out=gw)
+            grad_z = grad_a * np.sign(outputs[idx]) if relu else grad_a
+            np.dot(grad_z.T, outputs[idx - 1] if idx else x, out=gw)
             np.add.reduce(grad_z, axis=0, out=gb)
-            if idx > 0:
-                grad_a = np.dot(grad_z, layer.weights)
+            if idx:
+                grad_a = np.dot(grad_z, weights)
         on_group(span, grad)
 
 
@@ -422,21 +445,24 @@ class AdamState:
     network it was made for, so :func:`backward` and :func:`adam_step`
     take it from here rather than as an argument that could disagree.
 
-    ``scalars`` holds b1, b2, 1-b1, 1-b2, the learning rate and eps in the
-    moments' dtype, converted once, where numpy would convert them on every
-    operation: at desk scale a float32 operation on a Python float costs
-    half a microsecond more than on the array's own scalar type, which is
-    more than its arithmetic.
+    ``scalars`` holds b1, b2, 1-b1, 1-b2, the learning rate and eps, and
+    ``debias`` the step's 1-b1^t and 1-b2^t, as 0-d arrays of the moments'
+    dtype, made once, where numpy would convert a Python float or a numpy
+    scalar operand into such an array on every operation: at desk scale
+    that conversion costs more than the operation's arithmetic.
+    :func:`adam_step` writes ``debias`` in place when it advances ``t``.
 
     The network is split once, from its layer sizes, into update groups
     (see ``_update_groups``); every group's gradient goes into one buffer
-    the size of the largest group. ``grad_views`` holds each layer's
-    (weights, bias) views into that buffer, and ``groups`` holds, output
-    side first, each group's layers in backward order, its slice of
-    ``params`` and its gradient, the head of the buffer. At paper width
-    the groups are layers {7}, {6}, {5-2}, {1} and {0}, and the buffer
-    holds layer 7's 6,512,826 gradients; at desk scale the whole network
-    is one group.
+    the size of the largest group. ``groups`` holds, output side first,
+    each group's layer indices in backward order, its slice of ``params``
+    and its gradient, the head of the buffer. ``group_layers`` holds, for
+    the same groups, what :func:`backward` reads of each of those layers,
+    made once: ``(index, weights, relu, gw, gb)``, the layer's weights
+    view into ``params``, whether it is relu, and its (weights, bias)
+    gradient views into the buffer. At paper width the groups are layers
+    {7}, {6}, {5-2}, {1} and {0}, and the buffer holds layer 7's
+    6,512,826 gradients; at desk scale the whole network is one group.
     """
 
     def __init__(self, network: Network, learning_rate: float):
@@ -448,21 +474,33 @@ class AdamState:
         self.t = 0
         self.scratch = np.empty(min(size, ADAM_BLOCK), dtype)
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        self.scalars = tuple(map(
-            dtype.type, (b1, b2, 1.0 - b1, 1.0 - b2, learning_rate, ADAM_EPSILON)
-        ))
-        shapes = [layer.weights.shape for layer in network.layers]
+        self.scalars = tuple(
+            np.array(value, dtype)
+            for value in (b1, b2, 1.0 - b1, 1.0 - b2, learning_rate, ADAM_EPSILON)
+        )
+        # 1 - b^0 for t = 0.
+        self.debias = (np.zeros((), dtype), np.zeros((), dtype))
+        layers = network.layers
+        shapes = [layer.weights.shape for layer in layers]
         sizes = [rows * (cols + 1) for rows, cols in shapes]
         starts = np.cumsum([0, *sizes]).tolist()
         groups = _update_groups(sizes)
         buffer = np.empty(max(starts[g.stop] - starts[g.start] for g in groups), dtype)
-        self.grad_views = [
+        grad_views = [
             view for g in groups for view in _split(buffer, shapes[g.start : g.stop])
         ]
         self.groups = [
             (g[::-1], slice(starts[g.start], starts[g.stop]),
              buffer[: starts[g.stop] - starts[g.start]])
             for g in reversed(groups)
+        ]
+        self.group_layers = [
+            [
+                (idx, layers[idx].weights, layers[idx].activation == "relu",
+                 *grad_views[idx])
+                for idx in indices
+            ]
+            for indices, _, _ in self.groups
         ]
 
 
@@ -485,7 +523,9 @@ def adam_step(state: AdamState, grads: np.ndarray, span: slice) -> None:
     through the same operations in the same order as the textbook
     per-parameter form, so the result is the same to the bit:
     ``m = b1 m + (1-b1) g``, ``v = b2 v + (g g)(1-b2)``, then
-    ``p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)``.
+    ``p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)``. A network
+    of one block, such as the desk-scale one, is updated without the
+    per-block slicing.
     """
     params = state.network.params
     size, dtype = params.size, params.dtype
@@ -497,28 +537,41 @@ def adam_step(state: AdamState, grads: np.ndarray, span: slice) -> None:
         )
     if high == size:
         state.t += 1
-    b1, b2, keep1, keep2, lr, eps = state.scalars
-    debias1 = dtype.type(1.0 - ADAM_BETA1**state.t)
-    debias2 = dtype.type(1.0 - ADAM_BETA2**state.t)
+        debias1, debias2 = state.debias
+        debias1[()] = 1.0 - ADAM_BETA1**state.t
+        debias2[()] = 1.0 - ADAM_BETA2**state.t
+    if high - low == size <= ADAM_BLOCK:
+        # All of params in one block, as at desk scale: no slicing.
+        _adam_update(state, params, state.m, state.v, grads, state.scratch)
+        return
     for start in range(low, high, ADAM_BLOCK):
-        block = slice(start, min(start + ADAM_BLOCK, high))
-        p, m, v = params[block], state.m[block], state.v[block]
-        g = grads[start - low : start - low + ADAM_BLOCK]
-        scratch = state.scratch[: g.size]
-        m *= b1
-        np.multiply(g, keep1, out=scratch)
-        m += scratch
-        v *= b2
-        g *= g
-        g *= keep2
-        v += g
-        np.divide(m, debias1, out=scratch)
-        scratch *= lr
-        np.divide(v, debias2, out=g)
-        np.sqrt(g, out=g)
-        g += eps
-        scratch /= g
-        p -= scratch
+        end = min(start + ADAM_BLOCK, high)
+        _adam_update(
+            state, params[start:end], state.m[start:end], state.v[start:end],
+            grads[start - low : end - low], state.scratch[: end - start],
+        )
+
+
+def _adam_update(state: AdamState, p, m, v, g, scratch) -> None:
+    """adam_step's operations on one block: parameters ``p``, moments ``m``
+    and ``v``, gradient ``g`` (overwritten) and ``scratch``, all of one
+    size; ``state`` gives the scalars and the step's debias terms."""
+    b1, b2, keep1, keep2, lr, eps = state.scalars
+    debias1, debias2 = state.debias
+    m *= b1
+    np.multiply(g, keep1, out=scratch)
+    m += scratch
+    v *= b2
+    g *= g
+    g *= keep2
+    v += g
+    np.divide(m, debias1, out=scratch)
+    scratch *= lr
+    np.divide(v, debias2, out=g)
+    np.sqrt(g, out=g)
+    g += eps
+    scratch /= g
+    p -= scratch
 
 
 def numerical_gradients(

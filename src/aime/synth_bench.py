@@ -29,6 +29,7 @@ from .matrix_core import (
     KIND_SYNTH_NOISE_Y,
     KIND_SYNTH_SIGNAL,
     as_matrix,
+    check_seed,
     column_stats,
     permuted,
     rng_stream,
@@ -71,8 +72,7 @@ class SynthSpec:
             raise DomainError(
                 f"design must be one of {DESIGNS}, got {self.design!r}"
             )
-        if self.seed < 0:
-            raise DomainError("seed must be nonnegative")
+        check_seed(self.seed)
 
 
 @dataclass

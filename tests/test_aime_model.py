@@ -581,21 +581,49 @@ class TestCanonicalBottleneck:
         assert not scores.any()
 
 
-def assert_layers_in_buffer(network):
+def assert_layers_in_buffer(network, state=None):
     """Every layer's weights and bias are views into network.params, in
-    layer order, weights before bias."""
+    layer order, weights before bias. So are the per-layer views made
+    once for the training step: the network's forward plan and the
+    weights in the groups of ``state`` (a new AdamState by default), each
+    the same view as its layer's."""
     for layer in network.layers:
         assert np.shares_memory(layer.weights, network.params)
         assert np.shares_memory(layer.bias, network.params)
     flat = [a.ravel() for l in network.layers for a in (l.weights, l.bias)]
     assert np.concatenate(flat).tobytes() == network.params.tobytes()
 
+    state = state or AdamState(network, TrainConfig.learning_rate)
+    assert state.network is network
+    weights = {idx: w for layers in state.group_layers for idx, w, _, _, _ in layers}
+    assert sorted(weights) == list(range(len(network.layers)))
+    for idx, (layer, (weights_t, bias, relu)) in enumerate(
+        zip(network.layers, network.forward_plan, strict=True)
+    ):
+        assert relu == (layer.activation == "relu")
+        for view, own in ((weights_t, layer.weights.T), (bias, layer.bias),
+                          (weights[idx], layer.weights)):
+            assert np.shares_memory(view, network.params)
+            assert view.__array_interface__ == own.__array_interface__
+
 
 class TestParameterBuffer:
-    def test_after_fit(self):
+    def test_after_build_network(self):
+        assert_layers_in_buffer(build_network(build_architecture(10, 8, 3), seed=2))
+
+    def test_after_fit(self, monkeypatch):
+        # The state fit trained with, from before the fold wrote the
+        # bottleneck's weights in place.
+        states = []
+
+        def keep(*args):
+            states.append(AdamState(*args))
+            return states[-1]
+
+        monkeypatch.setattr(aime_model, "AdamState", keep)
         x, y = make_pair(30, 10, 7, seed=6)
         model = fit(x, y, 3, TrainConfig(epochs=2, batch_size=10, seed=2))
-        assert_layers_in_buffer(model.network)
+        assert_layers_in_buffer(model.network, *states)
 
     def test_after_canonical_bottleneck(self):
         net = build_network(build_architecture(10, 8, 3), seed=2)

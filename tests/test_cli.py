@@ -579,11 +579,21 @@ class TestSynthAndTrain:
         assert list(tmp_path.iterdir()) == []
 
     def test_out_of_range_synth_seed_exits_2(self, runner, tmp_path):
-        result = invoke(runner, "synth", tmp_path / "z", "--n-signal", 4,
-                        "--seed", 2**64)
-        assert result.exit_code == 2
-        assert "base_seed must fit in 64 bits" in result.stderr
-        assert "Traceback" not in result.output
+        for seed in (-1, 2**64):
+            result = invoke(runner, "synth", tmp_path / "z", "--n-signal", 4,
+                            "--seed", seed)
+            assert result.exit_code == 2
+            assert result.stderr == f"error: seed must fit in 64 bits, got {seed}\n"
+            assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_range_train_seed_exits_2(self, runner, tmp_path):
+        x, y = self.synth(runner, tmp_path)
+        for seed in (-1, 2**64):
+            result = invoke(runner, "train", x, y, "--epochs", 1, "--seed", seed,
+                            "--model-out", tmp_path / "m.bin")
+            assert result.exit_code == 2
+            assert result.stderr == f"error: seed must fit in 64 bits, got {seed}\n"
+            assert not (tmp_path / "m.bin").exists()
 
 
 class TestEmbedImportanceCca:
@@ -635,14 +645,14 @@ class TestEmbedImportanceCca:
         assert len((tmp_path / "imp.tsv").read_text().splitlines()) == 1 + 7
 
     def test_out_of_range_importance_seed_exits_2(self, runner, trained):
-        result = invoke(
-            runner, "importance", trained / "m.bin", trained / "d_x.tsv",
-            trained / "imp.tsv", "--repeats", 1, "--seed", -1,
-        )
-        assert result.exit_code == 2
-        assert "base_seed must fit in 64 bits" in result.stderr
-        assert "Traceback" not in result.output
-        assert not (trained / "imp.tsv").exists()
+        for seed in (-1, 2**64):
+            result = invoke(
+                runner, "importance", trained / "m.bin", trained / "d_x.tsv",
+                trained / "imp.tsv", "--repeats", 1, "--seed", seed,
+            )
+            assert result.exit_code == 2
+            assert result.stderr == f"error: seed must fit in 64 bits, got {seed}\n"
+            assert not (trained / "imp.tsv").exists()
 
     @pytest.mark.parametrize(
         "setting, named",

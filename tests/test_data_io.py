@@ -274,12 +274,47 @@ class TestRowParser:
         assert m.values.tolist() == [[1.0, 2.0], [1e308, 1e308]]
         assert m.sample_ids == ["s_1", "s_2"]
 
-        # One cell it refuses sends every cell through the per-cell pass,
-        # in line order.
+        # A cell it refuses but float() takes sends the file through the
+        # row-by-row pass, and no row of it through the per-cell one.
         path.write_text(header + "s_1\t1\t2\ns_2\t\u0661\t1e308\n")
         m = read_labeled(path)
-        assert calls == [(2, 2), (2, 3), (3, 2), (3, 3)]
+        assert calls == []
         assert m.values.tolist() == [[1.0, 2.0], [1.0, 1e308]]
+
+    def test_c_reader_skipped_only_for_non_ascii_cells(self, tmp_path, monkeypatch):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(data_io.np, "loadtxt", counting)
+        path = tmp_path / "m.tsv"
+        # A non-ASCII label is handed to the C reader ...
+        path.write_text("id\ta\n\u00e9\t1.5\n", encoding="utf-8")
+        assert read_labeled(path).values.tolist() == [[1.5]]
+        assert calls == [1]
+        # ... a non-ASCII digit, which it would refuse, is not.
+        path.write_text("id\ta\ns\t\u0661.5\n", encoding="utf-8")
+        assert read_labeled(path).values.tolist() == [[1.5]]
+        assert calls == [1]
+
+    def test_per_cell_parser_only_for_the_bad_row(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(text, line_no, col_no):
+            calls.append((line_no, col_no))
+            return _parse_cell(text, line_no, col_no)
+
+        monkeypatch.setattr(data_io, "_parse_cell", counting)
+        path = tmp_path / "m.tsv"
+        path.write_text("id\ta\tb\ns1\t\u0661.5\t2\ns2\t3\tNA\ns3\t4\t5\n")
+        with pytest.raises(ParseError) as caught:
+            read_labeled(path)
+        assert str(caught.value) == f"{path}: line 3, column 3: non-numeric cell 'NA'"
+        # Only line 3 is read cell by cell, up to its bad cell.
+        assert calls == [(3, 2), (3, 3)]
 
 
 def cell_by_cell(text, sep, orientation):

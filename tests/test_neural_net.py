@@ -4,7 +4,14 @@ differences, Adam against a scalar reference, dropout statistics."""
 import numpy as np
 import pytest
 
-from aime.aime_model import PARAM_DTYPE, build_architecture, build_network
+from aime.aime_model import (
+    PARAM_DTYPE,
+    build_architecture,
+    build_network,
+    fit,
+    load_model,
+    save_model,
+)
 from aime.errors import CacheError, DomainError, ShapeError
 from aime.matrix_core import rng_stream
 from aime.neural_net import (
@@ -503,6 +510,18 @@ class TestPlainOracle:
         below = plain_forward(net, x, masks, stop=start)[0] if start else x
         self.assert_pass_bitwise(net, below, masks, start=start, stop=stop)
 
+    def test_loaded_model_bitwise(self, tmp_path):
+        # load_model reads the parameters into the views the network's
+        # forward plan was made from.
+        x = rng_stream(12, 0, 1).standard_normal((32, 12))
+        y = rng_stream(12, 0, 2).standard_normal((32, 9))
+        save_model(fit(x, y, 2, TrainConfig(epochs=2, seed=3)), tmp_path / "m.bin")
+        net = load_model(tmp_path / "m.bin").network
+        assert net.params.any()
+        masks = draw_dropout_masks(net, 32, rng_stream(12, 0, 3))
+        for pass_masks in (None, masks):
+            self.assert_pass_bitwise(net, x, pass_masks)
+
     def test_paper_width_layer_bitwise(self):
         # A 16-row batch through the first encoder layer's shape at paper
         # width, 5459 -> 1092, behind a 3-unit layer so that backward
@@ -731,6 +750,22 @@ class TestAdam:
             v_hat = v / (1 - b2**t)
             w -= lr * m_hat / (np.sqrt(v_hat) + eps)
         return w
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scalars_are_zero_d_in_the_network_dtype(self, dtype):
+        # float64 for the gradient oracle's networks, float32 for training.
+        net = random_network([3, 4, 2], rng_stream(6, 0, 0), dtype=dtype)
+        state = AdamState(net, 1e-3)
+        lr = state.scalars[4]
+        for value in (*state.scalars, *state.debias):
+            assert value.shape == () and value.dtype == dtype
+        assert lr == np.dtype(dtype).type(1e-3)
+        grads = rng_stream(6, 0, 1).standard_normal(net.params.size).astype(dtype)
+        for t in (1, 2):
+            adam_step(state, grads.copy(), slice(None))
+            assert state.debias[0] == np.dtype(dtype).type(1.0 - ADAM_BETA1**t)
+            assert state.debias[1] == np.dtype(dtype).type(1.0 - ADAM_BETA2**t)
+        assert net.params.dtype == dtype
 
     def test_zero_gradient_leaves_parameters(self):
         net = hand_network([([[2.0]], [0.5], "linear", 0.0)])
