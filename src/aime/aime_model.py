@@ -373,7 +373,7 @@ def _canonical_bottleneck(
     # Written in place: the layers are views into network.params.
     encode.weights[...] = transform @ encode.weights
     encode.bias[...] = transform @ (encode.bias - mean)
-    nxt.bias += nxt.weights @ mean
+    nxt.bias[...] += nxt.weights @ mean
     nxt.weights[...] = nxt.weights @ (axes * scale)
     if not _finite(network.params):
         raise NumericalError(

@@ -10,12 +10,11 @@ column.
 A file is parsed in one of two ways, with the same result. numpy's C
 reader (``np.loadtxt``) takes most in one call: it strips the whitespace
 that ``str.strip`` strips and converts each cell with the function
-``float()`` uses. A file that it refuses, or that has a ragged line, a
-non-finite value or a non-ASCII character after a row's label, is read
-row by row instead, in line order, with one ``map(float)`` call per
-row; only a row that this fails on, or that holds an underscore or a
-non-finite value, is read cell by cell, and that pass names the first
-bad line or cell.
+``float()`` uses. A file that it refuses, or that has a ragged line or a
+non-finite value, is read row by row instead, in line order, with one
+``map(float)`` call per row; only a row that this fails on, or that
+holds an underscore or a non-finite value, is read cell by cell, and
+that pass names the first bad line or cell.
 
 ``write_labeled`` prints values in shortest round-trippable decimal form,
 while ``LabeledText.write_features`` (what ``aime filter`` writes)
@@ -235,13 +234,8 @@ def _c_reader(rows: list[str], sep: str, width: int) -> np.ndarray | None:
     exactly ``width`` fields (the call would drop extra ones), a cell the
     reader refuses (unlike ``float()``, it refuses underscores, non-ASCII
     digits and a carriage return before a line's end), or a value that is
-    not finite. A file with a non-ASCII character after a row's label is
-    not handed to the reader at all: it would refuse a non-ASCII digit
-    only after converting every row before it, and a wide file's rows
-    are long."""
+    not finite."""
     if any(line.count(sep) != width - 1 for line in rows):
-        return None
-    if not all(line.isascii() or line[line.find(sep) :].isascii() for line in rows):
         return None
     try:
         values = np.loadtxt(

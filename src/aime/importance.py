@@ -35,7 +35,7 @@ from .matrix_core import (  # noqa: F401
     permuted,
     rng_stream,
 )
-from .neural_net import activate, forward
+from .neural_net import forward
 
 DEFAULT_REPEATS = 10
 
@@ -72,10 +72,11 @@ def permutation_importance(
     network = model.network
     last = network.bottleneck_index
     first = network.layers[0]
+    relu = network.forward_plan[0][2]
 
     def encode(z: np.ndarray) -> np.ndarray:
         """Embedding of rows whose layer-0 pre-activation is ``z``."""
-        a = activate(first.activation, z)
+        a = np.maximum(z, network.relu_floor) if relu else z
         return forward(network, a, start=1, stop=last + 1)[0] if last else a
 
     # _standardized_input checks the width against the model.

@@ -48,12 +48,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
     """One dense layer plus the dropout rate applied to its output.
 
     ``weights`` (fan_out, fan_in) and ``bias`` are views into the
-    ``params`` buffer of the network that made the layer.
+    ``params`` buffer of the network that made the layer. The layer is
+    frozen: the network's step plans hold the same views and flags, so
+    its parameters change only by writes into those views.
     """
 
     weights: np.ndarray
@@ -123,9 +125,10 @@ class Network:
     is relu, made once here rather than looked up per layer and step.
     They are views into ``params`` too, so whatever changes the
     parameters must write into them in place (``params[...] = ...``,
-    ``weights[...] = ...``, ``readinto``, an in-place byteswap); a layer
-    whose ``weights`` were rebound to a new array would leave its plan
-    entry on the old values.
+    ``weights[...] = ...``, ``readinto``, an in-place byteswap); the
+    frozen :class:`DenseLayer` refuses a rebinding that would leave a plan
+    entry on the old values. ``relu_floor`` is relu's zero:
+    ``np.maximum(z, relu_floor)`` is a relu layer's output.
     """
 
     def __init__(
@@ -210,12 +213,6 @@ class ForwardCache:
     pre_activations: list[np.ndarray]
     outputs: list[np.ndarray]
     masks: list[np.ndarray | None]
-
-
-def activate(name: str, z: np.ndarray) -> np.ndarray:
-    """A layer's output for its pre-activation ``z``: a new array for
-    relu, ``z`` itself for a linear layer."""
-    return np.maximum(z, z.dtype.type(0)) if name == "relu" else z
 
 
 def draw_dropout_masks(
@@ -371,8 +368,8 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
     ``start``) or a loss gradient that is not the cached output's shape
     raises CacheError before any group is handed over.
 
-    The layers run from ``state.group_layers``, each layer's index,
-    weights, relu flag and gradient views, which the state made once.
+    The layers run from ``state.groups``, each layer's index, weights,
+    relu flag and gradient views, which the state made once.
     """
     network = state.network
     if cache.network is not network:
@@ -390,7 +387,7 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
 
     x, outputs, masks = cache.x, cache.outputs, cache.masks
     grad_a = loss_grad
-    for (_, span, grad), layers in zip(state.groups, state.group_layers):
+    for layers, span, grad in state.groups:
         for idx, weights, relu, gw, gb in layers:
             mask = masks[idx]
             if mask is not None:
@@ -455,14 +452,14 @@ class AdamState:
     The network is split once, from its layer sizes, into update groups
     (see ``_update_groups``); every group's gradient goes into one buffer
     the size of the largest group. ``groups`` holds, output side first,
-    each group's layer indices in backward order, its slice of ``params``
-    and its gradient, the head of the buffer. ``group_layers`` holds, for
-    the same groups, what :func:`backward` reads of each of those layers,
-    made once: ``(index, weights, relu, gw, gb)``, the layer's weights
-    view into ``params``, whether it is relu, and its (weights, bias)
-    gradient views into the buffer. At paper width the groups are layers
-    {7}, {6}, {5-2}, {1} and {0}, and the buffer holds layer 7's
-    6,512,826 gradients; at desk scale the whole network is one group.
+    each group's layers in backward order, its slice of ``params`` and its
+    gradient, the head of the buffer. Each layer is what :func:`backward`
+    reads of it, made once: ``(index, weights, relu, gw, gb)``, the
+    layer's weights view into ``params``, whether it is relu, and its
+    (weights, bias) gradient views into the buffer. At paper width the
+    groups are layers {7}, {6}, {5-2}, {1} and {0}, and the buffer holds
+    layer 7's 6,512,826 gradients; at desk scale the whole network is one
+    group.
     """
 
     def __init__(self, network: Network, learning_rate: float):
@@ -490,17 +487,11 @@ class AdamState:
             view for g in groups for view in _split(buffer, shapes[g.start : g.stop])
         ]
         self.groups = [
-            (g[::-1], slice(starts[g.start], starts[g.stop]),
+            ([(idx, layers[idx].weights, layers[idx].activation == "relu",
+               *grad_views[idx]) for idx in g[::-1]],
+             slice(starts[g.start], starts[g.stop]),
              buffer[: starts[g.stop] - starts[g.start]])
             for g in reversed(groups)
-        ]
-        self.group_layers = [
-            [
-                (idx, layers[idx].weights, layers[idx].activation == "relu",
-                 *grad_views[idx])
-                for idx in indices
-            ]
-            for indices, _, _ in self.groups
         ]
 
 
@@ -523,9 +514,7 @@ def adam_step(state: AdamState, grads: np.ndarray, span: slice) -> None:
     through the same operations in the same order as the textbook
     per-parameter form, so the result is the same to the bit:
     ``m = b1 m + (1-b1) g``, ``v = b2 v + (g g)(1-b2)``, then
-    ``p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)``. A network
-    of one block, such as the desk-scale one, is updated without the
-    per-block slicing.
+    ``p -= lr (m / (1-b1^t)) / (sqrt(v / (1-b2^t)) + eps)``.
     """
     params = state.network.params
     size, dtype = params.size, params.dtype
@@ -535,43 +524,31 @@ def adam_step(state: AdamState, grads: np.ndarray, span: slice) -> None:
             f"gradient of shape {grads.shape} and dtype {grads.dtype} for "
             f"{high - low} {dtype} parameters"
         )
-    if high == size:
-        state.t += 1
-        debias1, debias2 = state.debias
-        debias1[()] = 1.0 - ADAM_BETA1**state.t
-        debias2[()] = 1.0 - ADAM_BETA2**state.t
-    if high - low == size <= ADAM_BLOCK:
-        # All of params in one block, as at desk scale: no slicing.
-        _adam_update(state, params, state.m, state.v, grads, state.scratch)
-        return
-    for start in range(low, high, ADAM_BLOCK):
-        end = min(start + ADAM_BLOCK, high)
-        _adam_update(
-            state, params[start:end], state.m[start:end], state.v[start:end],
-            grads[start - low : end - low], state.scratch[: end - start],
-        )
-
-
-def _adam_update(state: AdamState, p, m, v, g, scratch) -> None:
-    """adam_step's operations on one block: parameters ``p``, moments ``m``
-    and ``v``, gradient ``g`` (overwritten) and ``scratch``, all of one
-    size; ``state`` gives the scalars and the step's debias terms."""
     b1, b2, keep1, keep2, lr, eps = state.scalars
     debias1, debias2 = state.debias
-    m *= b1
-    np.multiply(g, keep1, out=scratch)
-    m += scratch
-    v *= b2
-    g *= g
-    g *= keep2
-    v += g
-    np.divide(m, debias1, out=scratch)
-    scratch *= lr
-    np.divide(v, debias2, out=g)
-    np.sqrt(g, out=g)
-    g += eps
-    scratch /= g
-    p -= scratch
+    if high == size:
+        state.t += 1
+        debias1[()] = 1.0 - ADAM_BETA1**state.t
+        debias2[()] = 1.0 - ADAM_BETA2**state.t
+    for start in range(low, high, ADAM_BLOCK):
+        block = slice(start, min(start + ADAM_BLOCK, high))
+        p, m, v = params[block], state.m[block], state.v[block]
+        g = grads[start - low : start - low + ADAM_BLOCK]
+        scratch = state.scratch[: g.size]
+        m *= b1
+        np.multiply(g, keep1, out=scratch)
+        m += scratch
+        v *= b2
+        g *= g
+        g *= keep2
+        v += g
+        np.divide(m, debias1, out=scratch)
+        scratch *= lr
+        np.divide(v, debias2, out=g)
+        np.sqrt(g, out=g)
+        g += eps
+        scratch /= g
+        p -= scratch
 
 
 def numerical_gradients(

@@ -1,6 +1,7 @@
 """Tests for architecture derivation, training, embedding, and the
 model file round trip."""
 
+import dataclasses
 import hashlib
 import os
 import re
@@ -474,7 +475,9 @@ class TestFitOracle:
         # gradient buffer the size of the largest group.
         network = Network(build_architecture(p, q, 4), BOTTLENECK_INDEX, PARAM_DTYPE)
         state = AdamState(network, TrainConfig.learning_rate)
-        assert [list(layers) for layers, _, _ in state.groups] == [list(g) for g in groups]
+        assert [[idx for idx, *_ in layers] for layers, _, _ in state.groups] == [
+            list(g) for g in groups
+        ]
         assert max(grad.size for _, _, grad in state.groups) == largest
         spans = [span for _, span, _ in state.groups][::-1]
         assert [s.start for s in spans[1:]] == [s.stop for s in spans[:-1]]
@@ -595,7 +598,7 @@ def assert_layers_in_buffer(network, state=None):
 
     state = state or AdamState(network, TrainConfig.learning_rate)
     assert state.network is network
-    weights = {idx: w for layers in state.group_layers for idx, w, _, _, _ in layers}
+    weights = {idx: w for layers, _, _ in state.groups for idx, w, _, _, _ in layers}
     assert sorted(weights) == list(range(len(network.layers)))
     for idx, (layer, (weights_t, bias, relu)) in enumerate(
         zip(network.layers, network.forward_plan, strict=True)
@@ -610,6 +613,18 @@ def assert_layers_in_buffer(network, state=None):
 class TestParameterBuffer:
     def test_after_build_network(self):
         assert_layers_in_buffer(build_network(build_architecture(10, 8, 3), seed=2))
+
+    def test_layers_refuse_rebinding(self):
+        # A rebound view or flag would leave the step plans on the old one;
+        # a write in place reaches them.
+        network = build_network(build_architecture(10, 8, 3), seed=2)
+        layer = network.layers[0]
+        for name, value in (("weights", layer.weights.copy()), ("bias", layer.bias.copy()),
+                            ("activation", "linear")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(layer, name, value)
+        layer.bias[...] += 1.0
+        assert np.array_equal(network.forward_plan[0][1], layer.bias)
 
     def test_after_fit(self, monkeypatch):
         # The state fit trained with, from before the fold wrote the

@@ -196,9 +196,9 @@ def bits(values):
 
 
 class TestRowParser:
-    """read_labeled converts a file in one numpy C-reader call and hands a
-    file that the reader refuses to _parse_cell, cell by cell; _parse_cell
-    is the oracle used here."""
+    """read_labeled converts a file in one numpy C-reader call and reads a
+    file that the reader refuses row by row, handing only a row that fails
+    to _parse_cell, cell by cell; _parse_cell is the oracle used here."""
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_odd_valid_cells_match_oracle_bitwise(self, tmp_path, newline):
@@ -280,25 +280,6 @@ class TestRowParser:
         m = read_labeled(path)
         assert calls == []
         assert m.values.tolist() == [[1.0, 2.0], [1.0, 1e308]]
-
-    def test_c_reader_skipped_only_for_non_ascii_cells(self, tmp_path, monkeypatch):
-        calls = []
-        loadtxt = np.loadtxt
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return loadtxt(*args, **kwargs)
-
-        monkeypatch.setattr(data_io.np, "loadtxt", counting)
-        path = tmp_path / "m.tsv"
-        # A non-ASCII label is handed to the C reader ...
-        path.write_text("id\ta\n\u00e9\t1.5\n", encoding="utf-8")
-        assert read_labeled(path).values.tolist() == [[1.5]]
-        assert calls == [1]
-        # ... a non-ASCII digit, which it would refuse, is not.
-        path.write_text("id\ta\ns\t\u0661.5\n", encoding="utf-8")
-        assert read_labeled(path).values.tolist() == [[1.5]]
-        assert calls == [1]
 
     def test_per_cell_parser_only_for_the_bad_row(self, tmp_path, monkeypatch):
         calls = []
