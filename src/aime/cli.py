@@ -256,6 +256,9 @@ def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, or
 @guarded
 def cmd_train(x_path, y_path, d, epochs, seed, learning_rate, batch_size, model_out, history_out, delimiter, orientation):
     """Fit the embedding network on paired X and Y matrices."""
+    history_out = history_out or (model_out + ".history")
+    if os.path.realpath(history_out) == os.path.realpath(model_out):
+        raise DomainError(f"--model-out and --history-out are one file: {history_out}")
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
     y = read_labeled(y_path, delimiter=delimiter, orientation=orientation)
     x, y = align_samples(x, y)
@@ -264,7 +267,6 @@ def cmd_train(x_path, y_path, d, epochs, seed, learning_rate, batch_size, model_
     )
     model = fit(x.values, y.values, d, config)
     _atomic_write(model_out, lambda tmp: save_model(model, tmp))
-    history_out = history_out or (model_out + ".history")
     sep = delimiter_char(delimiter)
     history = "".join(
         f"{i + 1}{sep}{float(loss)!r}\n" for i, loss in enumerate(model.loss_history)

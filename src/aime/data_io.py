@@ -8,19 +8,22 @@ allowed. A cell outside that set raises ParseError naming its line and
 column.
 
 A file is parsed in one of two ways, with the same result. numpy's C
-reader (``np.loadtxt``) takes most in one call: it strips the whitespace
-that ``str.strip`` strips and converts each cell with the function
-``float()`` uses. A file that it refuses, or that has a ragged line or a
-non-finite value, is read row by row instead, in line order, with one
-``map(float)`` call per row; only a row that this fails on, or that
-holds an underscore or a non-finite value, is read cell by cell, and
-that pass names the first bad line or cell.
+reader (``np.loadtxt``) takes most in one call, given each data line's
+text after its label: it strips the whitespace that ``str.strip`` strips
+and converts each cell with the function ``float()`` uses. A file that
+it refuses, or that has a ragged line or a non-finite value, is read row
+by row instead, in line order, with one ``map(float)`` call per row;
+only a row that this fails on, or that holds an underscore or a
+non-finite value, is read cell by cell, and that pass names the first
+bad line or cell.
 
 ``write_labeled`` prints values in shortest round-trippable decimal form,
 while ``LabeledText.write_features`` (what ``aime filter`` writes)
-copies each kept cell as the input spelled it, minus surrounding whitespace.
-Either way, reading the output back reproduces the floats bit for bit, and
-for a file that ``write_labeled`` wrote the two outputs are the same bytes.
+copies each kept cell as the input spelled it, minus surrounding whitespace;
+when every column is kept, a line with no whitespace but its separators
+is written as read. Either way, reading the output back reproduces the
+floats bit for bit, and for a file that ``write_labeled`` wrote the two
+outputs are the same bytes.
 """
 
 from __future__ import annotations
@@ -43,6 +46,10 @@ _DELIMITERS = {"tab": "\t", "comma": ","}
 
 # Mean magnitudes below this make a coefficient of variation meaningless.
 NEAR_ZERO_MEAN = 1e-12
+
+# The ASCII characters that str.strip strips, bar the newline that a line
+# split from a file cannot hold.
+_ASCII_SPACES = "".join(c for c in map(chr, range(128)) if c.isspace() and c != "\n")
 
 
 @dataclass
@@ -139,8 +146,11 @@ class LabeledText:
         The header is ``id`` and the kept feature ids; each cell is the input
         cell's text stripped of surrounding whitespace, so reading the file
         back gives the same floats bit for bit. Input rows are copied one
-        line at a time; a features-in-rows input holds the kept rows' fields
-        to transpose them.
+        line at a time. A samples-in-rows line with no whitespace but its
+        separators is written as read when every column is kept in order,
+        since stripping and joining its fields gives it back; other lines
+        are split, stripped and joined. A features-in-rows input holds the
+        kept rows' fields to transpose them.
         """
         sep = self.sep
         columns = [int(j) for j in columns]
@@ -152,7 +162,13 @@ class LabeledText:
             handle.write(sep.join(["id", *[feature_ids[j] for j in columns]]) + "\n")
             if self.orientation == "samples_in_rows":
                 keep = [0, *keep]  # the sample label, then the kept cells
+                keep_all = columns == list(range(self.matrix.n_features))
+                spaces = _ASCII_SPACES.replace(sep, "")
                 for line in self.lines[1:]:
+                    if keep_all and line.isascii() and not any(c in line for c in spaces):
+                        handle.write(line)
+                        handle.write("\n")
+                        continue
                     fields = line.split(sep)
                     handle.write(sep.join([fields[k].strip() for k in keep]) + "\n")
             else:
@@ -231,22 +247,27 @@ def _parse_lines(lines: list[str], sep: str, orientation: str) -> LabeledMatrix:
 def _c_reader(rows: list[str], sep: str, width: int) -> np.ndarray | None:
     """The data cells of ``rows`` from one ``np.loadtxt`` call, or None
     where ``_cell_reader`` might read them otherwise: a line without
-    exactly ``width`` fields (the call would drop extra ones), a cell the
-    reader refuses (unlike ``float()``, it refuses underscores, non-ASCII
-    digits and a carriage return before a line's end), or a value that is
-    not finite."""
-    if any(line.count(sep) != width - 1 for line in rows):
-        return None
+    exactly ``width`` fields, a cell the reader refuses (unlike
+    ``float()``, it refuses underscores, non-ASCII digits and a carriage
+    return before a line's end), or a value that is not finite.
+
+    The call reads each line's text after its label, one line at a time,
+    and ``""`` for a line without a separator. It refuses a line whose
+    field count differs from the first line's and skips a blank one, so
+    the result has ``len(rows)`` rows of ``width - 1`` cells only if every
+    line has ``width`` fields.
+    """
+    tails = (line[i:] if (i := line.find(sep) + 1) else "" for line in rows)
     try:
-        values = np.loadtxt(
-            rows,
-            dtype=np.float64,
-            delimiter=sep,
-            comments=None,
-            usecols=range(1, width),
-            ndmin=2,
-        )
+        with warnings.catch_warnings():
+            # Every line blank after its label; the shape check refuses it.
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(
+                tails, dtype=np.float64, delimiter=sep, comments=None, ndmin=2
+            )
     except ValueError:
+        return None
+    if values.shape != (len(rows), width - 1):
         return None
     return values if np.isfinite(values).all() else None
 

@@ -422,6 +422,27 @@ class TestSynthAndTrain:
         assert len(history) == 3
         assert all(np.isfinite(float(line.split("\t")[1])) for line in history)
 
+    @pytest.mark.parametrize("history", ["m.bin", "./m.bin", "config"])
+    def test_history_out_that_is_the_model_file_exits_2(
+        self, runner, tmp_path, monkeypatch, history
+    ):
+        # The inputs do not parse: the paths are refused before either is read.
+        monkeypatch.chdir(tmp_path)
+        for name in ("x.tsv", "y.tsv"):
+            (tmp_path / name).write_text("id\ta\ns1\tNA\n")
+        if history == "config":
+            (tmp_path / "run.conf").write_text("history_out=m.bin\n")
+            setting = ["--config", "run.conf"]
+        else:
+            setting = ["--history-out", history]
+        result = invoke(runner, "train", "x.tsv", "y.tsv", "--model-out", "m.bin", *setting)
+        assert result.exit_code == 2
+        named = "m.bin" if history == "config" else history
+        assert result.stderr == f"error: --model-out and --history-out are one file: {named}\n"
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            ["x.tsv", "y.tsv", *(["run.conf"] if history == "config" else [])]
+        )
+
     def test_bad_cell_error_names_its_file(self, runner, tmp_path):
         x, y = self.synth(runner, tmp_path)
         lines = y.read_text().split("\n")

@@ -256,6 +256,25 @@ class TestRowParser:
             read_labeled(path)
         assert str(caught.value) == f"{path}: line 3 has 1 fields, expected 2"
 
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            ("s1", "line 2 has 1 fields, expected 2"),
+            ("s1\t", "line 2, column 2: non-numeric cell ''"),
+            ("s1\t\r", "line 2, column 2: non-numeric cell '\\r'"),
+        ],
+    )
+    def test_rows_blank_after_their_labels_raise_without_a_warning(
+        self, tmp_path, recwarn, row, error
+    ):
+        # The C reader gets a blank line for each row, which it skips.
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"id\ta\n{row}\n", newline="")
+        with pytest.raises(ParseError) as caught:
+            read_labeled(path)
+        assert str(caught.value) == f"{path}: {error}"
+        assert [str(w.message) for w in recwarn] == []
+
     def test_per_cell_parser_only_for_rows_that_fail(self, tmp_path, monkeypatch):
         calls = []
 
@@ -334,26 +353,44 @@ ODD_CELLS = [" 1.5 ", "+.5", "1E5", "\u0661\u0662", "\xa01.5\xa0", "1.5\r"]
 BAD_CELLS = ["1_0", "", "NA", "nan", "inf", "1e400", "0x10", "1.5\x00"]
 
 
+# Every character str.strip strips, but the newline that ends a line.
+SPACES = [c for c in map(chr, range(0x3001)) if c.isspace() and c != "\n"]
+
+
 @st.composite
-def matrix_files(draw):
+def matrix_files(draw, readable=False):
     """(text, delimiter, orientation): a grid of shortest reprs with up
-    to two odd or bad cells, perhaps one blank, whitespace-only or ragged
-    line, and unix or CRLF newlines."""
+    to two odd or bad cells, perhaps every field of one row padded with
+    whitespace, perhaps one extra field on every grid row, perhaps one
+    blank, whitespace-only or ragged line, and each line ended by a unix
+    or CRLF newline. A ``readable`` file has no bad cell, no extra field
+    and no such line, so read_labeled accepts it."""
     n, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     grid = [[draw(SHORTEST_CELLS) for _ in range(p)] for _ in range(n)]
     for _ in range(draw(st.integers(0, 2))):
-        cell = draw(st.sampled_from(ODD_CELLS + BAD_CELLS))
+        cell = draw(st.sampled_from(ODD_CELLS if readable else ODD_CELLS + BAD_CELLS))
         grid[draw(st.integers(0, n - 1))][draw(st.integers(0, p - 1))] = cell
     delimiter = draw(st.sampled_from(["tab", "comma"]))
     sep = data_io.delimiter_char(delimiter)
     lines = [sep.join(["id", *[f"f{j}" for j in range(p)]])]
-    lines += [sep.join([f"s_{i}", *row]) for i, row in enumerate(grid)]
-    ragged = [sep.join(["r", *["1"] * k]) for k in (p - 1, p + 1)]
-    odd_lines = ["", "  \t ", *ragged]
-    for line in draw(st.lists(st.sampled_from(odd_lines), max_size=1)):
-        lines.insert(draw(st.integers(1, len(lines))), line)
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    text = newline.join(lines) + draw(st.sampled_from([newline, ""]))
+    rows = [[f"s_{i}", *row] for i, row in enumerate(grid)]
+    if draw(st.booleans()):
+        pad = draw(st.sampled_from([c for c in SPACES if c != sep]))
+        k = draw(st.integers(0, n - 1))
+        rows[k] = [pad + f + pad for f in rows[k]]
+    if readable:
+        lines += [sep.join(row) for row in rows]
+    else:
+        extra = [draw(SHORTEST_CELLS)] if draw(st.booleans()) else []
+        lines += [sep.join(row + extra) for row in rows]
+        ragged = [sep.join(["r", *["1"] * k]) for k in (p - 1, p + 1)]
+        odd_lines = ["", "  \t ", *ragged]
+        for line in draw(st.lists(st.sampled_from(odd_lines), max_size=1)):
+            lines.insert(draw(st.integers(1, len(lines))), line)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.removesuffix(ends[-1])
     orientation = draw(st.sampled_from(["samples_in_rows", "features_in_rows"]))
     return text, delimiter, orientation
 
@@ -406,6 +443,23 @@ class TestPaperWidth:
         assert np.array_equal(bits(back.values), bits(values))
 
 
+def per_field_copy(text, sep, orientation, columns):
+    """What write_features writes for a file holding ``text`` that
+    read_labeled accepts, with every kept field stripped and the fields
+    joined line by line; the oracle for its copy of whole lines."""
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    table = [line.split(sep) for line in lines]
+    if orientation == "features_in_rows":
+        table = list(zip(*table))
+    return "".join(
+        sep.join([row[0].strip() if i else "id", *[row[j + 1].strip() for j in columns]])
+        + "\n"
+        for i, row in enumerate(table)
+    )
+
+
 class TestWriteFeatures:
     """LabeledText.write_features copies kept cells as the input spelled
     them; read_labeled of the copy is the oracle for the values."""
@@ -448,6 +502,32 @@ class TestWriteFeatures:
         assert back.sample_ids == m.sample_ids
         assert back.feature_ids == ["f7", "f0", "f3"]
         assert np.array_equal(bits(back.values), bits(values[:, keep]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_files(readable=True), st.data())
+    def test_bytes_match_per_field_oracle(self, tmp_path_factory, case, data):
+        text, delimiter, orientation = case
+        path = tmp_path_factory.mktemp("wf") / "m.txt"
+        path.write_bytes(text.encode("utf-8"))
+        table = read_labeled_text(path, delimiter, orientation)
+        p = table.matrix.n_features
+        subset = data.draw(st.lists(st.integers(0, p - 1), unique=True))
+        out = path.with_name("out.txt")
+        for columns in (range(p), subset):
+            table.write_features(columns, out)
+            expected = per_field_copy(text, table.sep, orientation, columns)
+            assert out.read_bytes() == expected.encode("utf-8")
+
+    @pytest.mark.parametrize("pad", SPACES, ids=lambda c: f"U+{ord(c):04X}")
+    def test_keep_all_strips_every_space(self, tmp_path, pad):
+        sep = "," if pad == "\t" else "\t"
+        padded = sep.join(pad + f + pad for f in ["s1", "3", "4"])
+        path = tmp_path / "in.txt"
+        path.write_text(f"id{sep}a{sep}b\ns0{sep}1{sep}2\n{padded}\n", "utf-8", newline="")
+        table = read_labeled_text(path, "comma" if sep == "," else "tab")
+        out = tmp_path / "out.txt"
+        table.write_features(range(2), out)
+        assert out.read_bytes() == f"id{sep}a{sep}b\ns0{sep}1{sep}2\ns1{sep}3{sep}4\n".encode()
 
     def test_no_features_writes_labels_only(self, tmp_path):
         m = lm([[1.0, 2.0], [3.0, 4.0]])
