@@ -251,6 +251,9 @@ def fit(
     output_means, output_sds = column_stats(y)
     xs = standardize_columns(x, input_means, input_sds).astype(PARAM_DTYPE)
     ys = standardize_columns(y, output_means, output_sds).astype(PARAM_DTYPE)
+    # as_matrix's float64 copies are not needed past this point; training
+    # would otherwise hold them throughout.
+    del x, y
 
     network = build_network(plan, seed, PARAM_DTYPE)
     state = AdamState(network, config.learning_rate)
@@ -279,7 +282,8 @@ def fit(
                 masks = [None if m is None else m[rows] for m in epoch_masks]
                 out, cache = forward(network, xb, masks)
                 loss, loss_grad = mse_loss(out, yb)
-                # Adam updates each group of layers as backward completes it.
+                # Adam updates each group of layers, or row block of a wide
+                # layer, as backward hands it over.
                 backward(cache, loss_grad, state, update)
                 total += loss * len(xb)
             epoch_loss = total / n

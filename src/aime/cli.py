@@ -4,7 +4,9 @@ One executable with subcommands: filter, train, embed, importance, cca,
 synth, plot. Any option can also come from a flat key=value config file
 via --config, keyed by its parameter name (``d`` for --dim); an explicit
 flag always wins over the file. Output files are written atomically
-(temp file in the target directory, then rename).
+(temp file in the target directory, then rename); train, embed,
+importance, cca and plot refuse, before reading anything, an output path
+that resolves to one of their input files.
 
 Exit codes: 0 success, 2 validation or usage error, 3 numerical failure.
 Warnings go to stderr as ``warning: ...`` lines, before any error line.
@@ -134,6 +136,16 @@ def _atomic_write(path: str, write: Callable[[str], None]) -> None:
         raise
 
 
+def _refuse_overwrite(outputs: list[str], inputs: list[str]) -> None:
+    """Raise DomainError (exit 2) when an output path resolves to one of
+    the command's input files, naming both. Commands call it before
+    reading anything, so a mistyped output never replaces its input."""
+    for output in outputs:
+        for path in inputs:
+            if os.path.realpath(output) == os.path.realpath(path):
+                raise DomainError(f"output {output} would overwrite the input {path}")
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         handle.write(text)
@@ -259,6 +271,7 @@ def cmd_train(x_path, y_path, d, epochs, seed, learning_rate, batch_size, model_
     history_out = history_out or (model_out + ".history")
     if os.path.realpath(history_out) == os.path.realpath(model_out):
         raise DomainError(f"--model-out and --history-out are one file: {history_out}")
+    _refuse_overwrite([model_out, history_out], [x_path, y_path])
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
     y = read_labeled(y_path, delimiter=delimiter, orientation=orientation)
     x, y = align_samples(x, y)
@@ -293,6 +306,7 @@ def cmd_train(x_path, y_path, d, epochs, seed, learning_rate, batch_size, model_
 @guarded
 def cmd_embed(model_path, x_path, output_path, delimiter, orientation):
     """Map samples into the trained low-dimensional space."""
+    _refuse_overwrite([output_path], [model_path, x_path])
     model = load_model(model_path)
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
     coords = embed(model, x.values)
@@ -319,6 +333,7 @@ def cmd_embed(model_path, x_path, output_path, delimiter, orientation):
 @guarded
 def cmd_importance(model_path, x_path, output_path, repeats, fraction, seed, delimiter, orientation):
     """Rank input variables by how much shuffling them moves the embedding."""
+    _refuse_overwrite([output_path], [model_path, x_path])
     model = load_model(model_path)
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
     scores = permutation_importance(model, x.values, repeats=repeats, seed=seed)
@@ -348,6 +363,10 @@ def cmd_importance(model_path, x_path, output_path, repeats, fraction, seed, del
 @guarded
 def cmd_cca(x_path, y_path, out_prefix, k, ridge, delimiter, orientation):
     """Fit regularized linear CCA as the comparison baseline."""
+    x_out_path, y_out_path, corr_path = (
+        f"{out_prefix}_{name}.tsv" for name in ("x_variates", "y_variates", "correlations")
+    )
+    _refuse_overwrite([x_out_path, y_out_path, corr_path], [x_path, y_path])
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
     y = read_labeled(y_path, delimiter=delimiter, orientation=orientation)
     x, y = align_samples(x, y)
@@ -355,21 +374,13 @@ def cmd_cca(x_path, y_path, out_prefix, k, ridge, delimiter, orientation):
     names = [f"cv{i}" for i in range(k)]
     x_out = LabeledMatrix(result.x_variates, x.sample_ids, names)
     y_out = LabeledMatrix(result.y_variates, y.sample_ids, names)
-    _atomic_write(
-        f"{out_prefix}_x_variates.tsv",
-        lambda tmp: write_labeled(x_out, tmp, delimiter=delimiter),
-    )
-    _atomic_write(
-        f"{out_prefix}_y_variates.tsv",
-        lambda tmp: write_labeled(y_out, tmp, delimiter=delimiter),
-    )
+    _atomic_write(x_out_path, lambda tmp: write_labeled(x_out, tmp, delimiter=delimiter))
+    _atomic_write(y_out_path, lambda tmp: write_labeled(y_out, tmp, delimiter=delimiter))
     sep = delimiter_char(delimiter)
     correlations = "".join(
         f"{i}{sep}{float(c)!r}\n" for i, c in enumerate(result.correlations)
     )
-    _atomic_write(
-        f"{out_prefix}_correlations.tsv", lambda tmp: _write_text(tmp, correlations)
-    )
+    _atomic_write(corr_path, lambda tmp: _write_text(tmp, correlations))
     top = ", ".join(f"{c:.4f}" for c in result.correlations)
     click.echo(f"canonical correlations: {top}")
 
@@ -532,6 +543,7 @@ def scatter_matrix_svg(coords: np.ndarray, labels: list[str]) -> str:
 @guarded
 def cmd_plot(embedding_path, labels_path, output_path, delimiter):
     """Draw the embedding as a colored scatter-matrix SVG."""
+    _refuse_overwrite([output_path], [embedding_path, labels_path])
     emb = read_labeled(embedding_path, delimiter=delimiter)
     by_id = read_labels(labels_path, delimiter=delimiter)
     missing = [s for s in emb.sample_ids if s not in by_id]

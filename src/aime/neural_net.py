@@ -38,6 +38,20 @@ LayerSpec = tuple[int, int, str, float]
 # slices, 58.2 ms with 32K and 55.5 ms with 64K.
 ADAM_BLOCK = 1 << 16
 
+# A float32 layer with more than this many weights hands its weight
+# gradient to Adam in row blocks of at most this many weights (1 MiB), as
+# many rows as fit (one at least), rather than whole, so the gradient
+# buffer holds one block, not the layer. At paper width that blocks layer
+# 0 (48 rows of 5,459, 23 handovers) and layer 7 (229 rows of 1,141, 25
+# handovers); the buffer falls from layer 7's 6,512,826 elements (26 MB)
+# to layer 6's 262,430 with its bias. 2**18 is the smallest block that
+# leaves layers 1 and 6 whole. Measured in one process over paper-width
+# batch-32 steps (BLAS 1 thread): peak RSS 216.9 MB unblocked, 192.4 MB
+# at 2**18, 192.0 MB at 2**17 and 191.9 MB at 2**16, with 51, 102 and 201
+# Adam calls per step; step times at 2**16 to 2**20 were all within the
+# host's noise of the unblocked 62-68 ms.
+GRAD_BLOCK = 1 << 18
+
 # The dtypes a network's parameters may have: float32 for training and
 # model files, float64 for the finite-difference gradient oracle.
 DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
@@ -347,18 +361,26 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
 
 def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_group) -> None:
     """Gradient of the loss w.r.t. every parameter of ``state.network``,
-    one update group at a time from the output back, handed to
-    ``on_group(span, grad)``.
+    from the output back, handed to ``on_group(span, grad)`` a piece at a
+    time: one update group, or one row block of a blocked layer (see
+    :class:`AdamState`).
 
-    Each group's gradient goes into the state's buffer (see
-    :class:`AdamState`), and ``on_group`` runs as soon as the group is
-    complete, with the group's slice of ``params`` and its gradient; the
-    next group then overwrites that gradient. Each layer's downstream
-    gradient is formed before ``on_group`` runs, so the callback may
-    update the group's parameters in place (``fit`` runs
-    :func:`adam_step` there), and training holds one group's gradient,
-    not the whole network's. :func:`whole_gradient` copies the groups
-    into one vector.
+    Each piece's gradient goes into the state's buffer, and ``on_group``
+    runs as soon as the piece is complete, with the piece's slice of
+    ``params`` and its gradient; the next piece then overwrites that
+    gradient. Each layer's downstream gradient is formed before
+    ``on_group`` first runs on any of its parameters, so the callback may
+    update them in place (``fit`` runs :func:`adam_step` there), and
+    training holds one piece's gradient, not the whole network's.
+    :func:`whole_gradient` copies the pieces into one vector.
+
+    A blocked layer's bias gradient rides with its last rows' block,
+    which is handed over first; then the other blocks, from the last rows
+    back, each formed straight into the buffer as
+    ``np.matmul(below.T, grad_z[:, rows], out=slot.T)``, with ``slot`` the
+    block's (rows, fan_in) C-order view. In float32 that equals, to the
+    bit, the block's rows of the whole product ``np.dot(grad_z.T,
+    below)`` that an unblocked layer forms (README, design notes).
 
     ``loss_grad`` is the gradient of the loss at the network output (for
     MSE, the second value of :func:`mse_loss`). The cache and the state
@@ -366,10 +388,11 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
     stands for every shape and dtype check: a cache of another network
     object (even a twin of the same plan), a partial pass (``stop`` or
     ``start``) or a loss gradient that is not the cached output's shape
-    raises CacheError before any group is handed over.
+    raises CacheError before anything is handed over.
 
     The layers run from ``state.groups``, each layer's index, weights,
-    relu flag and gradient views, which the state made once.
+    relu flag and gradient views, and each group's handovers, which the
+    state made once.
     """
     network = state.network
     if cache.network is not network:
@@ -387,7 +410,7 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
 
     x, outputs, masks = cache.x, cache.outputs, cache.masks
     grad_a = loss_grad
-    for layers, span, grad in state.groups:
+    for layers, handovers in state.groups:
         for idx, weights, relu, gw, gb in layers:
             mask = masks[idx]
             if mask is not None:
@@ -398,17 +421,24 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
             # same, since a dropped unit's grad_a is already +-0. A linear
             # layer passes the gradient unchanged.
             grad_z = grad_a * np.sign(outputs[idx]) if relu else grad_a
-            np.dot(grad_z.T, outputs[idx - 1] if idx else x, out=gw)
+            below = outputs[idx - 1] if idx else x
+            if gw is not None:
+                np.dot(grad_z.T, below, out=gw)
             np.add.reduce(grad_z, axis=0, out=gb)
             if idx:
                 grad_a = np.dot(grad_z, weights)
-        on_group(span, grad)
+        # A blocked layer is a group of its own, so grad_z and below are
+        # its own here; each block's weight gradient is formed in turn.
+        for span, grad, rows, slot_t in handovers:
+            if rows is not None:
+                np.matmul(below.T, grad_z[:, rows], out=slot_t)
+            on_group(span, grad)
 
 
 def whole_gradient(cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
     """The gradient of :func:`backward`, laid out like the cached
     network's ``params`` (``network.layer_views`` splits it by layer):
-    each group it hands over is copied into one new vector."""
+    each piece it hands over is copied into one new vector."""
     whole = np.empty_like(cache.network.params)
 
     def collect(span, grad):
@@ -434,6 +464,14 @@ def _update_groups(sizes: list[int]) -> list[range]:
     return groups
 
 
+def _row_blocks(rows: int, cols: int) -> list[slice]:
+    """The row blocks in which a (rows, cols) weight gradient is handed
+    over, in order: blocks of as many rows as fit in ``GRAD_BLOCK``
+    weights (one at least), from the last rows back."""
+    height = max(1, GRAD_BLOCK // cols)
+    return [slice(r0, min(r0 + height, rows)) for r0 in range(0, rows, height)][::-1]
+
+
 class AdamState:
     """Adam's step count ``t`` and moment vectors ``m`` and ``v`` for
     ``network``, laid out like its ``params`` and of its dtype, plus one
@@ -450,16 +488,26 @@ class AdamState:
     :func:`adam_step` writes ``debias`` in place when it advances ``t``.
 
     The network is split once, from its layer sizes, into update groups
-    (see ``_update_groups``); every group's gradient goes into one buffer
-    the size of the largest group. ``groups`` holds, output side first,
-    each group's layers in backward order, its slice of ``params`` and its
-    gradient, the head of the buffer. Each layer is what :func:`backward`
-    reads of it, made once: ``(index, weights, relu, gw, gb)``, the
-    layer's weights view into ``params``, whether it is relu, and its
-    (weights, bias) gradient views into the buffer. At paper width the
-    groups are layers {7}, {6}, {5-2}, {1} and {0}, and the buffer holds
-    layer 7's 6,512,826 gradients; at desk scale the whole network is one
-    group.
+    (see ``_update_groups``), and each group's gradient into handovers:
+    the whole group, or, for a float32 layer of more than ``GRAD_BLOCK``
+    weights (always a group of its own), its row blocks (see
+    ``_row_blocks``), the block with the last rows carrying the bias
+    gradient too. Every handover's gradient goes into one buffer the size
+    of the largest handover. ``groups`` holds, output side first, each
+    group's layers in backward order and its handovers in the order
+    :func:`backward` makes them. Each layer is what backward reads of it,
+    made once: ``(index, weights, relu, gw, gb)``, the layer's weights view
+    into ``params``, whether it is relu, and its (weights, bias) gradient
+    views into the buffer; ``gw`` is None for a blocked layer. Each
+    handover is ``(span, grad, rows, slot_t)``: its slice of ``params``,
+    its gradient, the head of the buffer, and for a block its rows and the
+    transpose of its (rows, fan_in) weight gradient view, None for a
+    whole group. At paper width the groups are layers {7}, {6}, {5-2}, {1}
+    and {0}, layers 7 and 0 are blocked (25 and 23 handovers), and the
+    buffer holds layer 6's 262,430 gradients; at desk scale the whole
+    network is one group and one handover. A float64 network, the
+    finite-difference oracle's, blocks no layer: with OpenBLAS's float64
+    kernels a block's product is not bitwise the whole layer's rows.
     """
 
     def __init__(self, network: Network, learning_rate: float):
@@ -481,18 +529,41 @@ class AdamState:
         shapes = [layer.weights.shape for layer in layers]
         sizes = [rows * (cols + 1) for rows, cols in shapes]
         starts = np.cumsum([0, *sizes]).tolist()
-        groups = _update_groups(sizes)
-        buffer = np.empty(max(starts[g.stop] - starts[g.start] for g in groups), dtype)
-        grad_views = [
-            view for g in groups for view in _split(buffer, shapes[g.start : g.stop])
-        ]
-        self.groups = [
-            ([(idx, layers[idx].weights, layers[idx].activation == "relu",
-               *grad_views[idx]) for idx in g[::-1]],
-             slice(starts[g.start], starts[g.stop]),
-             buffer[: starts[g.stop] - starts[g.start]])
-            for g in reversed(groups)
-        ]
+        # Each group with its handovers' (span, rows), rows None for a whole
+        # group.
+        plans = []
+        for g in reversed(_update_groups(sizes)):
+            rows, cols = shapes[g.start]
+            if dtype == np.float32 and rows * cols > GRAD_BLOCK:
+                # The block with the last rows runs on through the bias.
+                first = starts[g.start]
+                plan = [(slice(first + b.start * cols,
+                               starts[g.stop] if b.stop == rows else first + b.stop * cols), b)
+                        for b in _row_blocks(rows, cols)]
+            else:
+                plan = [(slice(starts[g.start], starts[g.stop]), None)]
+            plans.append((g, plan))
+        buffer = np.empty(
+            max(span.stop - span.start for _, plan in plans for span, _ in plan), dtype
+        )
+        self.groups = []
+        for g, plan in plans:
+            rows, cols = shapes[g.start]
+            block = plan[0][1]
+            if block is None:
+                grad_views = _split(buffer, shapes[g.start : g.stop])
+            else:
+                # The bias gradient follows the first block's weights.
+                offset = (block.stop - block.start) * cols
+                grad_views = [(None, buffer[offset : offset + rows])]
+            self.groups.append((
+                [(idx, layers[idx].weights, layers[idx].activation == "relu",
+                  *grad_views[idx - g.start]) for idx in g[::-1]],
+                [(span, buffer[: span.stop - span.start], block,
+                  None if block is None
+                  else buffer[: (block.stop - block.start) * cols].reshape(-1, cols).T)
+                 for span, block in plan],
+            ))
 
 
 def adam_step(state: AdamState, grads: np.ndarray, span: slice) -> None:
@@ -502,12 +573,13 @@ def adam_step(state: AdamState, grads: np.ndarray, span: slice) -> None:
 
     ``grads`` is the span's gradient, as :func:`backward` hands it over;
     it serves as scratch space and comes back overwritten. ``fit`` updates
-    each update group as soon as backward completes it. A step's first
-    span is the one that ends at the last parameter, the output layer's
-    group, which backward completes first; only that call advances
-    ``state.t``, so the spans of one step share its count. A network of
-    one group, such as the desk-scale one, takes one call per step, over
-    all of ``params``.
+    each span as soon as backward hands it over: an update group, or one
+    row block of a blocked layer. A step's first span is the one that ends
+    at the last parameter, the output layer's group, or its block with
+    the last rows and the bias, which backward hands over first; only that
+    call advances ``state.t``, so the spans of one step share its count. A
+    network of one group, such as the desk-scale one, takes one call per
+    step, over all of ``params``; a paper-width one takes 51.
 
     The update is a fixed run of in-place vector operations, applied
     slice by slice over ``ADAM_BLOCK`` elements, and each element goes

@@ -283,10 +283,12 @@ class TestFit:
             fit(np.zeros((1, 3)), np.zeros((1, 3)), 1, TrainConfig(seed=0))
 
     def test_training_peak_memory(self):
-        # Parameters, two Adam moments and one reused gradient buffer the
-        # size of the largest update group (layer 0 or 7, about half the
-        # parameters), plus the transient per-layer draws of build_network
-        # (p = q = 1600: about 1M parameters; two steps of one batch each).
+        # Parameters, two Adam moments and one reused gradient buffer of
+        # one GRAD_BLOCK row block (layers 0 and 7, 512,000 weights each,
+        # are handed over in two blocks: the buffer is about a quarter of
+        # the parameters, where a whole layer would be half), plus the
+        # transient per-layer draws of build_network (p = q = 1600: about
+        # 1M parameters; two steps of one batch each).
         x = rng_stream(4, 0, 0).standard_normal((8, 1600))
         y = rng_stream(5, 0, 0).standard_normal((8, 1600))
         tracemalloc.start()
@@ -296,7 +298,7 @@ class TestFit:
         finally:
             tracemalloc.stop()
         assert model.network.params.size > 1_000_000
-        assert peak < 4.0 * model.network.params.nbytes
+        assert peak < 3.6 * model.network.params.nbytes
 
     def test_narrow_side_warns(self):
         x, y = make_pair(20, 12, 40, seed=6)
@@ -439,17 +441,21 @@ def reference_fit(x, y, embedding_size, config):
 class TestFitOracle:
     """fit's params and loss history equal the plain reference loop's to
     the bit, at the desk shape (p = q = 40, d = 4), where the network is
-    one update group, and at p = q = 600, where layers 0 and 7 hold 72K
+    one update group, at p = q = 600, where layers 0 and 7 hold 72K
     parameters each and are groups of their own: 3 groups, each updated
-    as soon as backward completes it."""
+    as soon as backward completes it, and at p = q = 1200, where layers 0
+    and 7 hold 288,000 weights each and are handed over in two row blocks
+    each, the reference's whole-layer products cut into blocks."""
 
     @pytest.mark.parametrize(
         "n, width, batch_size",
-        [(600, 40, 32), (50, 40, 64), (70, 600, 32)],
+        [(600, 40, 32), (50, 40, 64), (70, 600, 32), (70, 1200, 32), (150, 1200, 64)],
         ids=[
             "600 rows, short last batch of 24",
             "batch above n",
             "600 features, 3 update groups",
+            "1200 features, blocked layers",
+            "1200 features, blocked layers, batch 64",
         ],
     )
     def test_params_and_history_bitwise(self, n, width, batch_size):
@@ -462,24 +468,32 @@ class TestFitOracle:
         assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
 
     @pytest.mark.parametrize(
-        "p, q, groups, largest",
+        "p, q, dtype, groups, handovers, largest",
         [
-            (40, 40, [range(7, -1, -1)], 948),
-            (600, 600, [[7], range(6, 0, -1), [0]], 72_600),
-            (5459, 5703, [[7], [6], [5, 4, 3, 2], [1], [0]], 6_512_826),
+            (40, 40, PARAM_DTYPE, [range(7, -1, -1)], [1], 948),
+            (600, 600, PARAM_DTYPE, [[7], range(6, 0, -1), [0]], [1, 1, 1], 72_600),
+            (5459, 5703, PARAM_DTYPE, [[7], [6], [5, 4, 3, 2], [1], [0]],
+             [25, 1, 1, 1, 23], 262_430),
+            (5459, 5703, np.float64, [[7], [6], [5, 4, 3, 2], [1], [0]],
+             [1] * 5, 6_512_826),
         ],
-        ids=["desk", "600 features", "paper width"],
+        ids=["desk", "600 features", "paper width", "paper width float64"],
     )
-    def test_update_groups(self, p, q, groups, largest):
-        # Output side first, each group's layers in backward order; one
-        # gradient buffer the size of the largest group.
-        network = Network(build_architecture(p, q, 4), BOTTLENECK_INDEX, PARAM_DTYPE)
+    def test_update_groups(self, p, q, dtype, groups, handovers, largest):
+        # Output side first, each group's layers in backward order and its
+        # handovers: paper width hands layers 7 and 0 over in row blocks,
+        # in float32 only, so one gradient buffer holds layer 6 with its
+        # bias, not layer 7.
+        network = Network(build_architecture(p, q, 4), BOTTLENECK_INDEX, dtype)
         state = AdamState(network, TrainConfig.learning_rate)
-        assert [[idx for idx, *_ in layers] for layers, _, _ in state.groups] == [
+        assert [[idx for idx, *_ in layers] for layers, _ in state.groups] == [
             list(g) for g in groups
         ]
-        assert max(grad.size for _, _, grad in state.groups) == largest
-        spans = [span for _, span, _ in state.groups][::-1]
+        assert [len(pieces) for _, pieces in state.groups] == handovers
+        grads = [grad for _, pieces in state.groups for _, grad, _, _ in pieces]
+        assert {grad.base.size for grad in grads} == {largest}
+        assert max(grad.size for grad in grads) == largest
+        spans = [span for _, pieces in state.groups for span, *_ in pieces][::-1]
         assert [s.start for s in spans[1:]] == [s.stop for s in spans[:-1]]
         assert (spans[0].start, spans[-1].stop) == (0, network.params.size)
 
@@ -598,7 +612,7 @@ def assert_layers_in_buffer(network, state=None):
 
     state = state or AdamState(network, TrainConfig.learning_rate)
     assert state.network is network
-    weights = {idx: w for layers, _, _ in state.groups for idx, w, _, _, _ in layers}
+    weights = {idx: w for layers, _ in state.groups for idx, w, _, _, _ in layers}
     assert sorted(weights) == list(range(len(network.layers)))
     for idx, (layer, (weights_t, bias, relu)) in enumerate(
         zip(network.layers, network.forward_plan, strict=True)

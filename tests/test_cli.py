@@ -1023,6 +1023,57 @@ def per_point_svg(coords, labels):
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
+class TestOutputIsInput:
+    """A command refuses, with exit 2 and before it reads anything, an
+    output path that resolves to one of its inputs; every file is left as
+    it was."""
+
+    @pytest.fixture()
+    def inputs(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for args in (
+            ("synth", "d", "--n", 30, "--p", 8, "--q", 6, "--n-signal", 4, "--seed", 3),
+            ("train", "d_x.tsv", "d_y.tsv", "--dim", 2, "--epochs", 1, "--model-out", "m.bin"),
+            ("embed", "m.bin", "d_x.tsv", "e.tsv"),
+        ):
+            result = invoke(runner, *args)
+            assert result.exit_code == 0, result.output
+        return tmp_path
+
+    @staticmethod
+    def assert_refused(runner, directory, args, output, input_path):
+        before = {p.name: p.read_bytes() for p in directory.iterdir()}
+        result = invoke(runner, *args)
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"error: output {output} would overwrite the input {input_path}\n"
+        assert {p.name: p.read_bytes() for p in directory.iterdir()} == before
+
+    @pytest.mark.parametrize(
+        "option, output, input_path",
+        [("--model-out", "./d_x.tsv", "d_x.tsv"), ("--history-out", "d_y.tsv", "d_y.tsv")],
+    )
+    def test_train(self, runner, inputs, option, output, input_path):
+        args = ["train", "d_x.tsv", "d_y.tsv", "--epochs", 1, "--model-out", "n.bin",
+                option, output]
+        self.assert_refused(runner, inputs, args, output, input_path)
+
+    @pytest.mark.parametrize("command", ["embed", "importance"])
+    @pytest.mark.parametrize("output", ["m.bin", "d_x.tsv"])
+    def test_embed_and_importance(self, runner, inputs, command, output):
+        self.assert_refused(runner, inputs, [command, "m.bin", "d_x.tsv", output], output, output)
+
+    def test_cca(self, runner, inputs):
+        # The prefix names the input as its correlations file.
+        os.rename("d_y.tsv", "c_correlations.tsv")
+        self.assert_refused(runner, inputs, ["cca", "d_x.tsv", "c_correlations.tsv", "c"],
+                            "c_correlations.tsv", "c_correlations.tsv")
+
+    @pytest.mark.parametrize("output", ["e.tsv", "d_labels.tsv"])
+    def test_plot(self, runner, inputs, output):
+        self.assert_refused(runner, inputs, ["plot", "e.tsv", "d_labels.tsv", output],
+                            output, output)
+
+
 class TestAtomicWrite:
     def test_writer_output_replaces_target(self, tmp_path):
         target = tmp_path / "out.txt"

@@ -378,7 +378,9 @@ class TestBackward:
             (size - 72_600, size), (72_120, size - 72_600), (0, 72_120)
         ]
         # All three gradients are the head of one 72,600-element buffer.
-        assert np.shares_memory(state.groups[0][2], state.groups[2][2])
+        (_, grad_7, _, _), = state.groups[0][1]
+        (_, grad_0, _, _), = state.groups[2][1]
+        assert np.shares_memory(grad_7, grad_0)
         for span, grad in seen:
             assert grad.tobytes() == plain[span].tobytes()
         assert whole_gradient(cache, loss_grad).tobytes() == plain.tobytes()
@@ -535,6 +537,72 @@ class TestPlainOracle:
         x = rng_stream(11, 0, 1).standard_normal((16, 3))
         masks = draw_dropout_masks(net, 16, rng_stream(11, 0, 2))
         self.assert_step_bitwise(net, x, masks, 11)
+
+
+def blocked_layers(net):
+    """(index, handovers) of each layer that ``AdamState`` hands over in
+    row blocks: the rule backward uses, with its rows and output views."""
+    state = AdamState(net, 1e-3)
+    return [(layers[0][0], pieces) for layers, pieces in state.groups
+            if pieces[0][2] is not None]
+
+
+class TestGradBlocks:
+    """A float32 layer of more than GRAD_BLOCK weights hands its weight
+    gradient over in row blocks, each formed as ``np.matmul(below.T,
+    grad_z[:, rows], out=slot.T)``; that must be, to the bit, the block's
+    rows of the whole product ``np.dot(grad_z.T, below)``, or seeded models
+    would change. That holds for the block heights the rule picks, not for
+    every height (on a 1141 x 229 layer, heights 1-4, 12 and 57 differ at
+    batch 64 and above), so the rows and output views come from the state
+    itself. Float64 networks block no layer (see
+    test_aime_model's TestFitOracle.test_update_groups)."""
+
+    BATCHES = [*range(1, 34), 64, 128, 256]
+
+    @pytest.mark.parametrize(
+        "sizes, blocked",
+        [
+            ([5459, 1092, 219, 9, 4, 10, 229, 1141, 5703], {0: (23, 48), 7: (25, 229)}),
+            ([2000, 400, 2000], {0: (4, 131), 1: (4, 655)}),
+        ],
+        ids=["paper width", "2000 wide"],
+    )
+    def test_block_product_is_whole_product(self, sizes, blocked):
+        net = Network([(a, b, "relu", 0.0) for a, b in zip(sizes, sizes[1:])],
+                      dtype=PARAM_DTYPE)
+        layers = blocked_layers(net)
+        assert {idx: (len(pieces), pieces[-1][2].stop) for idx, pieces in layers} == blocked
+        rng = rng_stream(13, 0, 0)
+        for idx, pieces in layers:
+            fan_in, fan_out = sizes[idx], sizes[idx + 1]
+            for batch in self.BATCHES:
+                below = rng.standard_normal((batch, fan_in), PARAM_DTYPE)
+                grad_z = rng.standard_normal((batch, fan_out), PARAM_DTYPE)
+                whole = np.empty((fan_out, fan_in), PARAM_DTYPE)
+                np.dot(grad_z.T, below, out=whole)
+                for _, _, rows, slot_t in pieces:
+                    np.matmul(below.T, grad_z[:, rows], out=slot_t)
+                    assert slot_t.T.tobytes() == whole[rows].tobytes(), (idx, batch, rows)
+
+    def test_backward_hands_blocks_over_bias_first(self):
+        # Layer 1 (400 -> 700, 280,000 weights) in two blocks: rows
+        # 655-699 with the bias, then rows 0-654; the pieces are the plain
+        # gradient's spans, and layer 0 (whole) follows.
+        net = random_network([300, 400, 700], rng_stream(45, 0, 0), dtype=PARAM_DTYPE)
+        x = rng_stream(45, 0, 1).standard_normal((20, 300))
+        out, cache = forward(net, x)
+        loss_grad = mse_loss(out, np.zeros_like(out))[1]
+        plain = plain_backward(net, cache, loss_grad)
+        seen = []
+        backward(cache, loss_grad, AdamState(net, 1e-3),
+                 lambda span, grad: seen.append((span, grad.copy())))
+        layer1 = 400 * 301
+        assert [(span.start, span.stop) for span, _ in seen] == [
+            (layer1 + 655 * 400, net.params.size), (layer1, layer1 + 655 * 400), (0, layer1)
+        ]
+        for span, grad in seen:
+            assert grad.tobytes() == plain[span].tobytes()
 
 
 class TestGradientCheck:
@@ -826,7 +894,8 @@ class TestAdam:
 
     def check_against_per_layer_reference(self, net, x, y, steps):
         # The per-layer update the flat one replaced, kept as the oracle:
-        # every parameter must come out bit for bit the same.
+        # every parameter must come out bit for bit the same. Returns
+        # state.t after each adam_step call.
         def per_layer_step(params, grads, moments, t, lr):
             b1, b2 = ADAM_BETA1, ADAM_BETA2
             for p, g, (m, v) in zip(params, grads, moments):
@@ -842,10 +911,12 @@ class TestAdam:
         moments = [(np.zeros_like(a), np.zeros_like(a)) for a in ref]
         state = AdamState(net, 0.05)
         grads = np.empty_like(net.params)
+        counts = []
 
         def update(span, grad):
             grads[span] = grad
             adam_step(state, grad, span)
+            counts.append(state.t)
 
         for t in range(1, steps + 1):
             out, cache = forward(net, x)
@@ -855,6 +926,7 @@ class TestAdam:
             got = [a for l in net.layers for a in (l.weights, l.bias)]
             assert [a.tobytes() for a in got] == [a.tobytes() for a in ref]
         assert state.t == steps
+        return counts
 
     def test_flat_step_matches_per_layer_reference(self):
         rng = rng_stream(41, 0, 0)
@@ -884,6 +956,19 @@ class TestAdam:
 
     def test_float32_blocked_step_matches_per_layer_reference(self):
         self.check_blocked_step(np.float32)
+
+    def test_blocked_output_layer_steps_once(self):
+        # The output layer (400 -> 700, 280,000 float32 weights) is handed
+        # over in two row blocks, the one with its bias first: t advances
+        # on that call alone, once per step, and every parameter is the
+        # per-layer reference's.
+        net = random_network([300, 400, 700], rng_stream(46, 0, 0), dtype=np.float32)
+        assert [len(pieces) for _, pieces in AdamState(net, 0.05).groups] == [2, 1]
+        rng = rng_stream(46, 0, 1)
+        x = rng.standard_normal((8, 300)).astype(np.float32)
+        y = rng.standard_normal((8, 700)).astype(np.float32)
+        counts = self.check_against_per_layer_reference(net, x, y, steps=3)
+        assert counts == [1, 1, 1, 2, 2, 2, 3, 3, 3]
 
     def test_span_by_span_matches_whole_vector_step(self):
         # Spans in the order backward hands them over (the one holding the
