@@ -282,8 +282,8 @@ def fit(
                 masks = [None if m is None else m[rows] for m in epoch_masks]
                 out, cache = forward(network, xb, masks)
                 loss, loss_grad = mse_loss(out, yb)
-                # Adam updates each group of layers, or row block of a wide
-                # layer, as backward hands it over.
+                # Adam updates each piece of the gradient as backward hands
+                # it over.
                 backward(cache, loss_grad, state, update)
                 total += loss * len(xb)
             epoch_loss = total / n

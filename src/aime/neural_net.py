@@ -36,21 +36,16 @@ LayerSpec = tuple[int, int, str, float]
 # over whole vectors, each operation streams every one of them through
 # memory again. At 13M float32 parameters one step took 67.0 ms with 16K
 # slices, 58.2 ms with 32K and 55.5 ms with 64K.
-ADAM_BLOCK = 1 << 16
-
-# A float32 layer with more than this many weights hands its weight
-# gradient to Adam in row blocks of at most this many weights (1 MiB), as
-# many rows as fit (one at least), rather than whole, so the gradient
-# buffer holds one block, not the layer. At paper width that blocks layer
-# 0 (48 rows of 5,459, 23 handovers) and layer 7 (229 rows of 1,141, 25
-# handovers); the buffer falls from layer 7's 6,512,826 elements (26 MB)
-# to layer 6's 262,430 with its bias. 2**18 is the smallest block that
-# leaves layers 1 and 6 whole. Measured in one process over paper-width
-# batch-32 steps (BLAS 1 thread): peak RSS 216.9 MB unblocked, 192.4 MB
-# at 2**18, 192.0 MB at 2**17 and 191.9 MB at 2**16, with 51, 102 and 201
-# Adam calls per step; step times at 2**16 to 2**20 were all within the
-# host's noise of the unblocked 62-68 ms.
-GRAD_BLOCK = 1 << 18
+#
+# It is also the most weights one handover of backward's gradient to Adam
+# holds, one row at least (see _handovers), so the gradient buffer holds
+# about one slice rather than the widest layer: at paper width 66,600
+# elements, where layer 7 whole would be 6,512,826 (26 MB). Measured in
+# one process over paper-width batch-32 steps (BLAS 1 thread): peak RSS
+# 216.9 MB with whole layers, 192.4 MB with blocks of 2**18 weights and
+# 191.9 MB at 2**16, with 51 and 201 Adam calls per step; step times at
+# 2**16 to 2**20 were all within the host's noise of whole layers' 62-68 ms.
+BLOCK = 1 << 16
 
 # The dtypes a network's parameters may have: float32 for training and
 # model files, float64 for the finite-difference gradient oracle.
@@ -305,8 +300,9 @@ def forward(
     this way without running the decoder. ``start`` skips the layers
     before it: ``x`` is then the output of layer ``start - 1``, and
     ``forward(start=k)`` on ``forward(stop=k)``'s output gives the full
-    pass's output bit for bit. The cache holds the layers that ran. The
-    input is cast to the network's dtype.
+    pass's output bit for bit. The cache holds the layers that ran. Unless
+    ``0 <= start < stop <= len(layers)`` (``stop`` given), ShapeError is
+    raised. The input is cast to the network's dtype.
 
     The layers run from ``network.forward_plan``, each layer's
     ``(weights.T, bias, relu)`` made once when the network was built.
@@ -314,6 +310,10 @@ def forward(
     layers = network.layers
     if not 0 <= start < len(layers):
         raise ShapeError(f"start layer {start} out of range for {len(layers)} layers")
+    if stop is not None and not start < stop <= len(layers):
+        raise ShapeError(
+            f"stop layer {stop} out of range for start {start} and {len(layers)} layers"
+        )
     x = np.asarray(x, dtype=network.dtype)
     if x.ndim != 2 or x.shape[1] != layers[start].fan_in:
         raise ShapeError(
@@ -359,28 +359,26 @@ def mse_loss(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
     return loss, diff
 
 
-def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_group) -> None:
+def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_handover) -> None:
     """Gradient of the loss w.r.t. every parameter of ``state.network``,
-    from the output back, handed to ``on_group(span, grad)`` a piece at a
-    time: one update group, or one row block of a blocked layer (see
-    :class:`AdamState`).
+    from the output back, handed to ``on_handover(span, grad)`` one piece
+    at a time: the handovers of ``state.handovers`` (see :class:`AdamState`).
 
-    Each piece's gradient goes into the state's buffer, and ``on_group``
-    runs as soon as the piece is complete, with the piece's slice of
-    ``params`` and its gradient; the next piece then overwrites that
-    gradient. Each layer's downstream gradient is formed before
-    ``on_group`` first runs on any of its parameters, so the callback may
-    update them in place (``fit`` runs :func:`adam_step` there), and
-    training holds one piece's gradient, not the whole network's.
-    :func:`whole_gradient` copies the pieces into one vector.
+    Each piece's gradient goes into the state's buffer, and
+    ``on_handover`` runs as soon as the piece is complete, with the
+    piece's slice of ``params`` and its gradient; the next piece then
+    overwrites that gradient. Each layer's downstream gradient is formed
+    before ``on_handover`` first runs on any of its parameters, so the
+    callback may update them in place (``fit`` runs :func:`adam_step`
+    there), and training holds one piece's gradient, not the whole
+    network's. :func:`whole_gradient` copies the pieces into one vector.
 
-    A blocked layer's bias gradient rides with its last rows' block,
-    which is handed over first; then the other blocks, from the last rows
-    back, each formed straight into the buffer as
+    A row block's weight gradient is formed straight into the buffer as
     ``np.matmul(below.T, grad_z[:, rows], out=slot.T)``, with ``slot`` the
-    block's (rows, fan_in) C-order view. In float32 that equals, to the
-    bit, the block's rows of the whole product ``np.dot(grad_z.T,
-    below)`` that an unblocked layer forms (README, design notes).
+    block's (rows, fan_in) C-order view. That equals, to the bit, the
+    block's rows of the whole product ``np.dot(grad_z.T, below)`` that a
+    whole layer forms, at the heights the rule picks (README, design
+    notes).
 
     ``loss_grad`` is the gradient of the loss at the network output (for
     MSE, the second value of :func:`mse_loss`). The cache and the state
@@ -389,10 +387,6 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
     object (even a twin of the same plan), a partial pass (``stop`` or
     ``start``) or a loss gradient that is not the cached output's shape
     raises CacheError before anything is handed over.
-
-    The layers run from ``state.groups``, each layer's index, weights,
-    relu flag and gradient views, and each group's handovers, which the
-    state made once.
     """
     network = state.network
     if cache.network is not network:
@@ -410,7 +404,7 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
 
     x, outputs, masks = cache.x, cache.outputs, cache.masks
     grad_a = loss_grad
-    for layers, handovers in state.groups:
+    for layers, span, grad, rows, slot_t in state.handovers:
         for idx, weights, relu, gw, gb in layers:
             mask = masks[idx]
             if mask is not None:
@@ -427,12 +421,11 @@ def backward(cache: ForwardCache, loss_grad: np.ndarray, state: AdamState, on_gr
             np.add.reduce(grad_z, axis=0, out=gb)
             if idx:
                 grad_a = np.dot(grad_z, weights)
-        # A blocked layer is a group of its own, so grad_z and below are
-        # its own here; each block's weight gradient is formed in turn.
-        for span, grad, rows, slot_t in handovers:
-            if rows is not None:
-                np.matmul(below.T, grad_z[:, rows], out=slot_t)
-            on_group(span, grad)
+        # A row block's layer is the last one run, so grad_z and below are
+        # its own here.
+        if rows is not None:
+            np.matmul(below.T, grad_z[:, rows], out=slot_t)
+        on_handover(span, grad)
 
 
 def whole_gradient(cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
@@ -448,34 +441,45 @@ def whole_gradient(cache: ForwardCache, loss_grad: np.ndarray) -> np.ndarray:
     return whole
 
 
-def _update_groups(sizes: list[int]) -> list[range]:
-    """The layers that Adam updates together, as ranges of layer indices
-    in order, for layers of ``sizes`` parameters: a layer of at least
-    ``ADAM_BLOCK`` parameters is a group of its own, and each run of
-    smaller layers forms one group. Small layers share an update because
-    each update is a run of numpy calls; a network of small layers is one
-    group and takes one update per step."""
-    groups: list[range] = []
-    for index, size in enumerate(sizes):
-        if groups and size < ADAM_BLOCK and sizes[index - 1] < ADAM_BLOCK:
-            groups[-1] = range(groups[-1].start, index + 1)
+def _handovers(shapes) -> list[tuple[list[int], slice, slice | None]]:
+    """The pieces in which :func:`backward` hands over the gradient of
+    layers of ``shapes`` ((fan_out, fan_in) each), in the order it makes
+    them: ``(layers, span, rows)``, the indices of the layers whose
+    gradients the piece completes, output side first, its slice of
+    ``params``, and for a row block its rows, None otherwise.
+
+    From the output back, a layer of more than ``BLOCK`` weights goes in
+    row blocks of ``max(1, BLOCK // fan_in)`` rows, last rows first; the
+    first block runs on through the bias and completes the layer, the
+    later ones complete none. Consecutive smaller layers share one piece
+    while their parameters total at most ``BLOCK``: each handover is a
+    run of numpy calls, so a network of small layers, such as the desk
+    one, takes one per step.
+    """
+    ends = np.cumsum([rows * (cols + 1) for rows, cols in shapes]).tolist()
+    pieces = []
+    for idx in reversed(range(len(shapes))):
+        rows, cols = shapes[idx]
+        start = ends[idx] - rows * (cols + 1)
+        if rows * cols > BLOCK:
+            height = max(1, BLOCK // cols)
+            for r0 in reversed(range(0, rows, height)):
+                r1 = min(r0 + height, rows)
+                last = r1 == rows
+                span = slice(start + r0 * cols, ends[idx] if last else start + r1 * cols)
+                pieces.append(([idx] if last else [], span, slice(r0, r1)))
+        elif pieces and pieces[-1][2] is None and pieces[-1][1].stop - start <= BLOCK:
+            layers, span, _ = pieces[-1]
+            pieces[-1] = ([*layers, idx], slice(start, span.stop), None)
         else:
-            groups.append(range(index, index + 1))
-    return groups
-
-
-def _row_blocks(rows: int, cols: int) -> list[slice]:
-    """The row blocks in which a (rows, cols) weight gradient is handed
-    over, in order: blocks of as many rows as fit in ``GRAD_BLOCK``
-    weights (one at least), from the last rows back."""
-    height = max(1, GRAD_BLOCK // cols)
-    return [slice(r0, min(r0 + height, rows)) for r0 in range(0, rows, height)][::-1]
+            pieces.append(([idx], slice(start, ends[idx]), None))
+    return pieces
 
 
 class AdamState:
     """Adam's step count ``t`` and moment vectors ``m`` and ``v`` for
     ``network``, laid out like its ``params`` and of its dtype, plus one
-    scratch block of up to ``ADAM_BLOCK`` elements for the update and the
+    scratch block of up to ``BLOCK`` elements for the update and the
     gradient layout that :func:`backward` fills. The state keeps the
     network it was made for, so :func:`backward` and :func:`adam_step`
     take it from here rather than as an argument that could disagree.
@@ -487,27 +491,22 @@ class AdamState:
     that conversion costs more than the operation's arithmetic.
     :func:`adam_step` writes ``debias`` in place when it advances ``t``.
 
-    The network is split once, from its layer sizes, into update groups
-    (see ``_update_groups``), and each group's gradient into handovers:
-    the whole group, or, for a float32 layer of more than ``GRAD_BLOCK``
-    weights (always a group of its own), its row blocks (see
-    ``_row_blocks``), the block with the last rows carrying the bias
-    gradient too. Every handover's gradient goes into one buffer the size
-    of the largest handover. ``groups`` holds, output side first, each
-    group's layers in backward order and its handovers in the order
-    :func:`backward` makes them. Each layer is what backward reads of it,
-    made once: ``(index, weights, relu, gw, gb)``, the layer's weights view
-    into ``params``, whether it is relu, and its (weights, bias) gradient
-    views into the buffer; ``gw`` is None for a blocked layer. Each
-    handover is ``(span, grad, rows, slot_t)``: its slice of ``params``,
-    its gradient, the head of the buffer, and for a block its rows and the
-    transpose of its (rows, fan_in) weight gradient view, None for a
-    whole group. At paper width the groups are layers {7}, {6}, {5-2}, {1}
-    and {0}, layers 7 and 0 are blocked (25 and 23 handovers), and the
-    buffer holds layer 6's 262,430 gradients; at desk scale the whole
-    network is one group and one handover. A float64 network, the
-    finite-difference oracle's, blocks no layer: with OpenBLAS's float64
-    kernels a block's product is not bitwise the whole layer's rows.
+    The network's gradient is split once, from its layer shapes, into
+    handovers (see ``_handovers``): row blocks of each layer of more than
+    ``BLOCK`` weights, and runs of smaller layers. Every handover's
+    gradient goes into one buffer the size of the largest.
+    ``handovers`` holds them in the order :func:`backward` makes them, each
+    ``(layers, span, grad, rows, slot_t)``: what backward runs of the
+    layers the handover completes, its slice of ``params``, its gradient
+    (the head of the buffer), and for a row block its rows and the
+    transpose of its (rows, fan_in) weight gradient view, None otherwise.
+    Each layer is what backward reads of it, made once: ``(index, weights,
+    relu, gw, gb)``, the layer's weights view into ``params``, whether it
+    is relu, and its (weights, bias) gradient views into the buffer;
+    ``gw`` is None for a blocked layer, and a blocked layer's later blocks
+    run no layer. At paper width layers 7, 6, 1 and 0 go in 101, 4, 4 and
+    91 blocks, layers 5-2 in one handover, and the buffer holds 66,600
+    gradients; at desk scale the whole network is one handover.
     """
 
     def __init__(self, network: Network, learning_rate: float):
@@ -517,7 +516,7 @@ class AdamState:
         size, dtype = network.params.size, network.dtype
         self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
         self.t = 0
-        self.scratch = np.empty(min(size, ADAM_BLOCK), dtype)
+        self.scratch = np.empty(min(size, BLOCK), dtype)
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         self.scalars = tuple(
             np.array(value, dtype)
@@ -527,42 +526,26 @@ class AdamState:
         self.debias = (np.zeros((), dtype), np.zeros((), dtype))
         layers = network.layers
         shapes = [layer.weights.shape for layer in layers]
-        sizes = [rows * (cols + 1) for rows, cols in shapes]
-        starts = np.cumsum([0, *sizes]).tolist()
-        # Each group with its handovers' (span, rows), rows None for a whole
-        # group.
-        plans = []
-        for g in reversed(_update_groups(sizes)):
-            rows, cols = shapes[g.start]
-            if dtype == np.float32 and rows * cols > GRAD_BLOCK:
-                # The block with the last rows runs on through the bias.
-                first = starts[g.start]
-                plan = [(slice(first + b.start * cols,
-                               starts[g.stop] if b.stop == rows else first + b.stop * cols), b)
-                        for b in _row_blocks(rows, cols)]
+        pieces = _handovers(shapes)
+        buffer = np.empty(max(span.stop - span.start for _, span, _ in pieces), dtype)
+        self.handovers = []
+        for idxs, span, rows in pieces:
+            grad = buffer[: span.stop - span.start]
+            slot_t = None
+            if rows is None:
+                views = _split(grad, [shapes[idx] for idx in idxs[::-1]])[::-1]
             else:
-                plan = [(slice(starts[g.start], starts[g.stop]), None)]
-            plans.append((g, plan))
-        buffer = np.empty(
-            max(span.stop - span.start for _, plan in plans for span, _ in plan), dtype
-        )
-        self.groups = []
-        for g, plan in plans:
-            rows, cols = shapes[g.start]
-            block = plan[0][1]
-            if block is None:
-                grad_views = _split(buffer, shapes[g.start : g.stop])
-            else:
+                if idxs:
+                    # A layer's first block; its later ones follow.
+                    cols = shapes[idxs[0]][1]
                 # The bias gradient follows the first block's weights.
-                offset = (block.stop - block.start) * cols
-                grad_views = [(None, buffer[offset : offset + rows])]
-            self.groups.append((
-                [(idx, layers[idx].weights, layers[idx].activation == "relu",
-                  *grad_views[idx - g.start]) for idx in g[::-1]],
-                [(span, buffer[: span.stop - span.start], block,
-                  None if block is None
-                  else buffer[: (block.stop - block.start) * cols].reshape(-1, cols).T)
-                 for span, block in plan],
+                slot = grad[: (rows.stop - rows.start) * cols]
+                views = [(None, grad[slot.size :])]
+                slot_t = slot.reshape(-1, cols).T
+            self.handovers.append((
+                [(idx, layers[idx].weights, layers[idx].activation == "relu", *view)
+                 for idx, view in zip(idxs, views)],
+                span, grad, rows, slot_t,
             ))
 
 
@@ -573,16 +556,17 @@ def adam_step(state: AdamState, grads: np.ndarray, span: slice) -> None:
 
     ``grads`` is the span's gradient, as :func:`backward` hands it over;
     it serves as scratch space and comes back overwritten. ``fit`` updates
-    each span as soon as backward hands it over: an update group, or one
-    row block of a blocked layer. A step's first span is the one that ends
-    at the last parameter, the output layer's group, or its block with
-    the last rows and the bias, which backward hands over first; only that
-    call advances ``state.t``, so the spans of one step share its count. A
-    network of one group, such as the desk-scale one, takes one call per
-    step, over all of ``params``; a paper-width one takes 51.
+    each span as soon as backward hands it over (see :class:`AdamState`).
+    A step's first span is the one that ends at the last parameter, which
+    backward hands over first; only that call advances ``state.t``, so the
+    spans of one step share its count. A desk-scale network takes one call
+    per step, over all of ``params``; a paper-width one takes 201. Any
+    contiguous span is valid, but a stepped one, or a first call whose
+    span does not end at the last parameter (the count would still be 0),
+    raises ShapeError.
 
     The update is a fixed run of in-place vector operations, applied
-    slice by slice over ``ADAM_BLOCK`` elements, and each element goes
+    slice by slice over ``BLOCK`` elements, and each element goes
     through the same operations in the same order as the textbook
     per-parameter form, so the result is the same to the bit:
     ``m = b1 m + (1-b1) g``, ``v = b2 v + (g g)(1-b2)``, then
@@ -590,11 +574,18 @@ def adam_step(state: AdamState, grads: np.ndarray, span: slice) -> None:
     """
     params = state.network.params
     size, dtype = params.size, params.dtype
-    low, high = span.indices(size)[:2]
+    low, high, stride = span.indices(size)
     if grads.shape != (high - low,) or grads.dtype != dtype:
         raise ShapeError(
             f"gradient of shape {grads.shape} and dtype {grads.dtype} for "
             f"{high - low} {dtype} parameters"
+        )
+    if stride != 1:
+        raise ShapeError(f"span {span} is not contiguous")
+    if high != size and not state.t:
+        raise ShapeError(
+            f"the first update must end at the last parameter ({size}), "
+            f"got span {span}"
         )
     b1, b2, keep1, keep2, lr, eps = state.scalars
     debias1, debias2 = state.debias
@@ -602,10 +593,10 @@ def adam_step(state: AdamState, grads: np.ndarray, span: slice) -> None:
         state.t += 1
         debias1[()] = 1.0 - ADAM_BETA1**state.t
         debias2[()] = 1.0 - ADAM_BETA2**state.t
-    for start in range(low, high, ADAM_BLOCK):
-        block = slice(start, min(start + ADAM_BLOCK, high))
+    for start in range(low, high, BLOCK):
+        block = slice(start, min(start + BLOCK, high))
         p, m, v = params[block], state.m[block], state.v[block]
-        g = grads[start - low : start - low + ADAM_BLOCK]
+        g = grads[start - low : start - low + BLOCK]
         scratch = state.scratch[: g.size]
         m *= b1
         np.multiply(g, keep1, out=scratch)

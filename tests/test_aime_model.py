@@ -284,9 +284,9 @@ class TestFit:
 
     def test_training_peak_memory(self):
         # Parameters, two Adam moments and one reused gradient buffer of
-        # one GRAD_BLOCK row block (layers 0 and 7, 512,000 weights each,
-        # are handed over in two blocks: the buffer is about a quarter of
-        # the parameters, where a whole layer would be half), plus the
+        # one handover (layers 0 and 7, 512,000 weights each, are handed
+        # over in eight row blocks: the buffer is about 6% of the
+        # parameters, where a whole layer would be half), plus the
         # transient per-layer draws of build_network (p = q = 1600: about
         # 1M parameters; two steps of one batch each).
         x = rng_stream(4, 0, 0).standard_normal((8, 1600))
@@ -441,11 +441,10 @@ def reference_fit(x, y, embedding_size, config):
 class TestFitOracle:
     """fit's params and loss history equal the plain reference loop's to
     the bit, at the desk shape (p = q = 40, d = 4), where the network is
-    one update group, at p = q = 600, where layers 0 and 7 hold 72K
-    parameters each and are groups of their own: 3 groups, each updated
-    as soon as backward completes it, and at p = q = 1200, where layers 0
-    and 7 hold 288,000 weights each and are handed over in two row blocks
-    each, the reference's whole-layer products cut into blocks."""
+    one handover, and at p = q = 600 and 1200, where layers 0 and 7 hold
+    72,000 and 288,000 weights each and are handed over in 2 and 5 row
+    blocks each, the reference's whole-layer products cut into blocks,
+    each updated as soon as backward completes it."""
 
     @pytest.mark.parametrize(
         "n, width, batch_size",
@@ -453,7 +452,7 @@ class TestFitOracle:
         ids=[
             "600 rows, short last batch of 24",
             "batch above n",
-            "600 features, 3 update groups",
+            "600 features, 5 handovers",
             "1200 features, blocked layers",
             "1200 features, blocked layers, batch 64",
         ],
@@ -467,33 +466,36 @@ class TestFitOracle:
         assert model.network.params.tobytes() == params.tobytes()
         assert np.array(model.loss_history).tobytes() == np.array(history).tobytes()
 
+    # The layers each paper-width handover completes: layers 7, 6, 1 and
+    # 0 in 101, 4, 4 and 91 row blocks, the first of each completing it,
+    # and layers 5-2 in one handover.
+    PAPER = [[7], *[[]] * 100, [6], *[[]] * 3, [5, 4, 3, 2], [1], *[[]] * 3, [0], *[[]] * 90]
+
     @pytest.mark.parametrize(
-        "p, q, dtype, groups, handovers, largest",
+        "p, q, dtype, layers, largest",
         [
-            (40, 40, PARAM_DTYPE, [range(7, -1, -1)], [1], 948),
-            (600, 600, PARAM_DTYPE, [[7], range(6, 0, -1), [0]], [1, 1, 1], 72_600),
-            (5459, 5703, PARAM_DTYPE, [[7], [6], [5, 4, 3, 2], [1], [0]],
-             [25, 1, 1, 1, 23], 262_430),
-            (5459, 5703, np.float64, [[7], [6], [5, 4, 3, 2], [1], [0]],
-             [1] * 5, 6_512_826),
+            (40, 40, PARAM_DTYPE, [range(7, -1, -1)], 948),
+            (600, 600, PARAM_DTYPE, [[7], [], range(6, 0, -1), [0], []], 65_520),
+            (5459, 5703, PARAM_DTYPE, PAPER, 66_600),
+            (5459, 5703, np.float64, PAPER, 66_600),
         ],
         ids=["desk", "600 features", "paper width", "paper width float64"],
     )
-    def test_update_groups(self, p, q, dtype, groups, handovers, largest):
-        # Output side first, each group's layers in backward order and its
-        # handovers: paper width hands layers 7 and 0 over in row blocks,
-        # in float32 only, so one gradient buffer holds layer 6 with its
-        # bias, not layer 7.
+    def test_update_groups(self, p, q, dtype, layers, largest):
+        # Adam's update groups are backward's handovers: output side
+        # first, each with the layers it completes in backward order;
+        # float64 follows the same rule as float32. One
+        # gradient buffer holds the largest: at paper width layer 0's
+        # last 12 rows with its bias, not layer 7's 26 MB.
         network = Network(build_architecture(p, q, 4), BOTTLENECK_INDEX, dtype)
         state = AdamState(network, TrainConfig.learning_rate)
-        assert [[idx for idx, *_ in layers] for layers, _ in state.groups] == [
-            list(g) for g in groups
+        assert [[idx for idx, *_ in entry[0]] for entry in state.handovers] == [
+            list(idxs) for idxs in layers
         ]
-        assert [len(pieces) for _, pieces in state.groups] == handovers
-        grads = [grad for _, pieces in state.groups for _, grad, _, _ in pieces]
+        grads = [grad for _, _, grad, _, _ in state.handovers]
         assert {grad.base.size for grad in grads} == {largest}
         assert max(grad.size for grad in grads) == largest
-        spans = [span for _, pieces in state.groups for span, *_ in pieces][::-1]
+        spans = [span for _, span, *_ in state.handovers][::-1]
         assert [s.start for s in spans[1:]] == [s.stop for s in spans[:-1]]
         assert (spans[0].start, spans[-1].stop) == (0, network.params.size)
 
@@ -602,8 +604,8 @@ def assert_layers_in_buffer(network, state=None):
     """Every layer's weights and bias are views into network.params, in
     layer order, weights before bias. So are the per-layer views made
     once for the training step: the network's forward plan and the
-    weights in the groups of ``state`` (a new AdamState by default), each
-    the same view as its layer's."""
+    weights in the handovers of ``state`` (a new AdamState by default),
+    each the same view as its layer's."""
     for layer in network.layers:
         assert np.shares_memory(layer.weights, network.params)
         assert np.shares_memory(layer.bias, network.params)
@@ -612,7 +614,7 @@ def assert_layers_in_buffer(network, state=None):
 
     state = state or AdamState(network, TrainConfig.learning_rate)
     assert state.network is network
-    weights = {idx: w for layers, _ in state.groups for idx, w, _, _, _ in layers}
+    weights = {idx: w for layers, *_ in state.handovers for idx, w, _, _, _ in layers}
     assert sorted(weights) == list(range(len(network.layers)))
     for idx, (layer, (weights_t, bias, relu)) in enumerate(
         zip(network.layers, network.forward_plan, strict=True)

@@ -3,6 +3,8 @@ differences, Adam against a scalar reference, dropout statistics."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aime.aime_model import (
     PARAM_DTYPE,
@@ -12,12 +14,13 @@ from aime.aime_model import (
     load_model,
     save_model,
 )
+from aime import neural_net
 from aime.errors import CacheError, DomainError, ShapeError
 from aime.matrix_core import rng_stream
 from aime.neural_net import (
     ADAM_BETA1,
     ADAM_BETA2,
-    ADAM_BLOCK,
+    BLOCK,
     ADAM_EPSILON,
     AdamState,
     ForwardCache,
@@ -212,6 +215,16 @@ class TestForward:
             forward(net, np.zeros((2, 4)), start=start)
 
 
+    @pytest.mark.parametrize(
+        "start, stop", [(0, 0), (0, -1), (0, 4), (0, 99), (2, 2), (2, 1)]
+    )
+    def test_stop_out_of_range(self, start, stop):
+        net = random_network([4, 3, 5, 2], rng_stream(7, 0, 0))
+        x = np.zeros((2, net.layers[start].fan_in))
+        with pytest.raises(ShapeError, match=f"stop layer {stop} out of range"):
+            forward(net, x, stop=stop, start=start)
+
+
 class TestPlan:
     def test_built_from_specs_with_zeroed_views(self):
         net = Network([(2, 3, "relu", 0.2), (3, 1, "linear", 0.0)], 0)
@@ -356,10 +369,11 @@ class TestBackward:
         np.testing.assert_allclose(grads[0][1], (2.0 / 4.0) * diff.sum(axis=0), atol=1e-12)
 
     def test_groups_give_the_whole_vector_gradient(self):
-        # The p = q = 600 network: layers 7 and 0 (72,600 and 72,120
-        # parameters) are update groups of their own, and layers 6-1 form
-        # one more. Each group's gradient, as backward hands it over, is
-        # that span of the plain per-layer gradient, to the bit.
+        # The p = q = 600 network: layers 7 and 0 (72,000 weights each)
+        # are handed over in two row blocks each, the last rows with the
+        # bias first, and layers 6-1 in one handover between them. Each
+        # handover's gradient is that span of the plain per-layer
+        # gradient, to the bit.
         net = build_network(build_architecture(600, 600, 4), 7, PARAM_DTYPE)
         x = rng_stream(7, 0, 1).standard_normal((5, 600))
         out, cache = forward(net, x, draw_dropout_masks(net, 5, rng_stream(7, 0, 2)))
@@ -375,15 +389,35 @@ class TestBackward:
         backward(cache, loss_grad, state, keep)
         size = net.params.size
         assert [(span.start, span.stop) for span, _ in seen] == [
-            (size - 72_600, size), (72_120, size - 72_600), (0, 72_120)
+            (size - 7_080, size), (size - 72_600, size - 7_080),
+            (72_120, size - 72_600), (65_400, 72_120), (0, 65_400),
         ]
-        # All three gradients are the head of one 72,600-element buffer.
-        (_, grad_7, _, _), = state.groups[0][1]
-        (_, grad_0, _, _), = state.groups[2][1]
-        assert np.shares_memory(grad_7, grad_0)
+        # All five gradients are the head of one 65,520-element buffer:
+        # layer 7's 546-row block.
+        grads = [grad for _, _, grad, _, _ in state.handovers]
+        assert {grad.base.size for grad in grads} == {65_520}
+        assert np.shares_memory(grads[0], grads[-1])
         for span, grad in seen:
             assert grad.tobytes() == plain[span].tobytes()
         assert whole_gradient(cache, loss_grad).tobytes() == plain.tobytes()
+
+    def test_small_layers_past_block_split(self):
+        # Layers 3-1 (15,100, 22,650 and 22,650 parameters) share one
+        # handover; layer 0 (15,150) would take it past BLOCK, so it
+        # starts another.
+        net = random_network([100, 150, 150, 150, 100], rng_stream(47, 0, 0),
+                             dtype=PARAM_DTYPE)
+        state = AdamState(net, 1e-3)
+        assert [[idx for idx, *_ in layers] for layers, *_ in state.handovers] == [
+            [3, 2, 1], [0]
+        ]
+        assert [rows for *_, rows, _ in state.handovers] == [None, None]
+        x = rng_stream(47, 0, 1).standard_normal((6, 100))
+        out, cache = forward(net, x)
+        loss_grad = mse_loss(out, np.zeros_like(out))[1]
+        assert whole_gradient(cache, loss_grad).tobytes() == (
+            plain_backward(net, cache, loss_grad).tobytes()
+        )
 
     def test_cache_network_mismatch(self):
         net = tiny_network()
@@ -540,31 +574,39 @@ class TestPlainOracle:
 
 
 def blocked_layers(net):
-    """(index, handovers) of each layer that ``AdamState`` hands over in
-    row blocks: the rule backward uses, with its rows and output views."""
-    state = AdamState(net, 1e-3)
-    return [(layers[0][0], pieces) for layers, pieces in state.groups
-            if pieces[0][2] is not None]
+    """{index: handovers} of each layer that ``AdamState`` hands over in
+    row blocks, each handover ``(span, grad, rows, slot_t)``: the rule
+    backward uses, with its rows and output views."""
+    blocks = {}
+    for layers, *handover in AdamState(net, 1e-3).handovers:
+        if layers:
+            # A blocked layer's first block completes it and nothing else.
+            idx = layers[0][0]
+        if handover[2] is not None:
+            blocks.setdefault(idx, []).append(tuple(handover))
+    return blocks
 
 
 class TestGradBlocks:
-    """A float32 layer of more than GRAD_BLOCK weights hands its weight
-    gradient over in row blocks, each formed as ``np.matmul(below.T,
-    grad_z[:, rows], out=slot.T)``; that must be, to the bit, the block's
-    rows of the whole product ``np.dot(grad_z.T, below)``, or seeded models
-    would change. That holds for the block heights the rule picks, not for
-    every height (on a 1141 x 229 layer, heights 1-4, 12 and 57 differ at
-    batch 64 and above), so the rows and output views come from the state
-    itself. Float64 networks block no layer (see
-    test_aime_model's TestFitOracle.test_update_groups)."""
+    """A layer of more than BLOCK weights hands its weight gradient over
+    in row blocks, each formed as ``np.matmul(below.T, grad_z[:, rows],
+    out=slot.T)``; in float32 that must be, to the bit, the block's rows
+    of the whole product ``np.dot(grad_z.T, below)``, or seeded models
+    would change. That holds for the block heights the rule picks, not
+    for every height (on a 1141 x 229 layer, heights 1-4, 12 and 57
+    differ at batch 64 and above; the rule picks 286 there), so the rows
+    and output views come from the state itself. Float64 networks follow
+    the same rule; their gradients are checked to rounding and against
+    finite differences."""
 
     BATCHES = [*range(1, 34), 64, 128, 256]
 
     @pytest.mark.parametrize(
         "sizes, blocked",
         [
-            ([5459, 1092, 219, 9, 4, 10, 229, 1141, 5703], {0: (23, 48), 7: (25, 229)}),
-            ([2000, 400, 2000], {0: (4, 131), 1: (4, 655)}),
+            ([5459, 1092, 219, 9, 4, 10, 229, 1141, 5703],
+             {0: (91, 12), 1: (4, 60), 6: (4, 286), 7: (101, 57)}),
+            ([2000, 400, 2000], {0: (13, 32), 1: (13, 163)}),
         ],
         ids=["paper width", "2000 wide"],
     )
@@ -572,9 +614,10 @@ class TestGradBlocks:
         net = Network([(a, b, "relu", 0.0) for a, b in zip(sizes, sizes[1:])],
                       dtype=PARAM_DTYPE)
         layers = blocked_layers(net)
-        assert {idx: (len(pieces), pieces[-1][2].stop) for idx, pieces in layers} == blocked
+        heights = {idx: (len(pieces), pieces[-1][2].stop) for idx, pieces in layers.items()}
+        assert heights == blocked
         rng = rng_stream(13, 0, 0)
-        for idx, pieces in layers:
+        for idx, pieces in layers.items():
             fan_in, fan_out = sizes[idx], sizes[idx + 1]
             for batch in self.BATCHES:
                 below = rng.standard_normal((batch, fan_in), PARAM_DTYPE)
@@ -585,10 +628,42 @@ class TestGradBlocks:
                     np.matmul(below.T, grad_z[:, rows], out=slot_t)
                     assert slot_t.T.tobytes() == whole[rows].tobytes(), (idx, batch, rows)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(1, 300), st.integers(1, 70_000)),
+                    min_size=2, max_size=9))
+    def test_handovers_tile_params(self, sizes):
+        # Random layer plans: the spans tile params from the end, each
+        # holds at most BLOCK weights (or one row of a wider layer) plus at
+        # most one layer's bias, and a handover completes exactly the
+        # layers whose biases it holds.
+        shapes = [(b, a) for a, b in zip(sizes, sizes[1:])]
+        ends = np.cumsum([rows * (cols + 1) for rows, cols in shapes]).tolist()
+        biases = [range(end - rows, end) for end, (rows, _) in zip(ends, shapes)]
+        pieces = neural_net._handovers(shapes)
+        spans = [span for _, span, _ in pieces]
+        assert spans[0].stop == ends[-1]
+        assert [s.stop for s in spans[1:]] == [s.start for s in spans[:-1]]
+        assert spans[-1].start == 0
+        for layers, span, rows in pieces:
+            held = [idx for idx, bias in enumerate(biases)
+                    if bias.start >= span.start and bias.stop <= span.stop]
+            assert layers == held[::-1]
+            size = span.stop - span.start
+            bias_size = sum(len(biases[idx]) for idx in held)
+            assert size - bias_size <= BLOCK or rows.stop - rows.start == 1
+            assert size <= BLOCK or len(held) <= 1
+            if rows is not None:
+                idx = next(i for i, end in enumerate(ends) if span.start < end)
+                rows_, cols = shapes[idx]
+                assert rows_ * cols > BLOCK
+                assert span.start == ends[idx] - rows_ * (cols + 1) + rows.start * cols
+                assert size == (rows.stop - rows.start) * cols + len(layers) * rows_
+
     def test_backward_hands_blocks_over_bias_first(self):
-        # Layer 1 (400 -> 700, 280,000 weights) in two blocks: rows
-        # 655-699 with the bias, then rows 0-654; the pieces are the plain
-        # gradient's spans, and layer 0 (whole) follows.
+        # Layer 1 (400 -> 700, 280,000 weights) in blocks of 163 rows:
+        # rows 652-699 with the bias, then the others from the last rows
+        # back; then layer 0 (300 -> 400, 120,000 weights) in blocks of
+        # 218 rows the same way. The pieces are the plain gradient's spans.
         net = random_network([300, 400, 700], rng_stream(45, 0, 0), dtype=PARAM_DTYPE)
         x = rng_stream(45, 0, 1).standard_normal((20, 300))
         out, cache = forward(net, x)
@@ -598,11 +673,39 @@ class TestGradBlocks:
         backward(cache, loss_grad, AdamState(net, 1e-3),
                  lambda span, grad: seen.append((span, grad.copy())))
         layer1 = 400 * 301
-        assert [(span.start, span.stop) for span, _ in seen] == [
-            (layer1 + 655 * 400, net.params.size), (layer1, layer1 + 655 * 400), (0, layer1)
-        ]
+        bounds = [net.params.size, *(layer1 + r * 400 for r in (652, 489, 326, 163, 0)),
+                  218 * 300, 0]
+        assert [(span.start, span.stop) for span, _ in seen] == list(zip(bounds[1:], bounds))
         for span, grad in seen:
             assert grad.tobytes() == plain[span].tobytes()
+
+    def test_float64_blocked_layer(self, monkeypatch):
+        # Layer 1 of the float64 [300, 400, 700] network goes in five row
+        # blocks and layer 0 in two, as in float32: the gradient is the
+        # plain one to float64 rounding.
+        net = random_network([300, 400, 700], rng_stream(48, 0, 0))
+        assert {idx: len(pieces) for idx, pieces in blocked_layers(net).items()} == {1: 5, 0: 2}
+        x = rng_stream(48, 0, 1).standard_normal((20, 300))
+        out, cache = forward(net, x)
+        loss_grad = mse_loss(out, rng_stream(48, 0, 2).standard_normal(out.shape))[1]
+        np.testing.assert_allclose(
+            whole_gradient(cache, loss_grad), plain_backward(net, cache, loss_grad),
+            rtol=1e-12, atol=1e-15,
+        )
+        # Finite differences at that size take minutes; a block of 8
+        # weights puts the same rule on a small network: layer 4 (fan_in
+        # 9) in blocks of 1 row, layer 3 (9 weights) in blocks of 8 rows,
+        # layers 2 and 1 (7 parameters) in one handover and layer 0 (12
+        # weights) in blocks of 2 rows.
+        monkeypatch.setattr(neural_net, "BLOCK", 8)
+        small = random_network([3, 4, 1, 1, 9, 2], rng_stream(49, 0, 0))
+        handovers = AdamState(small, 1e-3).handovers
+        assert [[idx for idx, *_ in layers] for layers, *_ in handovers] == [
+            [4], [], [3], [], [2, 1], [0], []
+        ]
+        x = draw_input_away_from_kinks(small, 5, None, base_seed=108)
+        y = rng_stream(109, 0, 0).standard_normal((5, 2))
+        assert gradient_check(small, x, y) < 1e-4
 
 
 class TestGradientCheck:
@@ -942,10 +1045,10 @@ class TestAdam:
         # boundaries falling inside the first layer's weights.
         rng = rng_stream(42, 0, 0)
         net = random_network([600, 220, 3], rng, dtype=dtype)
-        assert net.params.size > 2 * ADAM_BLOCK
-        assert net.params.size % ADAM_BLOCK != 0
+        assert net.params.size > 2 * BLOCK
+        assert net.params.size % BLOCK != 0
         state = AdamState(net, 0.05)
-        assert state.scratch.size == ADAM_BLOCK
+        assert state.scratch.size == BLOCK
         assert state.m.dtype == state.v.dtype == state.scratch.dtype == dtype
         x = rng.standard_normal((6, 600)).astype(dtype)
         y = rng.standard_normal((6, 3)).astype(dtype)
@@ -959,26 +1062,26 @@ class TestAdam:
 
     def test_blocked_output_layer_steps_once(self):
         # The output layer (400 -> 700, 280,000 float32 weights) is handed
-        # over in two row blocks, the one with its bias first: t advances
-        # on that call alone, once per step, and every parameter is the
-        # per-layer reference's.
+        # over in five row blocks, the one with its bias first, and layer 0
+        # in two: t advances on the first call alone, once per step, and
+        # every parameter is the per-layer reference's.
         net = random_network([300, 400, 700], rng_stream(46, 0, 0), dtype=np.float32)
-        assert [len(pieces) for _, pieces in AdamState(net, 0.05).groups] == [2, 1]
+        assert len(AdamState(net, 0.05).handovers) == 7
         rng = rng_stream(46, 0, 1)
         x = rng.standard_normal((8, 300)).astype(np.float32)
         y = rng.standard_normal((8, 700)).astype(np.float32)
         counts = self.check_against_per_layer_reference(net, x, y, steps=3)
-        assert counts == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+        assert counts == [1] * 7 + [2] * 7 + [3] * 7
 
     def test_span_by_span_matches_whole_vector_step(self):
         # Spans in the order backward hands them over (the one holding the
-        # last parameter first), with bounds inside ADAM_BLOCK slices:
+        # last parameter first), with bounds inside BLOCK slices:
         # together they give the bytes of one whole-vector step, and t
         # advances once per step.
         rng = rng_stream(44, 0, 0)
         nets = [random_network([600, 220, 3], rng_stream(44, 0, 1)) for _ in range(2)]
         size = nets[0].params.size
-        bounds = [size, 2 * ADAM_BLOCK + 5, 1000, 0]
+        bounds = [size, 2 * BLOCK + 5, 1000, 0]
         states = [AdamState(net, 0.05) for net in nets]
         for step in range(1, 4):
             grads = rng.standard_normal(size)
@@ -996,6 +1099,30 @@ class TestAdam:
             adam_step(AdamState(net, 1e-3), np.zeros(3), slice(0, net.params.size))
         with pytest.raises(ShapeError, match=r"\(3,\) .* for 2 float64"):
             adam_step(AdamState(net, 1e-3), np.zeros(3), slice(3, 5))
+
+    def test_stepped_span_refused(self):
+        net = random_network([5, 4, 3], rng_stream(50, 0, 0))
+        state = AdamState(net, 1e-3)
+        before = net.params.tobytes()
+        with pytest.raises(ShapeError, match="not contiguous"):
+            adam_step(state, np.ones(10), slice(0, 10, 2))
+        assert net.params.tobytes() == before
+
+    def test_first_span_must_end_at_last_parameter(self):
+        # Before t has started, a span short of the end would update with
+        # a zero debias term and write NaN.
+        net = random_network([5, 4, 3], rng_stream(51, 0, 0))
+        state = AdamState(net, 1e-3)
+        before = net.params.tobytes()
+        with pytest.raises(ShapeError, match="first update must end"):
+            adam_step(state, np.ones(10), slice(0, 10))
+        assert net.params.tobytes() == before
+        assert state.t == 0
+        size = net.params.size
+        adam_step(state, np.ones(size - 10), slice(10, size))
+        adam_step(state, np.ones(10), slice(0, 10))
+        assert state.t == 1
+        assert np.isfinite(net.params).all()
 
     def test_dtype_mismatch_checked(self):
         net = hand_network([([[1.0]], [0.0], "linear", 0.0)], dtype=np.float32)
