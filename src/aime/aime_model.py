@@ -45,12 +45,15 @@ from .matrix_core import (
     KIND_DROPOUT,
     KIND_INIT,
     KIND_SHUFFLE,
+    all_finite,
     as_matrix,
+    check_columns_finite,
     column_stats,
     destandardize_columns,
     permuted,
     rng_stream,
     standardize_columns,
+    svd_thin,
 )
 from .neural_net import (
     AdamState,
@@ -247,8 +250,8 @@ def fit(
                 f"ceil({width}/5) = {widest} units, fewer than d",
                 stacklevel=2,
             )
-    input_means, input_sds = column_stats(x)
-    output_means, output_sds = column_stats(y)
+    input_means, input_sds = column_stats(x, "x")
+    output_means, output_sds = column_stats(y, "y")
     xs = standardize_columns(x, input_means, input_sds).astype(PARAM_DTYPE)
     ys = standardize_columns(y, output_means, output_sds).astype(PARAM_DTYPE)
     # as_matrix's float64 copies are not needed past this point; training
@@ -354,18 +357,15 @@ def _canonical_bottleneck(
     """
     b = network.bottleneck_index
     encoded, cache = forward(network, xs, stop=b + 1)
-    emb = encoded.astype(np.float64)
-    if not _finite(emb):
-        raise NumericalError(
-            "the embedding of the training rows is not finite; training "
-            "diverged, so lower the learning rate or check the data scale"
-        )
+    emb = _finite_embedding(
+        encoded, "the training rows",
+        "training diverged, so lower the learning rate or check the data scale",
+    )
     mean = emb.mean(axis=0)
     centered = emb - mean
     # Zero rows pad n < d up to a full set of d right singular vectors.
     padding = np.zeros((max(emb.shape[1] - len(xs), 0), emb.shape[1]))
-    _, singular, vt = np.linalg.svd(np.vstack([centered, padding]), full_matrices=False)
-    axes = vt.T
+    _, singular, axes = svd_thin(np.vstack([centered, padding]))
     pivots = np.argmax(np.abs(axes), axis=0)
     axes = axes * np.sign(axes[pivots, np.arange(axes.shape[1])])
     sds = singular / np.sqrt(len(xs) - 1)
@@ -379,7 +379,7 @@ def _canonical_bottleneck(
     encode.bias[...] = transform @ (encode.bias - mean)
     nxt.bias[...] += nxt.weights @ mean
     nxt.weights[...] = nxt.weights @ (axes * scale)
-    if not _finite(network.params):
+    if not all_finite(network.params):
         raise NumericalError(
             "the weights overflowed when the embedding's axes were folded in; "
             "training diverged, so lower the learning rate"
@@ -387,15 +387,33 @@ def _canonical_bottleneck(
     return int(np.count_nonzero(live)), cache.outputs[:b]
 
 
+def _finite_embedding(
+    encoded: np.ndarray, rows: str = "x", cause: str = "the model's weights overflow on it"
+) -> np.ndarray:
+    """``encoded`` as float64, or NumericalError naming ``rows`` and ``cause``."""
+    emb = encoded.astype(np.float64)
+    if not all_finite(emb):
+        raise NumericalError(f"the embedding of {rows} is not finite; {cause}")
+    return emb
+
+
 def _standardized_input(model: AimeModel, x) -> np.ndarray:
-    """Rows of the input modality, checked against the model's input width
-    and standardized with its training statistics."""
+    """Rows of the input modality, checked against the model's input width,
+    standardized with its training statistics and cast to the network's
+    dtype. A column with a value outside that dtype's range raises
+    ColumnError naming it."""
     x = as_matrix(x, name="x")
-    if x.shape[1] != model.network.input_size:
-        raise ShapeError(
-            f"x has {x.shape[1]} columns, model expects {model.network.input_size}"
-        )
-    return standardize_columns(x, model.input_means, model.input_sds)
+    network = model.network
+    if x.shape[1] != network.input_size:
+        raise ShapeError(f"x has {x.shape[1]} columns, model expects {network.input_size}")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        # Rebinding x frees the raw copy before the cast, so embed's peak
+        # holds one float64 and one cast copy of x, not two float64 ones.
+        x = standardize_columns(x, model.input_means, model.input_sds)
+        xs = x.astype(network.dtype)
+    reason = f"values outside the network's {network.dtype} range once standardized"
+    check_columns_finite(xs, "x", reason)
+    return xs
 
 
 def embed(model: AimeModel, x) -> np.ndarray:
@@ -404,11 +422,13 @@ def embed(model: AimeModel, x) -> np.ndarray:
     Rows are standardized with the model's stored training statistics, so
     embeddings of new data live in the same space as the training ones.
     Only the encoder runs, up to the bottleneck, in the network's dtype;
-    the result is float64.
+    the result is float64. An embedding that is not finite raises
+    NumericalError.
     """
     xs = _standardized_input(model, x)
-    emb = forward(model.network, xs, stop=model.network.bottleneck_index + 1)[0]
-    return emb.astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        emb = forward(model.network, xs, stop=model.network.bottleneck_index + 1)[0]
+    return _finite_embedding(emb)
 
 
 def reconstruct(model: AimeModel, x) -> np.ndarray:
@@ -458,14 +478,8 @@ def _read_into(fh, out) -> None:
         raise ParseError(f"model file truncated at offset {offset}")
 
 
-def _finite(values: np.ndarray) -> bool:
-    # min and max propagate NaN and reach any infinity, without the
-    # array-sized mask np.isfinite would allocate.
-    return not values.size or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
-
-
 def _check(values: np.ndarray, what: str, nonnegative: bool = False) -> None:
-    if not _finite(values):
+    if not all_finite(values):
         raise ParseError(f"model file: non-finite value in {what}")
     if nonnegative and values.size and values.min() < 0:
         raise ParseError(f"model file: negative value in {what}")

@@ -14,6 +14,7 @@ Warnings go to stderr as ``warning: ...`` lines, before any error line.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import os
 import sys
@@ -39,6 +40,8 @@ from .data_io import (
 )
 from .errors import (
     AimeError,
+    ColumnError,
+    DataError,
     DomainError,
     InsufficientDataError,
     NumericalError,
@@ -151,6 +154,26 @@ def _write_text(path: str, text: str) -> None:
         handle.write(text)
 
 
+def _write_rows(path: str, rows, delimiter: str) -> None:
+    """Write ``rows`` to ``path`` atomically, one line each, its fields as
+    ``str`` gives them, separated by the ``delimiter``'s character."""
+    sep = delimiter_char(delimiter)
+    text = "".join(sep.join(map(str, row)) + "\n" for row in rows)
+    _atomic_write(path, lambda tmp: _write_text(tmp, text))
+
+
+@contextlib.contextmanager
+def _naming_columns(**inputs: tuple[str, LabeledMatrix]):
+    """Re-raise a ColumnError about one of ``inputs``, keyed by the
+    library's name for the matrix, as a DataError naming the file and the
+    column's label."""
+    try:
+        yield
+    except ColumnError as exc:
+        path, m = inputs[exc.matrix]
+        raise DataError(f"{path}: column {m.feature_ids[exc.column]!r}: {exc.reason}") from None
+
+
 def guarded(func):
     """Map library errors to the documented exit codes, and print every
     warning as a ``warning: ...`` line on stderr, before any error line."""
@@ -235,10 +258,11 @@ def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, or
     table = read_labeled_text(input_path, delimiter=delimiter, orientation=orientation)
     m = table.matrix
     try:
-        if use_cv:
-            kept = cv_filter(m, 0.05 if threshold is None else threshold)
-        else:
-            kept = sd_filter(m, 1.25 if threshold is None else threshold)
+        with _naming_columns(matrix=(input_path, m)):
+            if use_cv:
+                kept = cv_filter(m, 0.05 if threshold is None else threshold)
+            else:
+                kept = sd_filter(m, 1.25 if threshold is None else threshold)
     except InsufficientDataError as exc:
         raise InsufficientDataError(f"{input_path}: {exc}") from None
     # The kept cells are copied as the input spelled them, not re-printed.
@@ -278,13 +302,11 @@ def cmd_train(x_path, y_path, d, epochs, seed, learning_rate, batch_size, model_
     config = TrainConfig(
         learning_rate=learning_rate, batch_size=batch_size, epochs=epochs, seed=seed
     )
-    model = fit(x.values, y.values, d, config)
+    with _naming_columns(x=(x_path, x), y=(y_path, y)):
+        model = fit(x.values, y.values, d, config)
     _atomic_write(model_out, lambda tmp: save_model(model, tmp))
-    sep = delimiter_char(delimiter)
-    history = "".join(
-        f"{i + 1}{sep}{float(loss)!r}\n" for i, loss in enumerate(model.loss_history)
-    )
-    _atomic_write(history_out, lambda tmp: _write_text(tmp, history))
+    history = [(i + 1, float(loss)) for i, loss in enumerate(model.loss_history)]
+    _write_rows(history_out, history, delimiter)
     if model.loss_history:
         click.echo(
             f"trained {x.n_samples} samples, final epoch loss "
@@ -309,7 +331,8 @@ def cmd_embed(model_path, x_path, output_path, delimiter, orientation):
     _refuse_overwrite([output_path], [model_path, x_path])
     model = load_model(model_path)
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
-    coords = embed(model, x.values)
+    with _naming_columns(x=(x_path, x)):
+        coords = embed(model, x.values)
     out = LabeledMatrix(
         coords, x.sample_ids, [f"e{i}" for i in range(coords.shape[1])]
     )
@@ -336,15 +359,11 @@ def cmd_importance(model_path, x_path, output_path, repeats, fraction, seed, del
     _refuse_overwrite([output_path], [model_path, x_path])
     model = load_model(model_path)
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
-    scores = permutation_importance(model, x.values, repeats=repeats, seed=seed)
+    with _naming_columns(x=(x_path, x)):
+        scores = permutation_importance(model, x.values, repeats=repeats, seed=seed)
     chosen = top_fraction(scores, fraction)
-    sep = delimiter_char(delimiter)
-    lines = ["variable_id" + sep + "score" + sep + "rank\n"]
-    for rank, j in enumerate(chosen, start=1):
-        lines.append(
-            f"{x.feature_ids[j]}{sep}{float(scores[j])!r}{sep}{rank}\n"
-        )
-    _atomic_write(output_path, lambda tmp: _write_text(tmp, "".join(lines)))
+    ranks = [(x.feature_ids[j], float(scores[j]), rank) for rank, j in enumerate(chosen, start=1)]
+    _write_rows(output_path, [("variable_id", "score", "rank"), *ranks], delimiter)
     click.echo(f"wrote top {len(chosen)} of {len(scores)} variables")
 
 
@@ -376,11 +395,7 @@ def cmd_cca(x_path, y_path, out_prefix, k, ridge, delimiter, orientation):
     y_out = LabeledMatrix(result.y_variates, y.sample_ids, names)
     _atomic_write(x_out_path, lambda tmp: write_labeled(x_out, tmp, delimiter=delimiter))
     _atomic_write(y_out_path, lambda tmp: write_labeled(y_out, tmp, delimiter=delimiter))
-    sep = delimiter_char(delimiter)
-    correlations = "".join(
-        f"{i}{sep}{float(c)!r}\n" for i, c in enumerate(result.correlations)
-    )
-    _atomic_write(corr_path, lambda tmp: _write_text(tmp, correlations))
+    _write_rows(corr_path, [(i, float(c)) for i, c in enumerate(result.correlations)], delimiter)
     top = ", ".join(f"{c:.4f}" for c in result.correlations)
     click.echo(f"canonical correlations: {top}")
 
@@ -412,16 +427,9 @@ def cmd_synth(out_prefix, n, p, q, n_signal, noise_sd, design, seed, delimiter):
     _atomic_write(
         f"{out_prefix}_y.tsv", lambda tmp: write_labeled(data.y, tmp, delimiter=delimiter)
     )
-    sep = delimiter_char(delimiter)
-    label_lines = ["id" + sep + "label\n"] + [
-        f"{sid}{sep}{int(lab)}\n"
-        for sid, lab in zip(data.x.sample_ids, data.labels)
-    ]
-    _atomic_write(
-        f"{out_prefix}_labels.tsv", lambda tmp: _write_text(tmp, "".join(label_lines))
-    )
-    signal = "".join(f"{j}\n" for j in data.signal_indices)
-    _atomic_write(f"{out_prefix}_signal.txt", lambda tmp: _write_text(tmp, signal))
+    labels = [(sid, int(lab)) for sid, lab in zip(data.x.sample_ids, data.labels)]
+    _write_rows(f"{out_prefix}_labels.tsv", [("id", "label"), *labels], delimiter)
+    _write_rows(f"{out_prefix}_signal.txt", [(j,) for j in data.signal_indices], delimiter)
     click.echo(
         f"wrote {out_prefix}_x.tsv, _y.tsv, _labels.tsv, _signal.txt "
         f"({n} samples, design {design})"

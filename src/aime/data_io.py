@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     ValidationError,
 )
-from .matrix_core import as_matrix, column_stats
+from .matrix_core import all_finite, as_matrix, column_stats
 
 _DELIMITERS = {"tab": "\t", "comma": ","}
 
@@ -269,7 +269,7 @@ def _c_reader(rows: list[str], sep: str, width: int) -> np.ndarray | None:
         return None
     if values.shape != (len(rows), width - 1):
         return None
-    return values if np.isfinite(values).all() else None
+    return values if all_finite(values) else None
 
 
 def _cell_reader(rows: list[str], sep: str, width: int) -> np.ndarray:

@@ -23,6 +23,14 @@ class DataError(AimeError, ValueError):
     """Input data is unusable (non-finite values, wrong structure)."""
 
 
+class ColumnError(DataError):
+    """Column ``column`` (0-based) of the matrix named ``matrix`` is unusable."""
+
+    def __init__(self, matrix: str, column: int, reason: str):
+        super().__init__(f"{matrix} column {column}: {reason}")
+        self.matrix, self.column, self.reason = matrix, column, reason
+
+
 class InsufficientDataError(AimeError, ValueError):
     """Too few samples for the requested statistic."""
 

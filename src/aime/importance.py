@@ -26,7 +26,7 @@ import numpy as np
 
 # embed and permute_column stay importable here: bench/run.py's tracer
 # wraps them under these names.
-from .aime_model import AimeModel, _standardized_input, embed  # noqa: F401
+from .aime_model import AimeModel, _finite_embedding, _standardized_input, embed  # noqa: F401
 from .errors import DomainError
 from .matrix_core import (  # noqa: F401
     KIND_IMPORTANCE,
@@ -46,6 +46,8 @@ DEFAULT_REPEATS = 10
 STACK_ELEMENTS = 1 << 20
 
 
+# An overflow is reported as a NumericalError, not by numpy's warnings.
+@np.errstate(over="ignore", invalid="ignore")
 def permutation_importance(
     model: AimeModel,
     x,
@@ -64,7 +66,8 @@ def permutation_importance(
     pre-activation (a zero weight column, a constant column, identity
     shuffles) scores exactly 0.0. Warns (UserWarning) when every score is
     0.0, as for a collapsed model's constant embedding: the scores then
-    rank nothing.
+    rank nothing. An embedding of ``x``, or of a shuffled copy, that is
+    not finite raises NumericalError.
     """
     if repeats < 1:
         raise DomainError(f"repeats must be >= 1, got {repeats}")
@@ -82,7 +85,7 @@ def permutation_importance(
     # _standardized_input checks the width against the model.
     baseline, cache = forward(network, _standardized_input(model, x), stop=last + 1)
     z0, xs = cache.pre_activations[0], cache.x
-    baseline = baseline.astype(np.float64)
+    baseline = _finite_embedding(baseline)
     n = len(xs)
     block = max(1, STACK_ELEMENTS // max(1, n * first.fan_out))
     scores = np.zeros(xs.shape[1])
@@ -105,7 +108,7 @@ def permutation_importance(
                 continue
             z = z0[rows]
             z += np.multiply.outer(moves[moved], w)
-            delta = encode(z).astype(np.float64) - baseline[rows]
+            delta = _finite_embedding(encode(z)) - baseline[rows]
             total += float((delta * delta).sum())
         scores[j] = total / repeats
     if not scores.any():

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import (
+    ColumnError,
     ColumnIndexError,
     DataError,
     DomainError,
@@ -67,12 +68,26 @@ def check_seed(seed: int) -> None:
         raise DomainError(f"seed must fit in 64 bits, got {seed}")
 
 
+def all_finite(values: np.ndarray) -> bool:
+    """Whether every entry of ``values`` is finite (True when it is empty).
+    min and max propagate NaN and reach any infinity, so the test needs no
+    array-sized mask, as ``np.isfinite(values).all()`` would."""
+    return not values.size or bool(np.isfinite(values.min()) and np.isfinite(values.max()))
+
+
+def check_columns_finite(m: np.ndarray, name: str, reason: str) -> None:
+    """Raise ColumnError with ``reason``, naming matrix ``name`` and the
+    first column of the 2-D ``m`` that holds a non-finite value."""
+    if not all_finite(m):
+        raise ColumnError(name, int(np.argmin(np.isfinite(m).all(axis=0))), reason)
+
+
 def as_matrix(values, name: str = "matrix") -> np.ndarray:
     """Coerce to a fresh 2-D float64 array, rejecting NaN/Inf."""
     arr = np.array(values, dtype=np.float64, order="C")
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-D, got {arr.ndim}-D")
-    if arr.size and not np.all(np.isfinite(arr)):
+    if not all_finite(arr):
         raise DataError(f"{name} contains non-finite entries")
     return arr
 
@@ -106,14 +121,19 @@ def svd_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vt.T
 
 
-def column_stats(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and sample standard deviation (n - 1 divisor)."""
+def column_stats(m: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and sample standard deviation (n - 1 divisor). The
+    first column whose mean or sd overflows, as values beyond about 1.3e154
+    do when squared, raises ColumnError naming it in matrix ``name``."""
     if m.shape[0] < 2:
         raise InsufficientDataError(
             f"standard deviation needs at least 2 rows, got {m.shape[0]}"
         )
-    means = m.mean(axis=0)
-    sds = m.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        means = m.mean(axis=0)
+        sds = m.std(axis=0, ddof=1)
+    reason = "values too large for a finite mean and standard deviation"
+    check_columns_finite(np.stack([means, sds]), name, reason)
     return means, sds
 
 

@@ -31,6 +31,7 @@ from aime.aime_model import (
 )
 from aime.errors import (
     AlignmentError,
+    ColumnError,
     DomainError,
     InsufficientDataError,
     NumericalError,
@@ -281,6 +282,17 @@ class TestFit:
     def test_too_few_rows(self):
         with pytest.raises(InsufficientDataError):
             fit(np.zeros((1, 3)), np.zeros((1, 3)), 1, TrainConfig(seed=0))
+
+    @pytest.mark.parametrize("side, column", [("x", 0), ("y", 3)])
+    def test_column_too_large_for_its_sd_names_it(self, side, column):
+        # Finite values whose squares overflow: the sd would be inf and the
+        # column would standardize to zeros, a model load_model refuses.
+        pair = dict(zip("xy", make_pair(20, 6, 5, seed=3)))
+        pair[side][:, column] *= 3e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ColumnError, match=f"^{side} column {column}: values too large"):
+                fit(pair["x"], pair["y"], 2, TrainConfig(epochs=1, seed=0))
 
     def test_training_peak_memory(self):
         # Parameters, two Adam moments and one reused gradient buffer of
@@ -724,6 +736,28 @@ class TestEmbed:
         model, _ = self.fitted()
         with pytest.raises(ShapeError):
             embed(model, np.zeros((4, 7)))
+
+    @pytest.mark.parametrize("apply", [embed, reconstruct])
+    def test_column_outside_float32_once_standardized_named(self, apply):
+        model, x = self.fitted()
+        x = x.copy()
+        x[:, 4] *= 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ColumnError) as caught:
+                apply(model, x)
+        assert str(caught.value) == (
+            "x column 4: values outside the network's float32 range once standardized"
+        )
+
+    def test_non_finite_embedding_raises_numerical_error(self):
+        # Finite input, finite weights: the product overflows float32.
+        model, x = self.fitted()
+        model.network.layers[0].weights[...] = 3e38
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="^the embedding of x is not finite"):
+                embed(model, x)
 
     def test_reconstruct_lands_in_y_units(self):
         x, y = make_pair(60, 8, 5, seed=8, latent_dim=1, noise=0.05)

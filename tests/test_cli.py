@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 from aime import cli
-from aime.aime_model import embed, fit
+from aime.aime_model import embed, fit, save_model
 from aime.cca_baseline import fit_cca
 from aime.cli import (
     PALETTE,
@@ -1072,6 +1072,73 @@ class TestOutputIsInput:
     def test_plot(self, runner, inputs, output):
         self.assert_refused(runner, inputs, ["plot", "e.tsv", "d_labels.tsv", output],
                             output, output)
+
+
+class TestOverflowingColumns:
+    """Finite values that overflow on the way are refused, naming the file
+    and the column, with no numpy warning and no output file: values whose
+    squares overflow in training statistics (exit 2), values outside
+    float32 once standardized with the model's statistics (exit 2), and a
+    non-finite embedding from finite input and weights (exit 3)."""
+
+    @pytest.fixture()
+    def inputs(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for args in (
+            ("synth", "d", "--n", 20, "--p", 6, "--q", 5, "--n-signal", 2, "--seed", 3),
+            ("train", "d_x.tsv", "d_y.tsv", "--dim", 1, "--epochs", 2, "--model-out", "m.bin"),
+        ):
+            result = invoke(runner, *args)
+            assert result.exit_code == 0, result.output
+        for name, scale in (("big_x.tsv", 3e154), ("cast_x.tsv", 1e39)):
+            m = read_labeled("d_x.tsv")
+            m.values[:, 0] *= scale
+            write_labeled(m, name)
+        return tmp_path
+
+    @staticmethod
+    def assert_refused(runner, directory, args, code, message):
+        before = sorted(p.name for p in directory.iterdir())
+        result = invoke(runner, *args)
+        assert result.exit_code == code, result.output
+        assert result.stderr == message + "\n"
+        assert sorted(p.name for p in directory.iterdir()) == before
+
+    def test_filter_column_too_large_for_its_sd(self, runner, inputs):
+        self.assert_refused(
+            runner, inputs, ["filter", "big_x.tsv", "f.tsv", "--sd", "--threshold", 0], 2,
+            "error: big_x.tsv: column 'x0': values too large for a finite mean and "
+            "standard deviation",
+        )
+
+    @pytest.mark.parametrize("order", ["xy", "yx"])
+    def test_train_column_too_large_for_its_sd(self, runner, inputs, order):
+        files = ["big_x.tsv", "d_y.tsv"][:: 1 if order == "xy" else -1]
+        self.assert_refused(
+            runner, inputs,
+            ["train", *files, "--dim", 1, "--epochs", 2, "--model-out", "big.bin"], 2,
+            "error: big_x.tsv: column 'x0': values too large for a finite mean and "
+            "standard deviation",
+        )
+
+    @pytest.mark.parametrize("command", ["embed", "importance"])
+    def test_column_outside_float32_once_standardized(self, runner, inputs, command):
+        self.assert_refused(
+            runner, inputs, [command, "m.bin", "cast_x.tsv", "out.tsv"], 2,
+            "error: cast_x.tsv: column 'x0': values outside the network's float32 "
+            "range once standardized",
+        )
+
+    @pytest.mark.parametrize("command", ["embed", "importance"])
+    def test_non_finite_embedding_exits_3(self, runner, inputs, command):
+        model = cli.load_model("m.bin")
+        model.network.layers[0].weights[...] = 3e38
+        save_model(model, "huge.bin")
+        self.assert_refused(
+            runner, inputs, [command, "huge.bin", "d_x.tsv", "out.tsv"], 3,
+            "numerical failure: the embedding of x is not finite; the model's "
+            "weights overflow on it",
+        )
 
 
 class TestAtomicWrite:

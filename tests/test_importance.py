@@ -1,13 +1,14 @@
 import dataclasses
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from aime import importance
 from aime.aime_model import AimeModel, embed, fit
-from aime.errors import DomainError, ShapeError
+from aime.errors import ColumnError, DomainError, NumericalError, ShapeError
 from aime.importance import permutation_importance, top_fraction
 from aime.matrix_core import KIND_IMPORTANCE, permute_column, rng_stream
 from aime.neural_net import Network, TrainConfig
@@ -249,6 +250,32 @@ class TestValidation:
         model = hand_model([[1.0, 2.0]])
         with pytest.raises(ShapeError, match="expects 2"):
             permutation_importance(model, np.zeros((4, 3)))
+
+    def test_column_outside_float32_once_standardized_named(self, desk_model):
+        x, model = desk_model
+        x = x.copy()
+        x[:, 7] *= 1e39
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ColumnError, match="^x column 7: values outside the network's float32"):
+                permutation_importance(model, x, repeats=1)
+
+    def test_non_finite_embedding_raises_numerical_error(self):
+        model = hand_model([[1e308, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="^the embedding of x is not finite"):
+                permutation_importance(model, np.array([[2.0, 0.0], [1.0, 1.0]]))
+
+    def test_non_finite_shuffled_embedding_raises_numerical_error(self):
+        # The embedding of x is finite; a shuffle moving a row from -1 to
+        # 1 (or back) overflows it, and would leave a score of inf or nan.
+        model = hand_model([[1.0, 1e308]])
+        x = np.array([[0.0, 1.0], [0.0, -1.0], [0.0, 1.0], [0.0, -1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NumericalError, match="^the embedding of x is not finite"):
+                permutation_importance(model, x, repeats=4)
 
     def test_repeats_must_be_positive(self):
         model = hand_model([[1.0]])

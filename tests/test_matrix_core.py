@@ -1,6 +1,8 @@
 """Tests for dense kernels, stats, and deterministic streams."""
 
 import hashlib
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from aime import neural_net
 from aime.aime_model import build_architecture, build_network, fit
 from aime.errors import (
+    ColumnError,
     ColumnIndexError,
     DataError,
     DomainError,
@@ -19,6 +22,7 @@ from aime.errors import (
 from aime.importance import permutation_importance
 from aime.matrix_core import (
     KIND_IMPORTANCE,
+    all_finite,
     as_matrix,
     column_stats,
     destandardize_columns,
@@ -53,6 +57,36 @@ class TestAsMatrix:
             as_matrix([[np.nan, 0.0]])
         with pytest.raises(DataError):
             as_matrix([[np.inf, 0.0]])
+
+
+class TestAllFinite:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_one_non_finite_entry_anywhere(self, dtype, bad):
+        for index in [(0, 0), (2, 1), (4, 3)]:
+            m = np.ones((5, 4), dtype=dtype)
+            m[index] = bad
+            assert not all_finite(m)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_finite_extremes(self, dtype):
+        info = np.finfo(dtype)
+        assert all_finite(np.array([[info.max, -info.max], [info.tiny, 0.0]], dtype=dtype))
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty_is_finite(self, shape):
+        assert all_finite(np.empty(shape))
+
+    def test_no_array_sized_mask(self):
+        m = np.ones(1 << 20)
+        tracemalloc.start()
+        try:
+            assert all_finite(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # np.isfinite(m) alone would take 1 MiB.
+        assert peak < 1 << 16
 
 
 class TestRngStream:
@@ -298,6 +332,28 @@ class TestColumnStats:
     def test_needs_two_rows(self):
         with pytest.raises(InsufficientDataError):
             column_stats(np.ones((1, 3)))
+
+    def test_bits_are_numpys(self):
+        m = rng_stream(8, 0, 2).standard_normal((25, 7)) * 1e150
+        means, sds = column_stats(m)
+        assert means.tobytes() == m.mean(axis=0).tobytes()
+        assert sds.tobytes() == m.std(axis=0, ddof=1).tobytes()
+
+    @pytest.mark.parametrize(
+        "scale, shift", [(3e154, 0.0), (1.0, 1.7e308)], ids=["squares", "sum"]
+    )
+    def test_overflowing_column_named_without_numpy_warnings(self, scale, shift):
+        m = rng_stream(8, 0, 3).standard_normal((20, 6))
+        m[:, 2] = m[:, 2] * scale + shift
+        m[:, 4] *= 3e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ColumnError) as caught:
+                column_stats(m, "x")
+        assert str(caught.value) == (
+            "x column 2: values too large for a finite mean and standard deviation"
+        )
+        assert (caught.value.matrix, caught.value.column) == ("x", 2)
 
 
 class TestStandardize:
