@@ -52,6 +52,7 @@ from .matrix_core import (
     destandardize_columns,
     permuted,
     rng_stream,
+    sign_fixed,
     standardize_columns,
     svd_thin,
 )
@@ -298,12 +299,6 @@ def fit(
             history.append(epoch_loss)
         if history:
             rank, outputs = _canonical_bottleneck(network, xs)
-            # The fold left the encoder's layers as they were. The pass from
-            # the last of them runs the bottleneck and the decoder's hidden
-            # layers, but not the output layer, the widest on that side.
-            outputs += forward(
-                network, outputs[-1], start=len(outputs), stop=len(network.layers) - 1
-            )[1].outputs
             if rank < embedding_size:
                 warnings.warn(
                     f"the embedding of the {n} training rows has numerical rank "
@@ -334,8 +329,8 @@ def _canonical_bottleneck(
     network: Network, xs: np.ndarray
 ) -> tuple[int, list[np.ndarray]]:
     """Rotate and scale the bottleneck, in place, to its principal axes;
-    return the embedding's numerical rank and the outputs, on ``xs``, of
-    the layers before the bottleneck, which the fold leaves unchanged.
+    return the embedding's numerical rank and the outputs on ``xs`` of
+    every layer but the output layer, from one pass before the fold.
 
     The bottleneck is linear and feeds an affine layer, so any invertible
     affine change of its coordinates, undone in the next layer's weights,
@@ -356,9 +351,9 @@ def _canonical_bottleneck(
     overflow the network's dtype.
     """
     b = network.bottleneck_index
-    encoded, cache = forward(network, xs, stop=b + 1)
+    _, cache = forward(network, xs, stop=len(network.layers) - 1)
     emb = _finite_embedding(
-        encoded, "the training rows",
+        cache.outputs[b], "the training rows",
         "training diverged, so lower the learning rate or check the data scale",
     )
     mean = emb.mean(axis=0)
@@ -366,8 +361,7 @@ def _canonical_bottleneck(
     # Zero rows pad n < d up to a full set of d right singular vectors.
     padding = np.zeros((max(emb.shape[1] - len(xs), 0), emb.shape[1]))
     _, singular, axes = svd_thin(np.vstack([centered, padding]))
-    pivots = np.argmax(np.abs(axes), axis=0)
-    axes = axes * np.sign(axes[pivots, np.arange(axes.shape[1])])
+    axes = sign_fixed(axes)
     sds = singular / np.sqrt(len(xs) - 1)
     live = sds > np.sqrt(np.finfo(network.dtype).eps) * sds[0]
     scale = np.where(live, sds, 1.0)
@@ -384,7 +378,7 @@ def _canonical_bottleneck(
             "the weights overflowed when the embedding's axes were folded in; "
             "training diverged, so lower the learning rate"
         )
-    return int(np.count_nonzero(live)), cache.outputs[:b]
+    return int(np.count_nonzero(live)), cache.outputs
 
 
 def _finite_embedding(

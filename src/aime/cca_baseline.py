@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DefinitenessError, DomainError
-from .matrix_core import as_matrix, svd_thin
+from .matrix_core import as_matrix, column_stats, sign_fixed, svd_thin
 
 # fit_cca calls none of these; bench/run.py's trace table wraps them here.
 cholesky = np.linalg.cholesky
@@ -62,7 +62,8 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
     ridge is the regularization scale described in the module docstring;
     0 gives plain CCA and requires both covariance blocks to be nonsingular.
     A block whose rows are all equal has no variance and raises
-    DefinitenessError at any ridge.
+    DefinitenessError at any ridge. A column whose mean or sd overflows
+    raises ColumnError naming it in matrix ``x`` or ``y``.
     Directions are sign-fixed per pair: the largest-magnitude coefficient
     across the x and y direction of a pair is made positive, which keeps
     the reported correlation nonnegative and the output deterministic.
@@ -94,8 +95,8 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
                 f"{name} block has no variance: all {n} rows are equal"
             )
 
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
+    xc = x - column_stats(x, "x")[0]
+    yc = y - column_stats(y, "y")[0]
 
     ux, sx, vx = svd_thin(xc)
     uy, sy, vy = svd_thin(yc)
@@ -106,12 +107,8 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
 
     x_dirs = vx @ (gx[:, None] * a[:, :k])
     y_dirs = vy @ (gy[:, None] * b[:, :k])
-
-    for i in range(k):
-        stacked = np.concatenate([x_dirs[:, i], y_dirs[:, i]])
-        if stacked[np.argmax(np.abs(stacked))] < 0:
-            x_dirs[:, i] = -x_dirs[:, i]
-            y_dirs[:, i] = -y_dirs[:, i]
+    dirs = sign_fixed(np.vstack([x_dirs, y_dirs]))
+    x_dirs, y_dirs = dirs[:p], dirs[p:]
 
     return CcaResult(
         x_directions=x_dirs,

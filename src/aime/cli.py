@@ -389,7 +389,8 @@ def cmd_cca(x_path, y_path, out_prefix, k, ridge, delimiter, orientation):
     x = read_labeled(x_path, delimiter=delimiter, orientation=orientation)
     y = read_labeled(y_path, delimiter=delimiter, orientation=orientation)
     x, y = align_samples(x, y)
-    result = fit_cca(x.values, y.values, k, ridge=ridge)
+    with _naming_columns(x=(x_path, x), y=(y_path, y)):
+        result = fit_cca(x.values, y.values, k, ridge=ridge)
     names = [f"cv{i}" for i in range(k)]
     x_out = LabeledMatrix(result.x_variates, x.sample_ids, names)
     y_out = LabeledMatrix(result.y_variates, y.sample_ids, names)

@@ -75,7 +75,7 @@ def permutation_importance(
     network = model.network
     last = network.bottleneck_index
     first = network.layers[0]
-    relu = network.forward_plan[0][2]
+    relu = first.activation == "relu"
 
     def encode(z: np.ndarray) -> np.ndarray:
         """Embedding of rows whose layer-0 pre-activation is ``z``."""

@@ -44,6 +44,13 @@ _SD_CONSTANT_FLOOR = 1e-12
 _U64 = 2**64
 
 
+def check_seed(seed: int) -> None:
+    """Raise DomainError naming ``seed`` unless it fits a stream's 64-bit
+    base seed; commands check their ``--seed`` with this before any work."""
+    if not 0 <= seed < _U64:
+        raise DomainError(f"seed must fit in 64 bits, got {seed}")
+
+
 def rng_stream(base_seed: int, kind: int, index: int = 0) -> np.random.Generator:
     """The deterministic random stream of one consumer: numpy's Generator
     on Philox keyed by ``[base_seed, (kind << 48) + index]``.
@@ -52,20 +59,12 @@ def rng_stream(base_seed: int, kind: int, index: int = 0) -> np.random.Generator
     Distinct keys under one base seed give statistically independent
     streams, so independently scheduled work stays reproducible.
     """
-    if not 0 <= base_seed < _U64:
-        raise DomainError(f"base_seed must fit in 64 bits, got {base_seed}")
+    check_seed(base_seed)
     stream_id = (kind << 48) + index
     if not 0 <= stream_id < _U64:
         raise DomainError(f"stream_id must fit in 64 bits, got {stream_id}")
     key = np.array([base_seed, stream_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def check_seed(seed: int) -> None:
-    """Raise DomainError naming ``seed`` unless it fits a stream's 64-bit
-    base seed; commands check their ``--seed`` with this before any work."""
-    if not 0 <= seed < _U64:
-        raise DomainError(f"seed must fit in 64 bits, got {seed}")
 
 
 def all_finite(values: np.ndarray) -> bool:
@@ -107,6 +106,13 @@ def permute_column(m: np.ndarray, col: int, rng: np.random.Generator) -> np.ndar
     out = m.copy()
     out[:, col] = permuted(m[:, col], rng)
     return out
+
+
+def sign_fixed(m: np.ndarray) -> np.ndarray:
+    """Copy of ``m`` with each column negated whose largest-magnitude entry
+    (the first of them, on a tie) is negative, so that entry is positive."""
+    pivots = m[np.argmax(np.abs(m), axis=0), np.arange(m.shape[1])]
+    return m * np.where(pivots < 0, -1.0, 1.0)
 
 
 def svd_thin(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

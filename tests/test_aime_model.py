@@ -577,6 +577,30 @@ class TestCanonicalBottleneck:
         _canonical_bottleneck(net, xs)
         np.testing.assert_allclose(forward(net, xs)[0], before, atol=1e-10)
 
+    def test_outputs_from_one_pass_before_the_fold(self):
+        net = build_network(build_architecture(10, 8, 3), seed=2)
+        xs = rng_stream(15, 0, 0).standard_normal((40, 10))
+        expected = forward(net, xs, stop=len(net.layers) - 1)[1].outputs
+        _, outputs = _canonical_bottleneck(net, xs)
+        assert len(outputs) == len(net.layers) - 1
+        for got, want in zip(outputs, expected):
+            assert got.tobytes() == want.tobytes()
+
+    def test_fit_runs_no_pass_after_the_fold(self, monkeypatch):
+        stops = []
+
+        def spy(*args, **kwargs):
+            stops.append(kwargs.get("stop"))
+            return traced(*args, **kwargs)
+
+        traced = aime_model.forward
+        monkeypatch.setattr(aime_model, "forward", spy)
+        x, y = make_pair(30, 10, 7, seed=6)
+        fit(x, y, 3, TrainConfig(epochs=2, batch_size=10, seed=2))
+        # Three batches per epoch, then the fold's one pass, which stops
+        # before the output layer, layer 7.
+        assert stops == [None] * 6 + [7]
+
     def test_fewer_rows_than_dimensions(self):
         # Three rows span at most two axes of a 4-d embedding.
         x, y = make_pair(3, 40, 8, seed=17)

@@ -1,10 +1,11 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 from aime.cca_baseline import fit_cca
-from aime.errors import DefinitenessError, DomainError
+from aime.errors import ColumnError, DefinitenessError, DomainError
 from aime.synth_bench import SynthSpec, generate
 
 
@@ -112,6 +113,18 @@ class TestFitErrors:
                 DefinitenessError, match=f"^{name} block has no variance: all 20 rows are equal$"
             ):
                 fit_cca(x, y, 1, ridge=ridge)
+
+    @pytest.mark.parametrize("ridge", [0.0, 1.0])
+    def test_overflowing_column_named_without_numpy_warnings(self, ridge):
+        # Squares of values beyond about 1.3e154 overflow in the block's
+        # statistics, before any ridge term is formed.
+        x = rng(8).normal(size=(40, 6))
+        x[:, 0] *= 3e154
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ColumnError) as caught:
+                fit_cca(x, rng(9).normal(size=(40, 5)), 2, ridge=ridge)
+        assert (caught.value.matrix, caught.value.column) == ("x", 0)
 
     def test_rank_deficient_block_found_from_singular_values(self):
         # a column that is a combination of two others leaves a singular
@@ -257,6 +270,20 @@ class TestInvariances:
                 [result.x_directions[:, i], result.y_directions[:, i]]
             )
             assert stacked[np.argmax(np.abs(stacked))] > 0
+
+    def test_pivot_in_y_block_flips_x_direction(self):
+        # y's small scale makes its coefficients the largest of each pair.
+        # Negating y then negates its raw directions, whose pivots the sign
+        # rule makes positive again by negating the x directions too.
+        g = rng(25)
+        x = g.normal(size=(60, 3))
+        y = 1e-3 * (g.normal(size=(60, 3)) + x[:, :1])
+        a = fit_cca(x, y, 2, ridge=0)
+        b = fit_cca(x, -y, 2, ridge=0)
+        assert np.all(np.abs(a.y_directions).max(axis=0) > np.abs(a.x_directions).max(axis=0))
+        np.testing.assert_allclose(b.x_directions, -a.x_directions, rtol=1e-9)
+        np.testing.assert_allclose(b.y_directions, a.y_directions, rtol=1e-9)
+        np.testing.assert_allclose(b.correlations, a.correlations, rtol=1e-12)
 
 
 class TestOnSyntheticData:

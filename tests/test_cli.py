@@ -1077,7 +1077,7 @@ class TestOutputIsInput:
 class TestOverflowingColumns:
     """Finite values that overflow on the way are refused, naming the file
     and the column, with no numpy warning and no output file: values whose
-    squares overflow in training statistics (exit 2), values outside
+    squares overflow in training or CCA statistics (exit 2), values outside
     float32 once standardized with the model's statistics (exit 2), and a
     non-finite embedding from finite input and weights (exit 3)."""
 
@@ -1117,6 +1117,14 @@ class TestOverflowingColumns:
         self.assert_refused(
             runner, inputs,
             ["train", *files, "--dim", 1, "--epochs", 2, "--model-out", "big.bin"], 2,
+            "error: big_x.tsv: column 'x0': values too large for a finite mean and "
+            "standard deviation",
+        )
+
+    @pytest.mark.parametrize("ridge", [0, 1])
+    def test_cca_column_too_large_for_its_sd(self, runner, inputs, ridge):
+        self.assert_refused(
+            runner, inputs, ["cca", "big_x.tsv", "d_y.tsv", "cc", "--k", 2, "--ridge", ridge], 2,
             "error: big_x.tsv: column 'x0': values too large for a finite mean and "
             "standard deviation",
         )

@@ -29,6 +29,7 @@ from aime.matrix_core import (
     permute_column,
     permuted,
     rng_stream,
+    sign_fixed,
     standardize_columns,
     svd_thin,
 )
@@ -117,8 +118,8 @@ class TestRngStream:
     @pytest.mark.parametrize(
         "seed, kind, index, message",
         [
-            (2**64, 1, 0, "base_seed must fit in 64 bits, got 18446744073709551616"),
-            (-1, 1, 0, "base_seed must fit in 64 bits, got -1"),
+            (2**64, 1, 0, "seed must fit in 64 bits, got 18446744073709551616"),
+            (-1, 1, 0, "seed must fit in 64 bits, got -1"),
             (0, 1 << 16, 0, "stream_id must fit in 64 bits, got 18446744073709551616"),
             (0, 0, -1, "stream_id must fit in 64 bits, got -1"),
         ],
@@ -316,6 +317,32 @@ class TestSvdThin:
         m = rng_stream(seed, 0, 9).standard_normal((rows, cols))
         u, s, v = svd_thin(m)
         np.testing.assert_allclose(u @ np.diag(s) @ v.T, m, atol=1e-8)
+
+
+class TestSignFixed:
+    @staticmethod
+    def per_column(m):
+        """The rule one column at a time, the reference sign_fixed must
+        match bit for bit."""
+        out = m.copy()
+        for i in range(m.shape[1]):
+            if m[np.argmax(np.abs(m[:, i])), i] < 0:
+                out[:, i] = -m[:, i]
+        return out
+
+    @given(st.integers(0, 2**32), st.integers(1, 9), st.integers(1, 6))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_column_loop_bitwise(self, seed, rows, cols):
+        m = rng_stream(seed, 0, 10).standard_normal((rows, cols))
+        before = m.copy()
+        assert sign_fixed(m).tobytes() == self.per_column(m).tobytes()
+        assert m.tobytes() == before.tobytes()
+
+    def test_tie_picks_first_index(self):
+        m = np.array([[-2.0, 2.0, 0.5], [2.0, -2.0, -0.5], [1.0, 1.0, 0.0]])
+        np.testing.assert_array_equal(
+            sign_fixed(m), [[2.0, 2.0, 0.5], [-2.0, -2.0, -0.5], [-1.0, 1.0, 0.0]]
+        )
 
 
 class TestColumnStats:
