@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DefinitenessError, DomainError
+from .errors import ColumnError, DefinitenessError, DomainError
 from .matrix_core import as_matrix, column_stats, sign_fixed, svd_thin
 
 # fit_cca calls none of these; bench/run.py's trace table wraps them here.
@@ -63,7 +63,9 @@ def fit_cca(x, y, k: int, ridge: float = DEFAULT_RIDGE_SCALE) -> CcaResult:
     0 gives plain CCA and requires both covariance blocks to be nonsingular.
     A block whose rows are all equal has no variance and raises
     DefinitenessError at any ridge. A column whose mean or sd overflows
-    raises ColumnError naming it in matrix ``x`` or ``y``.
+    raises ColumnError naming it in matrix ``x`` or ``y``, and a block
+    whose variance overflows float64 as computed, though each column's sd
+    is finite, raises ColumnError naming the block alone.
     Directions are sign-fixed per pair: the largest-magnitude coefficient
     across the x and y direction of a pair is made positive, which keeps
     the reported correlation nonnegative and the output deterministic.
@@ -128,12 +130,18 @@ def _whitening(
 
     Without a ridge term, a singular value at or under numpy's
     ``matrix_rank`` tolerance means the covariance block is singular.
-    A ridge term that overflows raises DomainError.
+    Squared singular values or a trace(S) that overflow float64 (each
+    column's sd may still be finite) raise ColumnError naming the block;
+    a ridge term that overflows on its own raises DomainError.
     """
     n, dim = shape
-    variances = s**2 / (n - 1)
+    with np.errstate(over="ignore"):
+        variances = s**2 / (n - 1)
+        trace = float(variances.sum())
+    if not math.isfinite(trace):
+        raise ColumnError(name, None, "values too large for a finite variance of the whole block")
     # As a Python float, an overflow gives inf without a numpy warning.
-    lam = ridge * float(variances.sum()) / dim
+    lam = ridge * trace / dim
     if not math.isfinite(lam):
         raise DomainError(
             f"ridge {ridge} overflows: ridge * trace(S) / {dim} is not finite"

@@ -37,6 +37,7 @@ from .data_io import (
     read_text,
     sd_filter,
     write_labeled,
+    write_values,
 )
 from .errors import (
     AimeError,
@@ -165,13 +166,14 @@ def _write_rows(path: str, rows, delimiter: str) -> None:
 @contextlib.contextmanager
 def _naming_columns(**inputs: tuple[str, LabeledMatrix]):
     """Re-raise a ColumnError about one of ``inputs``, keyed by the
-    library's name for the matrix, as a DataError naming the file and the
-    column's label."""
+    library's name for the matrix, as a DataError naming the file and, if
+    the error names one, the column's label."""
     try:
         yield
     except ColumnError as exc:
         path, m = inputs[exc.matrix]
-        raise DataError(f"{path}: column {m.feature_ids[exc.column]!r}: {exc.reason}") from None
+        where = "" if exc.column is None else f"column {m.feature_ids[exc.column]!r}: "
+        raise DataError(f"{path}: {where}{exc.reason}") from None
 
 
 def guarded(func):
@@ -265,8 +267,14 @@ def cmd_filter(input_path, output_path, use_cv, use_sd, threshold, delimiter, or
                 kept = sd_filter(m, 1.25 if threshold is None else threshold)
     except InsufficientDataError as exc:
         raise InsufficientDataError(f"{input_path}: {exc}") from None
-    # The kept cells are copied as the input spelled them, not re-printed.
+    # The kept cells are copied as the input spelled them, not re-printed;
+    # their floats go beside them, so that later reads need not parse.
     _atomic_write(output_path, lambda tmp: table.write_features(kept, tmp))
+    if len(kept):
+        _atomic_write(
+            f"{output_path}.f64",
+            lambda tmp: write_values(tmp, output_path, table.sep, m.values[:, kept]),
+        )
     click.echo(
         f"kept {len(kept)} of {m.n_features} features "
         f"(dropped {m.n_features - len(kept)})"

@@ -24,11 +24,23 @@ when every column is kept, a line with no whitespace but its separators
 is written as read. Either way, reading the output back reproduces the
 floats bit for bit, and for a file that ``write_labeled`` wrote the two
 outputs are the same bytes.
+
+``write_values`` (which ``aime filter`` calls after writing its output
+``OUT``) stores the output's floats in a values file, ``OUT.f64``: a
+SHA-256 digest of the separator, the orientation, the TSV's bytes and
+the values, then the values as little-endian float64 (layout in
+``docs/matrix_values.md``). ``read_labeled_text`` takes a file's values
+from its values file when the size fits the TSV's shape, the digest
+matches the bytes just read and every value is finite; otherwise it
+parses the text as above. The TSV stays the only source of truth: the
+header, the ids and every message still come from its text, and
+deleting or corrupting a values file costs only a parse.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -50,6 +62,10 @@ NEAR_ZERO_MEAN = 1e-12
 # The ASCII characters that str.strip strips, bar the newline that a line
 # split from a file cannot hold.
 _ASCII_SPACES = "".join(c for c in map(chr, range(128)) if c.isspace() and c != "\n")
+
+# The first bytes a values file's digest covers; a new layout changes it.
+_VALUES_TAG = b"aime values 1\0"
+_DIGEST_BYTES = 32
 
 
 @dataclass
@@ -200,29 +216,39 @@ def read_labeled_text(
 ) -> LabeledText:
     """What ``read_labeled`` reads, with the lines it parsed, from one
     read of the file. Its ParseError and ValidationError messages start
-    with the path."""
+    with the path.
+
+    The values come from ``PATH.f64`` when ``_stored_values`` accepts it
+    for these lines, and are parsed from the lines otherwise, with the
+    same result; the header, the ids and every error come from the
+    lines either way.
+    """
     sep = delimiter_char(delimiter)
     if orientation not in ("samples_in_rows", "features_in_rows"):
         raise DomainError(f"unknown orientation {orientation!r}")
 
     lines = read_text(path).split("\n")
-    if lines and lines[-1] == "":
+    ended = lines[-1] == ""
+    if ended:
         lines.pop()
+    values = _stored_values(path, lines, ended, sep, orientation)
     try:
-        matrix = _parse_lines(lines, sep, orientation)
+        matrix = _parse_lines(lines, sep, orientation, values)
     except (ParseError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from None
     return LabeledText(lines, matrix, sep, orientation)
 
 
-def _parse_lines(lines: list[str], sep: str, orientation: str) -> LabeledMatrix:
+def _parse_lines(
+    lines: list[str], sep: str, orientation: str, values: np.ndarray | None = None
+) -> LabeledMatrix:
     """The labeled matrix of a file's lines; errors name the line and
     column, not the file.
 
-    The data cells are read by ``_c_reader`` when it takes the file, and
-    otherwise by ``_cell_reader``, which gives the same floats for any
-    file the first one takes and raises the ParseError for the first bad
-    line or cell of one that it does not.
+    The data cells are ``values`` when given, else read by ``_c_reader``
+    when it takes the file, and otherwise by ``_cell_reader``, which
+    gives the same floats for any file the first one takes and raises the
+    ParseError for the first bad line or cell of one that it does not.
     """
     if len(lines) < 2:
         raise ParseError("need a header row and at least one data row")
@@ -234,7 +260,8 @@ def _parse_lines(lines: list[str], sep: str, orientation: str) -> LabeledMatrix:
     width = len(header)
 
     rows = lines[1:]
-    values = _c_reader(rows, sep, width)
+    if values is None:
+        values = _c_reader(rows, sep, width)
     if values is None:
         values = _cell_reader(rows, sep, width)
     row_labels = [line.split(sep, 1)[0].strip() for line in rows]
@@ -242,6 +269,84 @@ def _parse_lines(lines: list[str], sep: str, orientation: str) -> LabeledMatrix:
     if orientation == "features_in_rows":
         return LabeledMatrix(values.T, col_labels, row_labels)
     return LabeledMatrix(values, row_labels, col_labels)
+
+
+def _stored_values(
+    path, lines: list[str], ended: bool, sep: str, orientation: str
+) -> np.ndarray | None:
+    """The data cells of ``lines``, read-only, from the values file
+    ``PATH.f64``; or None, without raising, when it cannot be opened or
+    read, when its size is not the digest's plus 8 bytes per cell of the
+    lines' shape, when its digest (see ``_digest``) does not match
+    ``lines``, ``sep``, ``orientation`` and its values, or when a value
+    is not finite.
+
+    ``lines`` are the file's lines without the empty one after a final
+    newline, which ``ended`` says was there, so joined with newlines they
+    encode to the bytes the file held. The size is checked before any
+    allocation or hashing; a file without a values file costs one failed
+    ``open``.
+    """
+    if len(lines) < 2:
+        return None
+    rows, width = len(lines) - 1, lines[0].count(sep)
+    if width < 1:
+        return None
+    size = 8 * rows * width
+    try:
+        with open(os.fsencode(path) + b".f64", "rb") as handle:
+            if os.fstat(handle.fileno()).st_size != _DIGEST_BYTES + size:
+                return None
+            digest, data = handle.read(_DIGEST_BYTES), handle.read(size)
+    except OSError:
+        return None
+    if len(data) != size:  # the file shrank since fstat
+        return None
+    # A view of the bytes read: the caller copies it into the matrix. In
+    # place of np.empty and readinto, this kept wide peak RSS 1.5 MB lower.
+    values = np.frombuffer(data, dtype="<f8").reshape(rows, width)
+    text = _encoded(lines, ended)
+    if digest != _digest(sep, orientation, text, values) or not all_finite(values):
+        return None
+    return values
+
+
+def _encoded(lines: list[str], ended: bool):
+    """The UTF-8 bytes of ``lines`` joined by newlines, and of a final
+    newline if ``ended``, one piece at a time."""
+    for i, line in enumerate(lines):
+        if i:
+            yield b"\n"
+        yield line.encode()
+    if ended:
+        yield b"\n"
+
+
+def write_values(path, tsv_path, sep: str, values: np.ndarray) -> None:
+    """Write the values file of the samples-in-rows file at ``tsv_path``,
+    delimited by ``sep``, whose data cells parse to ``values``: the
+    digest of the file's bytes as read back and of the values, then the
+    values as little-endian float64, row by row."""
+    values = np.ascontiguousarray(values, dtype="<f8")
+    with open(tsv_path, "rb") as tsv:
+        blocks = iter(lambda: tsv.read(1 << 20), b"")
+        digest = _digest(sep, "samples_in_rows", blocks, values)
+    with open(path, "wb") as handle:
+        handle.write(digest)
+        handle.write(values.data)
+
+
+def _digest(sep: str, orientation: str, text, values: np.ndarray) -> bytes:
+    """SHA-256 of the values tag, ``sep``, ``orientation``, the byte
+    strings of ``text`` in order and the bytes of the C-ordered
+    ``values``."""
+    import hashlib  # here: a read that finds no values file never needs it
+
+    h = hashlib.sha256(_VALUES_TAG + sep.encode() + orientation.encode())
+    for piece in text:
+        h.update(piece)
+    h.update(values.data)
+    return h.digest()
 
 
 def _c_reader(rows: list[str], sep: str, width: int) -> np.ndarray | None:

@@ -24,10 +24,12 @@ class DataError(AimeError, ValueError):
 
 
 class ColumnError(DataError):
-    """Column ``column`` (0-based) of the matrix named ``matrix`` is unusable."""
+    """Column ``column`` (0-based) of the matrix named ``matrix`` is
+    unusable; with ``column`` None, the matrix as a whole is."""
 
-    def __init__(self, matrix: str, column: int, reason: str):
-        super().__init__(f"{matrix} column {column}: {reason}")
+    def __init__(self, matrix: str, column: int | None, reason: str):
+        where = matrix if column is None else f"{matrix} column {column}"
+        super().__init__(f"{where}: {reason}")
         self.matrix, self.column, self.reason = matrix, column, reason
 
 

@@ -126,6 +126,20 @@ class TestFitErrors:
                 fit_cca(x, rng(9).normal(size=(40, 5)), 2, ridge=ridge)
         assert (caught.value.matrix, caught.value.column) == ("x", 0)
 
+    @pytest.mark.parametrize("ridge", [0.0, 1.0])
+    def test_overflowing_block_variance_named_without_numpy_warnings(self, ridge):
+        # Each column's sd is finite, but the block's squared singular
+        # values, and so its variance as computed, overflow.
+        z = rng(10).normal(size=40)
+        z = (z - z.mean()) * (1.6e153 / z.std(ddof=1))
+        x = np.column_stack([z * (1 + 1e-3 * j) for j in range(6)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ColumnError) as caught:
+                fit_cca(x, rng(11).normal(size=(40, 5)), 2, ridge=ridge)
+        assert (caught.value.matrix, caught.value.column) == ("x", None)
+        assert str(caught.value) == "x: values too large for a finite variance of the whole block"
+
     def test_rank_deficient_block_found_from_singular_values(self):
         # a column that is a combination of two others leaves a singular
         # value at rounding level, under numpy's matrix_rank tolerance

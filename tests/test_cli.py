@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from aime import cli
+from aime import cli, data_io
 from aime.aime_model import embed, fit, save_model
 from aime.cca_baseline import fit_cca
 from aime.cli import (
@@ -226,6 +226,69 @@ class TestFilterCommand:
         assert result.exit_code == 2
         assert result.stderr == f"error: {source}: standard deviation needs at least 2 rows, got 1\n"
         assert not (tmp_path / "o.tsv").exists()
+
+
+class TestFilterValuesFile:
+    """filter writes OUT.f64 beside a file that keeps a feature, and the
+    other commands read it in place of parsing OUT, to the same effect."""
+
+    @pytest.fixture()
+    def kept(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for args in (
+            ("synth", "d", "--n", 30, "--p", 8, "--q", 6, "--n-signal", 2, "--seed", 5),
+            ("filter", "d_x.tsv", "x.tsv", "--sd", "--threshold", 0.9),
+            ("filter", "d_y.tsv", "y.tsv", "--sd", "--threshold", 0),
+        ):
+            result = invoke(runner, *args)
+            assert result.exit_code == 0, result.output
+        return tmp_path
+
+    def test_chain_outputs_match_without_values_files(self, runner, kept, monkeypatch):
+        assert read_labeled("x.tsv").n_features < 8
+        commands = [
+            ("train", "x.tsv", "y.tsv", "--dim", 2, "--epochs", 3, "--model-out", "m.bin"),
+            ("embed", "m.bin", "x.tsv", "e.tsv"),
+            ("importance", "m.bin", "x.tsv", "i.tsv", "--repeats", 2, "--fraction", 0.5),
+            ("cca", "x.tsv", "y.tsv", "cc", "--k", 2),
+        ]
+        outputs = ["m.bin", "m.bin.history", "e.tsv", "i.tsv", "cc_x_variates.tsv",
+                   "cc_y_variates.tsv", "cc_correlations.tsv"]
+        parsed = []  # per matrix read, whether its cells were parsed
+        real = data_io._parse_lines
+
+        def parse_lines(lines, sep, orientation, values=None):
+            parsed.append(values is None)
+            return real(lines, sep, orientation, values)
+
+        monkeypatch.setattr(data_io, "_parse_lines", parse_lines)
+        runs = []
+        for values_files in (True, False):
+            if not values_files:
+                Path("x.tsv.f64").unlink()
+                Path("y.tsv.f64").unlink()
+            for args in commands:
+                result = invoke(runner, *args)
+                assert result.exit_code == 0, result.output
+            runs.append([Path(f).read_bytes() for f in outputs])
+        assert runs[0] == runs[1]
+        assert parsed == [False] * 6 + [True] * 6
+
+    def test_keeping_nothing_writes_no_values_file(self, runner, kept):
+        result = invoke(runner, "filter", "d_x.tsv", "none.tsv", "--sd", "--threshold", 1e9)
+        assert result.exit_code == 0, result.output
+        assert Path("none.tsv").exists() and not Path("none.tsv.f64").exists()
+
+    @pytest.mark.parametrize("case", ["na", "threshold"])
+    def test_refused_input_writes_no_values_file(self, runner, kept, case):
+        if case == "na":
+            Path("bad.tsv").write_text(MALFORMED["na"])
+            args = ["bad.tsv", "out.tsv", "--sd"]
+        else:
+            args = ["d_x.tsv", "out.tsv", "--sd", "--threshold", "nan"]
+        result = invoke(runner, "filter", *args)
+        assert result.exit_code == 2, result.output
+        assert not Path("out.tsv").exists() and not Path("out.tsv.f64").exists()
 
 
 # Malformed matrix files: the TestReadLabeled and TestRowParser cases of
@@ -1094,6 +1157,13 @@ class TestOverflowingColumns:
             m = read_labeled("d_x.tsv")
             m.values[:, 0] *= scale
             write_labeled(m, name)
+        # Every column a scaled copy of centred x0 with sd 1.6e153: each
+        # sd is finite, the block's squared singular values are not.
+        m = read_labeled("d_x.tsv")
+        z = m.values[:, 0] - m.values[:, 0].mean()
+        z *= 1.6e153 / z.std(ddof=1)
+        m.values[:] = np.column_stack([z * (1 + 1e-3 * j) for j in range(m.n_features)])
+        write_labeled(m, "joint_x.tsv")
         return tmp_path
 
     @staticmethod
@@ -1127,6 +1197,13 @@ class TestOverflowingColumns:
             runner, inputs, ["cca", "big_x.tsv", "d_y.tsv", "cc", "--k", 2, "--ridge", ridge], 2,
             "error: big_x.tsv: column 'x0': values too large for a finite mean and "
             "standard deviation",
+        )
+
+    @pytest.mark.parametrize("ridge", [0, 1])
+    def test_cca_block_variance_too_large(self, runner, inputs, ridge):
+        self.assert_refused(
+            runner, inputs, ["cca", "joint_x.tsv", "d_y.tsv", "cc", "--k", 2, "--ridge", ridge], 2,
+            "error: joint_x.tsv: values too large for a finite variance of the whole block",
         )
 
     @pytest.mark.parametrize("command", ["embed", "importance"])

@@ -1,4 +1,7 @@
+import contextlib
+import hashlib
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from aime.data_io import (
     read_labeled_text,
     sd_filter,
     write_labeled,
+    write_values,
 )
 from aime.errors import (
     AlignmentError,
@@ -540,6 +544,137 @@ class TestWriteFeatures:
         with pytest.raises(ParseError) as caught:
             read_labeled(copied)
         assert str(caught.value) == f"{copied}: line 1: header has no column labels"
+
+
+@contextlib.contextmanager
+def counting_parses():
+    """The list of parser calls (``_c_reader``, ``_cell_reader``) made
+    inside the block, by name."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_c_reader", "_cell_reader"):
+            def counting(*args, real=getattr(data_io, name), name=name):
+                calls.append(name)
+                return real(*args)
+
+            mp.setattr(data_io, name, counting)
+        yield calls
+
+
+def filter_output(source, out, columns, delimiter="tab", orientation="samples_in_rows"):
+    """What ``aime filter`` writes for ``source`` when it keeps ``columns``:
+    the copied cells at ``out`` and their values file beside it."""
+    table = read_labeled_text(source, delimiter, orientation)
+    table.write_features(columns, out)
+    write_values(f"{out}.f64", out, table.sep, table.matrix.values[:, columns])
+
+
+def outcome(path, delimiter="tab", orientation="samples_in_rows"):
+    """What read_labeled gives for ``path``, its values as bits, or its
+    error, with the parser calls it made."""
+    with counting_parses() as calls:
+        try:
+            m = read_labeled(path, delimiter, orientation)
+        except (ParseError, ValidationError) as exc:
+            return (type(exc), str(exc)), calls
+    return (bits(m.values).tolist(), m.sample_ids, m.feature_ids), calls
+
+
+def values_file(output):
+    return output.with_name(output.name + ".f64")
+
+
+def flip_tsv_digit(output):
+    data = bytearray(output.read_bytes())
+    assert chr(data[-2]).isdigit()
+    data[-2] = ord("0") + (data[-2] - ord("0") + 1) % 10
+    output.write_bytes(bytes(data))
+
+
+def edit_values(edit):
+    def change(output):
+        values_file(output).write_bytes(edit(values_file(output).read_bytes()))
+
+    return change
+
+
+def nan_with_digest(output):
+    values = np.frombuffer(values_file(output).read_bytes()[32:], "<f8").reshape(6, 3).copy()
+    values[2, 1] = np.nan
+    digest = data_io._digest("\t", "samples_in_rows", [output.read_bytes()], values)
+    values_file(output).write_bytes(digest + values.tobytes())
+
+
+def directory(output):
+    values_file(output).unlink()
+    values_file(output).mkdir()
+
+
+# Changes to a filter output ``a_kept.tsv`` beside ``b_kept.tsv``, each
+# with the read options after it; the read must be the TSV's parse, with
+# the same parser calls.
+MISSES = {
+    "tsv_byte": (flip_tsv_digit, {}),
+    "value_byte": (edit_values(lambda d: d[:40] + bytes([d[40] ^ 1]) + d[41:]), {}),
+    "truncated": (edit_values(lambda d: d[:-1]), {}),
+    "extended": (edit_values(lambda d: d + bytes(8)), {}),
+    "other_file": (
+        lambda o: shutil.copy(values_file(o.with_name("b_kept.tsv")), values_file(o)), {}
+    ),
+    "delimiter": (lambda o: None, {"delimiter": "comma"}),
+    "orientation": (lambda o: None, {"orientation": "features_in_rows"}),
+    "nan": (nan_with_digest, {}),
+    "directory": (directory, {}),
+}
+
+
+class TestValuesFile:
+    """A filter output's values file stands in for parsing it only when its
+    digest matches; every other read is the parse, with its result."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrix_files(readable=True), st.data())
+    def test_filter_output_reads_the_same_from_its_values(self, tmp_path_factory, case, data):
+        text, delimiter, orientation = case
+        path = tmp_path_factory.mktemp("vf") / "m.txt"
+        path.write_bytes(text.encode("utf-8"))
+        p = read_labeled(path, delimiter, orientation).n_features
+        columns = data.draw(st.lists(st.integers(0, p - 1), min_size=1, unique=True))
+        out = path.with_name("out.txt")
+        filter_output(path, out, columns, delimiter, orientation)
+        stored, calls = outcome(out, delimiter)
+        assert calls == []
+        values_file(out).rename(path.with_name("aside"))
+        parsed, calls = outcome(out, delimiter)
+        assert calls and parsed == stored
+
+    @pytest.fixture()
+    def output(self, tmp_path):
+        """A filter output of a 6 x 5 file and one of another 6 x 5 file,
+        both keeping columns 3, 0 and 4."""
+        rng = np.random.default_rng(31)
+        for name in ("a", "b"):
+            write_labeled(lm(rng.normal(size=(6, 5))), tmp_path / f"{name}.tsv")
+            filter_output(tmp_path / f"{name}.tsv", tmp_path / f"{name}_kept.tsv", [3, 0, 4])
+        return tmp_path / "a_kept.tsv"
+
+    def test_layout(self, output):
+        values = read_labeled(output.with_name("a.tsv")).values[:, [3, 0, 4]]
+        tag = b"aime values 1\0" + b"\t" + b"samples_in_rows"
+        digest = hashlib.sha256(tag + output.read_bytes() + values.astype("<f8").tobytes())
+        data = values_file(output).read_bytes()
+        assert data == digest.digest() + values.astype("<f8").tobytes()
+        with counting_parses() as calls:
+            assert np.array_equal(bits(read_labeled(output).values), bits(values))
+        assert calls == []
+
+    @pytest.mark.parametrize("case", MISSES)
+    def test_miss_is_the_parse(self, output, case):
+        change, options = MISSES[case]
+        change(output)
+        read = outcome(output, **options)
+        shutil.move(values_file(output), output.with_name("aside"))
+        assert read == outcome(output, **options)
 
 
 class TestAlignSamples:
